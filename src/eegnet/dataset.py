@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import json
 import logging
-import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from . import container
 from .layout import ElectrodeLayout, layout_default, to_mesh_batch, zscore_mesh_batch
 
 log = logging.getLogger(__name__)
@@ -43,7 +43,7 @@ class RecordingError(DatasetError):
 
 
 class DatasetFormatError(DatasetError):
-    """Prepared-dataset container does not start with the expected magic."""
+    """Prepared-dataset container has the wrong magic or an unreadable header."""
 
 
 class DatasetVersionError(DatasetError):
@@ -52,6 +52,13 @@ class DatasetVersionError(DatasetError):
 
 class DatasetTruncatedError(DatasetError):
     """Prepared-dataset container ends before its declared payload."""
+
+
+# fixed fields: window count q, window length S, channels n, mesh rows, cols
+PREPARED_FORMAT = container.Format(
+    "prepared dataset", PREPARED_MAGIC, PREPARED_VERSION, "IHHHH",
+    DatasetFormatError, DatasetVersionError, DatasetTruncatedError,
+)
 
 
 @dataclass
@@ -271,13 +278,6 @@ class PreparedDataset:
             raise DatasetError("dataset carries no stored split")
         return self.subset(split["train"]), self.subset(split["test"])
 
-    def segments(self) -> list:
-        return [
-            WindowSegment(raw=self.raw[i], meshes=self.meshes[i], label=int(self.labels[i]))
-            for i in range(self.count)
-        ]
-
-
 def from_segments(segments, meta: dict) -> PreparedDataset:
     if not segments:
         raise DatasetError("no window segments to assemble")
@@ -344,48 +344,20 @@ def prepare_dataset(manifest: DatasetManifest, window: int = 10,
 
 def save_prepared(path, dataset: PreparedDataset) -> None:
     """Write the EEGW container: header, metadata JSON, float32 blocks, labels."""
-    q, s = dataset.raw.shape[:2]
-    n = dataset.raw.shape[2]
+    q, s, n = dataset.raw.shape
     rows, cols = dataset.meshes.shape[2:]
-    meta_blob = json.dumps(dataset.meta).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(PREPARED_MAGIC)
-        fh.write(struct.pack("<HIHHHHI", PREPARED_VERSION, q, s, n, rows, cols, len(meta_blob)))
-        fh.write(meta_blob)
-        fh.write(np.ascontiguousarray(dataset.raw, dtype="<f4").tobytes())
-        fh.write(np.ascontiguousarray(dataset.meshes, dtype="<f4").tobytes())
-        fh.write(np.ascontiguousarray(dataset.labels, dtype=np.uint8).tobytes())
-
-
-def _read_exact(fh, n: int, what: str) -> bytes:
-    blob = fh.read(n)
-    if len(blob) != n:
-        raise DatasetTruncatedError(f"file truncated while reading {what}")
-    return blob
+    blocks = ((dataset.raw, np.float32), (dataset.meshes, np.float32), (dataset.labels, np.uint8))
+    container.write(path, PREPARED_FORMAT, (q, s, n, rows, cols), dataset.meta,
+                    (np.asarray(block, dtype=dtype) for block, dtype in blocks))
 
 
 def load_prepared(path) -> PreparedDataset:
-    """Read an EEGW container; bad magic, version and truncation raise
-    distinct errors and never yield a partial dataset."""
-    with open(path, "rb") as fh:
-        magic = fh.read(len(PREPARED_MAGIC))
-        if magic != PREPARED_MAGIC:
-            raise DatasetFormatError(
-                f"not a prepared dataset: expected magic {PREPARED_MAGIC!r}, got {magic!r}"
-            )
-        header = _read_exact(fh, struct.calcsize("<HIHHHHI"), "header")
-        version, q, s, n, rows, cols, meta_len = struct.unpack("<HIHHHHI", header)
-        if version != PREPARED_VERSION:
-            raise DatasetVersionError(
-                f"unsupported dataset version {version}, expected {PREPARED_VERSION}"
-            )
-        meta = json.loads(_read_exact(fh, meta_len, "metadata"))
-        raw = np.frombuffer(_read_exact(fh, q * s * n * 4, "raw block"), dtype="<f4")
-        meshes = np.frombuffer(_read_exact(fh, q * s * rows * cols * 4, "mesh block"), dtype="<f4")
-        labels = np.frombuffer(_read_exact(fh, q, "labels"), dtype=np.uint8)
-    return PreparedDataset(
-        raw=raw.reshape(q, s, n).copy(),
-        meshes=meshes.reshape(q, s, rows, cols).copy(),
-        labels=labels.copy(),
-        meta=meta,
-    )
+    """Read an EEGW container; bad magic, version, header and truncation
+    raise distinct errors and never yield a partial dataset."""
+    with container.read(path, PREPARED_FORMAT) as ((q, s, n, rows, cols), meta, read_array):
+        return PreparedDataset(
+            raw=read_array("f4", (q, s, n), "raw block"),
+            meshes=read_array("f4", (q, s, rows, cols), "mesh block"),
+            labels=read_array("u1", (q,), "labels"),
+            meta=meta,
+        )

@@ -137,6 +137,10 @@ def _plan(config: ModelConfig) -> list:
     arch = config.arch
     plan = []
 
+    def dense(name: str, fan_in: int, fan_out: int, kind: str = "dense"):
+        plan.append((f"{name}.weight", (fan_in, fan_out), kind))
+        plan.append((f"{name}.bias", (fan_out,), "bias"))
+
     def conv_stack(spatial_nd: int):
         in_ch = 1
         kernel = (3,) * spatial_nd
@@ -146,9 +150,7 @@ def _plan(config: ModelConfig) -> list:
             in_ch = m
 
     def conv_fc(spatial: tuple):
-        flat = config.maps[-1] * int(np.prod(spatial))
-        plan.append(("cnn.fc.weight", (flat, config.fc_width), "dense"))
-        plan.append(("cnn.fc.bias", (config.fc_width,), "bias"))
+        dense("cnn.fc", config.maps[-1] * int(np.prod(spatial)), config.fc_width)
 
     def lstm(input_size: int):
         d = config.hidden
@@ -158,9 +160,13 @@ def _plan(config: ModelConfig) -> list:
             plan.append((f"rnn.l{j}.u", (d, _GATES * d), "lstm_u"))
             plan.append((f"rnn.l{j}.b", (_GATES * d,), "forget_bias"))
 
-    def head(input_size: int, kind: str = "dense"):
-        plan.append(("head.out.weight", (input_size, config.classes), kind))
-        plan.append(("head.out.bias", (config.classes,), "bias"))
+    def temporal():
+        # the raw-sample path shared by the parallel model and the rnn baseline
+        if config.mid_fc:
+            dense("rnn.fc_in", config.channels, config.fc_width)
+        lstm(config.fc_width if config.mid_fc else config.channels)
+        if config.final_fc:
+            dense("rnn.fc_out", config.hidden, config.fc_width)
 
     if arch == "cascade":
         conv_stack(2)
@@ -168,42 +174,28 @@ def _plan(config: ModelConfig) -> list:
             conv_fc((config.mesh_h, config.mesh_w))
         lstm(_spatial_feature_size(config))
         if config.final_fc:
-            plan.append(("head.fc.weight", (config.hidden, config.fc_width), "dense"))
-            plan.append(("head.fc.bias", (config.fc_width,), "bias"))
-        head(config.fc_width if config.final_fc else config.hidden)
+            dense("head.fc", config.hidden, config.fc_width)
+        dense("head.out", config.fc_width if config.final_fc else config.hidden, config.classes)
     elif arch == "parallel":
         conv_stack(2)
         if config.mid_fc:
             conv_fc((config.mesh_h, config.mesh_w))
-            plan.append(("rnn.fc_in.weight", (config.channels, config.fc_width), "dense"))
-            plan.append(("rnn.fc_in.bias", (config.fc_width,), "bias"))
-        lstm(config.fc_width if config.mid_fc else config.channels)
-        if config.final_fc:
-            plan.append(("rnn.fc_out.weight", (config.hidden, config.fc_width), "dense"))
-            plan.append(("rnn.fc_out.bias", (config.fc_width,), "bias"))
-        fused = _fused_size(config)
+        temporal()
         if config.fusion == "cat-fc":
             joint = _spatial_feature_size(config) + _temporal_feature_size(config)
-            plan.append(("fuse.weight", (joint, config.fc_width), "fused_dense"))
-            plan.append(("fuse.bias", (config.fc_width,), "bias"))
+            dense("fuse", joint, config.fc_width, "fused_dense")
         elif config.fusion == "cat-conv":
             plan.append(("fuse.weight", (2,), "bias"))
             plan.append(("fuse.bias", (1,), "bias"))
-        head(fused, "fused_dense" if config.fusion in ("cat", "add") else "dense")
+        dense("head.out", _fused_size(config), config.classes,
+              "fused_dense" if config.fusion in ("cat", "add") else "dense")
     elif arch in ("cnn1d", "cnn2d", "cnn3d"):
-        nd = {"cnn1d": 1, "cnn2d": 2, "cnn3d": 3}[arch]
-        conv_stack(nd)
+        conv_stack(len(_conv_spatial(config, arch)))
         conv_fc(_conv_spatial(config, arch))
-        head(config.fc_width)
+        dense("head.out", config.fc_width, config.classes)
     else:  # rnn baseline
-        if config.mid_fc:
-            plan.append(("rnn.fc_in.weight", (config.channels, config.fc_width), "dense"))
-            plan.append(("rnn.fc_in.bias", (config.fc_width,), "bias"))
-        lstm(config.fc_width if config.mid_fc else config.channels)
-        if config.final_fc:
-            plan.append(("rnn.fc_out.weight", (config.hidden, config.fc_width), "dense"))
-            plan.append(("rnn.fc_out.bias", (config.fc_width,), "bias"))
-        head(config.fc_width if config.final_fc else config.hidden)
+        temporal()
+        dense("head.out", config.fc_width if config.final_fc else config.hidden, config.classes)
     return plan
 
 
@@ -266,6 +258,12 @@ def _dense(x: Tensor, tensors: dict, name: str) -> Tensor:
     return ad.add(ad.matmul(x, tensors[f"{name}.weight"]), tensors[f"{name}.bias"])
 
 
+def _dense_elu_dropout(x: Tensor, config: ModelConfig, tensors: dict, name: str,
+                       mode: str, rng) -> Tensor:
+    out = ad.elu(_dense(x, tensors, name))
+    return ad.dropout(out, config.keep_prob, rng) if mode == "train" else out
+
+
 def _conv_stack(config: ModelConfig, tensors: dict, x: Tensor, nd: int,
                 mode: str, rng, with_fc: bool) -> Tensor:
     conv = {1: conv1d_same, 2: conv2d_same, 3: conv3d_same}[nd]
@@ -273,11 +271,7 @@ def _conv_stack(config: ModelConfig, tensors: dict, x: Tensor, nd: int,
     for i in range(config.conv_depth):
         h = ad.elu(conv(h, tensors[f"cnn.conv{i}.kernel"], tensors[f"cnn.conv{i}.bias"]))
     flat = ad.reshape(h, (x.shape[0], -1))
-    if with_fc:
-        flat = ad.elu(_dense(flat, tensors, "cnn.fc"))
-        if mode == "train":
-            flat = ad.dropout(flat, config.keep_prob, rng)
-    return flat
+    return _dense_elu_dropout(flat, config, tensors, "cnn.fc", mode, rng) if with_fc else flat
 
 
 def _lstm_step(x: Tensor, h: Tensor, c: Tensor, tensors: dict, layer: str, hidden: int):
@@ -373,57 +367,19 @@ def fuse(spatial, temporal, kind: str, params: ModelParams | None = None) -> Ten
 # ---------------------------------------------------------------------------
 # batched architecture forwards
 
-def _cascade_batch(params: ModelParams, meshes: np.ndarray, mode: str, rng) -> Tensor:
+def _step_features(params: ModelParams, meshes: np.ndarray, mode: str, rng) -> Tensor:
+    """(B, S, F) per-step conv features of a mesh window batch; the conv
+    weights are shared across steps (cascade and parallel)."""
     config = params.config
-    tensors = params.tensors
     batch, steps = meshes.shape[:2]
     x = Tensor.constant(meshes.reshape(batch * steps, 1, config.mesh_h, config.mesh_w))
-    feats = _conv_stack(config, tensors, x, 2, mode, rng, with_fc=config.mid_fc)
-    fseq = ad.reshape(feats, (batch, steps, feats.shape[1]))
-    step_feats = [fseq[:, s] for s in range(steps)]
-    h_last = _lstm_stack(step_feats, tensors, config.lstm_depth, config.hidden)
-    if config.final_fc:
-        h_last = ad.elu(_dense(h_last, tensors, "head.fc"))
-        if mode == "train":
-            h_last = ad.dropout(h_last, config.keep_prob, rng)
-    return _dense(h_last, tensors, "head.out")
+    feats = _conv_stack(config, params.tensors, x, 2, mode, rng, with_fc=config.mid_fc)
+    return ad.reshape(feats, (batch, steps, feats.shape[1]))
 
 
-def _parallel_features(params: ModelParams, raw: np.ndarray, meshes: np.ndarray,
-                       mode: str, rng):
-    config = params.config
-    tensors = params.tensors
-    batch, steps = raw.shape[:2]
-    x = Tensor.constant(meshes.reshape(batch * steps, 1, config.mesh_h, config.mesh_w))
-    feats = _conv_stack(config, tensors, x, 2, mode, rng, with_fc=config.mid_fc)
-    spatial = ad.tensor_sum(ad.reshape(feats, (batch, steps, feats.shape[1])), axis=1)
-
-    xr = Tensor.constant(raw.reshape(batch * steps, config.channels))
-    if config.mid_fc:
-        xr = ad.elu(_dense(xr, tensors, "rnn.fc_in"))
-    rseq = ad.reshape(xr, (batch, steps, xr.shape[1]))
-    step_inputs = [rseq[:, s] for s in range(steps)]
-    temporal = _lstm_stack(step_inputs, tensors, config.lstm_depth, config.hidden)
-    if config.final_fc:
-        temporal = ad.elu(_dense(temporal, tensors, "rnn.fc_out"))
-        if mode == "train":
-            temporal = ad.dropout(temporal, config.keep_prob, rng)
-    return spatial, temporal
-
-
-def _parallel_batch(params: ModelParams, raw, meshes, mode: str, rng) -> Tensor:
-    spatial, temporal = _parallel_features(params, raw, meshes, mode, rng)
-    fused = fuse(spatial, temporal, params.config.fusion, params)
-    return _dense(fused, params.tensors, "head.out")
-
-
-def _conv_baseline_batch(params: ModelParams, x: np.ndarray, nd: int, mode: str, rng) -> Tensor:
-    feats = _conv_stack(params.config, params.tensors, Tensor.constant(x), nd, mode, rng,
-                        with_fc=True)
-    return _dense(feats, params.tensors, "head.out")
-
-
-def _rnn_batch(params: ModelParams, raw: np.ndarray, mode: str, rng) -> Tensor:
+def _temporal_path(params: ModelParams, raw: np.ndarray, mode: str, rng) -> Tensor:
+    """Raw window batch through fc_in, the stacked LSTM and fc_out with
+    dropout (the parallel model's RNN path and the rnn baseline)."""
     config = params.config
     tensors = params.tensors
     batch, steps = raw.shape[:2]
@@ -434,70 +390,75 @@ def _rnn_batch(params: ModelParams, raw: np.ndarray, mode: str, rng) -> Tensor:
     h_last = _lstm_stack([rseq[:, s] for s in range(steps)], tensors,
                          config.lstm_depth, config.hidden)
     if config.final_fc:
-        h_last = ad.elu(_dense(h_last, tensors, "rnn.fc_out"))
-        if mode == "train":
-            h_last = ad.dropout(h_last, config.keep_prob, rng)
-    return _dense(h_last, tensors, "head.out")
+        h_last = _dense_elu_dropout(h_last, config, tensors, "rnn.fc_out", mode, rng)
+    return h_last
 
 
 def forward_windows(params: ModelParams, raw: np.ndarray, meshes: np.ndarray,
                     mode: str = "eval", rng=None) -> Tensor:
     """Batched window classification: (B, S, ...) arrays -> logits (B, K).
 
-    The per-sample baselines (cnn1d, cnn2d) classify a window by averaging
-    the per-step logits; the average is order-invariant, so these models see
-    no temporal structure, matching their single-sample contracts.
+    Each architecture reads only the input it uses: cnn1d and rnn read the
+    raw windows, cascade, cnn2d and cnn3d the meshes, parallel both.  The
+    per-sample baselines (cnn1d, cnn2d) classify a window by averaging the
+    per-step logits; the average is order-invariant, so these models see no
+    temporal structure, matching their single-sample contracts.
     """
     _require_rng(mode, rng)
     config = params.config
     arch = config.arch
-    batch, steps = raw.shape[:2]
+    tensors = params.tensors
     if arch == "cascade":
-        return _cascade_batch(params, meshes, mode, rng)
-    if arch == "parallel":
-        return _parallel_batch(params, raw, meshes, mode, rng)
-    if arch == "rnn":
-        return _rnn_batch(params, raw, mode, rng)
-    if arch == "cnn3d":
+        fseq = _step_features(params, meshes, mode, rng)
+        feats = _lstm_stack([fseq[:, s] for s in range(fseq.shape[1])], tensors,
+                            config.lstm_depth, config.hidden)
+        if config.final_fc:
+            feats = _dense_elu_dropout(feats, config, tensors, "head.fc", mode, rng)
+    elif arch == "parallel":
+        spatial = ad.tensor_sum(_step_features(params, meshes, mode, rng), axis=1)
+        feats = fuse(spatial, _temporal_path(params, raw, mode, rng), config.fusion, params)
+    elif arch == "rnn":
+        feats = _temporal_path(params, raw, mode, rng)
+    elif arch == "cnn3d":
+        batch, steps = meshes.shape[:2]
         x = meshes.reshape(batch, 1, steps, config.mesh_h, config.mesh_w)
-        return _conv_baseline_batch(params, x, 3, mode, rng)
-    if arch == "cnn2d":
-        x = meshes.reshape(batch * steps, 1, config.mesh_h, config.mesh_w)
-        logits = _conv_baseline_batch(params, x, 2, mode, rng)
-    else:  # cnn1d
-        x = raw.reshape(batch * steps, 1, config.channels)
-        logits = _conv_baseline_batch(params, x, 1, mode, rng)
-    per_step = ad.reshape(logits, (batch, steps, config.classes))
-    return ad.mul(ad.tensor_sum(per_step, axis=1), 1.0 / steps)
+        feats = _conv_stack(config, tensors, Tensor.constant(x), 3, mode, rng, with_fc=True)
+    else:  # cnn1d, cnn2d: one conv pass per step, then the mean of the step logits
+        samples = raw if arch == "cnn1d" else meshes
+        batch, steps = samples.shape[:2]
+        spatial = _conv_spatial(config, arch)
+        x = Tensor.constant(samples.reshape((batch * steps, 1) + spatial))
+        feats = _conv_stack(config, tensors, x, len(spatial), mode, rng, with_fc=True)
+        per_step = ad.reshape(_dense(feats, tensors, "head.out"), (batch, steps, config.classes))
+        return ad.mul(ad.tensor_sum(per_step, axis=1), 1.0 / steps)
+    return _dense(feats, tensors, "head.out")
 
 
 # ---------------------------------------------------------------------------
 # spec-level single-window entry points
 
-def _single(params, raw, meshes, mode, rng) -> Tensor:
-    logits = forward_windows(params, raw[None], meshes[None], mode, rng)
-    return ad.reshape(logits, (-1,))
+def _single(params: ModelParams, arch: str, segment, mode: str, rng) -> Tensor:
+    if params.config.arch != arch:
+        raise ValueError(f"params are for {params.config.arch!r}, not {arch}")
+    raw, meshes = np.asarray(segment.raw), np.asarray(segment.meshes)
+    return ad.reshape(forward_windows(params, raw[None], meshes[None], mode, rng), (-1,))
 
 
 def cascade_forward(segment, params: ModelParams, mode: str = "eval", rng=None) -> Tensor:
-    if params.config.arch != "cascade":
-        raise ValueError(f"params are for {params.config.arch!r}, not cascade")
-    return _single(params, np.asarray(segment.raw), np.asarray(segment.meshes), mode, rng)
+    return _single(params, "cascade", segment, mode, rng)
 
 
 def parallel_forward(segment, params: ModelParams, mode: str = "eval", rng=None) -> Tensor:
-    if params.config.arch != "parallel":
-        raise ValueError(f"params are for {params.config.arch!r}, not parallel")
-    return _single(params, np.asarray(segment.raw), np.asarray(segment.meshes), mode, rng)
+    return _single(params, "parallel", segment, mode, rng)
 
 
 def parallel_features(segment, params: ModelParams, mode: str = "eval", rng=None):
     """The two pre-fusion feature vectors of the parallel model: the summed
     per-step spatial features and the RNN-path temporal features."""
     _require_rng(mode, rng)
-    spatial, temporal = _parallel_features(
-        params, np.asarray(segment.raw)[None], np.asarray(segment.meshes)[None], mode, rng
-    )
+    spatial = ad.tensor_sum(_step_features(params, np.asarray(segment.meshes)[None], mode, rng),
+                            axis=1)
+    temporal = _temporal_path(params, np.asarray(segment.raw)[None], mode, rng)
     return ad.reshape(spatial, (-1,)), ad.reshape(temporal, (-1,))
 
 
@@ -520,12 +481,7 @@ def baseline_forward(x, params: ModelParams, kind: str, mode: str = "eval", rng=
         raise ValueError(f"unknown baseline kind {kind!r}")
     if x.shape != expected[kind]:
         raise ValueError(f"{kind} input must have shape {expected[kind]}, got {x.shape}")
-    if kind == "rnn":
-        logits = _rnn_batch(params, x[None], mode, rng)
-    elif kind == "cnn1d":
-        logits = _conv_baseline_batch(params, x[None, None], 1, mode, rng)
-    elif kind == "cnn2d":
-        logits = _conv_baseline_batch(params, x[None, None], 2, mode, rng)
-    else:
-        logits = _conv_baseline_batch(params, x[None, None], 3, mode, rng)
-    return ad.reshape(logits, (-1,))
+    # a one-window batch; a single cnn1d/cnn2d sample is a one-step window.
+    # The architecture reads only its own input, so x serves as raw and mesh.
+    window = x[None] if kind in ("cnn3d", "rnn") else x[None, None]
+    return ad.reshape(forward_windows(params, window, window, mode, rng), (-1,))

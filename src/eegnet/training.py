@@ -11,14 +11,13 @@ from __future__ import annotations
 import csv
 import json
 import logging
-import struct
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from . import models
-from .autodiff import backward, softmax_cross_entropy_batch, _softmax_rows
+from . import container, models
+from .autodiff import Tensor, backward, softmax_cross_entropy_batch, _softmax_rows
 from .dataset import PreparedDataset
 from .models import ModelConfig, ModelParams, param_init
 from .optim import AdamState, adam_step, init_adam
@@ -47,6 +46,12 @@ class CheckpointVersionError(CheckpointError):
 
 class CheckpointTruncatedError(CheckpointError):
     pass
+
+
+CHECKPOINT_FORMAT = container.Format(
+    "checkpoint", CHECKPOINT_MAGIC, CHECKPOINT_VERSION, "",
+    CheckpointFormatError, CheckpointVersionError, CheckpointTruncatedError,
+)
 
 
 @dataclass
@@ -180,6 +185,8 @@ def train(model_config: ModelConfig, train_config: TrainConfig,
     """
     if train_set.count == 0:
         raise ValueError("training set is empty")
+    if test_set.count == 0:
+        raise ValueError("test set is empty: every epoch ends with an evaluation on it")
     dtype = train_config.dtype
     if params is None:
         params = param_init(model_config, train_config.seed, dtype=dtype)
@@ -280,17 +287,8 @@ def save_checkpoint(path, model_config: ModelConfig, train_config: TrainConfig,
                     rng: np.random.Generator, history, metrics: Metrics | None = None) -> None:
     """Binary container: magic, version, JSON header, raw little-endian
     tensor payload (parameters, then Adam first/second moments)."""
-    names = list(params.tensors)
-    tensor_index = []
-    payload = bytearray()
-    for name in names:
-        arr = params.tensors[name].data
-        tensor_index.append({"name": name, "shape": list(arr.shape), "dtype": str(arr.dtype)})
-        payload += np.ascontiguousarray(arr).astype(arr.dtype.newbyteorder("<")).tobytes()
-    for store in (adam_state.first_moment, adam_state.second_moment):
-        for name in names:
-            arr = store[name]
-            payload += np.ascontiguousarray(arr).astype(arr.dtype.newbyteorder("<")).tobytes()
+    values = {name: t.data for name, t in params.tensors.items()}
+    stores = (values, adam_state.first_moment, adam_state.second_moment)
     header = {
         "model_config": asdict(params.config),
         "train_config": asdict(train_config),
@@ -305,14 +303,11 @@ def save_checkpoint(path, model_config: ModelConfig, train_config: TrainConfig,
         },
         "history": [asdict(h) for h in history],
         "metrics": metrics.to_dict() if metrics else None,
-        "tensors": tensor_index,
+        "tensors": [{"name": name, "shape": list(arr.shape), "dtype": str(arr.dtype)}
+                    for name, arr in values.items()],
     }
-    blob = json.dumps(header).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<HI", CHECKPOINT_VERSION, len(blob)))
-        fh.write(blob)
-        fh.write(bytes(payload))
+    container.write(path, CHECKPOINT_FORMAT, (), header,
+                    (store[name] for store in stores for name in values))
 
 
 @dataclass
@@ -327,58 +322,24 @@ class Checkpoint:
     metrics: dict | None = None
 
 
-def _read_exact(fh, n: int, what: str) -> bytes:
-    blob = fh.read(n)
-    if len(blob) != n:
-        raise CheckpointTruncatedError(f"checkpoint truncated while reading {what}")
-    return blob
-
-
 def load_checkpoint(path) -> Checkpoint:
-    with open(path, "rb") as fh:
-        magic = fh.read(len(CHECKPOINT_MAGIC))
-        if magic != CHECKPOINT_MAGIC:
-            raise CheckpointFormatError(
-                f"not a checkpoint: expected magic {CHECKPOINT_MAGIC!r}, got {magic!r}"
-            )
-        version, blob_len = struct.unpack("<HI", _read_exact(fh, 6, "header"))
-        if version != CHECKPOINT_VERSION:
-            raise CheckpointVersionError(
-                f"unsupported checkpoint version {version}, expected {CHECKPOINT_VERSION}"
-            )
-        try:
-            header = json.loads(_read_exact(fh, blob_len, "metadata"))
-        except json.JSONDecodeError as exc:
-            raise CheckpointFormatError(f"corrupt checkpoint header: {exc}") from exc
+    with container.read(path, CHECKPOINT_FORMAT) as (_, header, read_array):
         mc = dict(header["model_config"])
         mc["conv_maps"] = tuple(mc["conv_maps"])
         model_config = ModelConfig(**mc)
         train_config = TrainConfig(**header["train_config"])
-        tensors = {}
-        for entry in header["tensors"]:
-            dtype = np.dtype(entry["dtype"]).newbyteorder("<")
-            n_bytes = int(np.prod(entry["shape"])) * dtype.itemsize
-            arr = np.frombuffer(_read_exact(fh, n_bytes, entry["name"]), dtype=dtype)
-            tensors[entry["name"]] = arr.reshape(entry["shape"]).astype(dtype.newbyteorder("="))
-        moments = []
-        for which in ("first moments", "second moments"):
-            store = {}
-            for entry in header["tensors"]:
-                dtype = np.dtype(entry["dtype"]).newbyteorder("<")
-                n_bytes = int(np.prod(entry["shape"])) * dtype.itemsize
-                arr = np.frombuffer(_read_exact(fh, n_bytes, f"{which} of {entry['name']}"),
-                                    dtype=dtype)
-                store[entry["name"]] = arr.reshape(entry["shape"]).astype(dtype.newbyteorder("="))
-            moments.append(store)
-    from .autodiff import Tensor
-
+        values, first, second = (
+            {e["name"]: read_array(e["dtype"], e["shape"], f"{store} of {e['name']}")
+             for e in header["tensors"]}
+            for store in ("parameters", "first moment", "second moment")
+        )
     params = ModelParams(
         config=model_config,
-        tensors={name: Tensor.parameter(arr) for name, arr in tensors.items()},
+        tensors={name: Tensor.parameter(arr) for name, arr in values.items()},
     )
     adam = header["adam"]
     adam_state = AdamState(
-        step=adam["step"], first_moment=moments[0], second_moment=moments[1],
+        step=adam["step"], first_moment=first, second_moment=second,
         learning_rate=adam["learning_rate"], beta1=adam["beta1"],
         beta2=adam["beta2"], epsilon=adam["epsilon"],
     )

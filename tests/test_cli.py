@@ -207,6 +207,16 @@ class TestEvalPredict:
             probs = [float(x) for x in line.split("probs=[")[1].rstrip("]").split()]
             assert abs(sum(probs) - 1.0) <= 1e-6
 
+    def test_checkpoint_header_not_utf8_is_error(self, trained_run, prepared_file,
+                                                 tmp_path, capsys):
+        blob = bytearray((trained_run / "checkpoint.eegc").read_bytes())
+        blob[12] = 0xFF  # inside the JSON header, which starts at byte 10
+        damaged = tmp_path / "damaged.eegc"
+        damaged.write_bytes(bytes(blob))
+        rc = cli.main(["eval", "--checkpoint", str(damaged), "--data", str(prepared_file)])
+        assert rc == 1
+        assert "error:" in capsys.readouterr().err
+
     def test_missing_checkpoint_is_usage_error(self, prepared_file, tmp_path):
         rc = cli.main(["eval", "--checkpoint", str(tmp_path / "none.eegc"),
                        "--data", str(prepared_file)])

@@ -1,3 +1,4 @@
+import json
 import struct
 
 import numpy as np
@@ -133,6 +134,63 @@ class TestPreparedRoundTrip:
         path.write_bytes(bytes(blob))
         with pytest.raises(ds.DatasetVersionError, match="99"):
             ds.load_prepared(path)
+
+    def _damaged(self, tmp_path, small_prepared, offset, patch):
+        path = tmp_path / "d.eegw"
+        ds.save_prepared(path, small_prepared)
+        blob = bytearray(path.read_bytes())
+        blob[offset:offset + len(patch)] = patch
+        path.write_bytes(bytes(blob))
+        return path
+
+    def test_huge_window_count_rejected_as_truncated(self, tmp_path, small_prepared):
+        path = self._damaged(tmp_path, small_prepared, 6, struct.pack("<I", 2**32 - 1))
+        with pytest.raises(ds.DatasetTruncatedError, match="truncated"):
+            ds.load_prepared(path)
+
+    def test_huge_header_length_rejected_as_truncated(self, tmp_path, small_prepared):
+        path = self._damaged(tmp_path, small_prepared, 18, struct.pack("<I", 0xFFFFFFF0))
+        with pytest.raises(ds.DatasetTruncatedError, match="truncated"):
+            ds.load_prepared(path)
+
+    def test_header_not_utf8_rejected(self, tmp_path, small_prepared):
+        path = self._damaged(tmp_path, small_prepared, 30, b"\xff")
+        with pytest.raises(ds.DatasetFormatError, match="header"):
+            ds.load_prepared(path)
+
+    def test_header_not_json_rejected(self, tmp_path, small_prepared):
+        path = self._damaged(tmp_path, small_prepared, 22, b"x")
+        with pytest.raises(ds.DatasetFormatError, match="header"):
+            ds.load_prepared(path)
+
+    def test_failed_write_leaves_existing_file(self, tmp_path, small_prepared):
+        path = tmp_path / "d.eegw"
+        ds.save_prepared(path, small_prepared)
+        before = path.read_bytes()
+        # labels that cannot become uint8 fail after the float blocks are written
+        bad = ds.PreparedDataset(small_prepared.raw, small_prepared.meshes,
+                                 np.array(["x"] * small_prepared.count), small_prepared.meta)
+        with pytest.raises(ValueError):
+            ds.save_prepared(path, bad)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["d.eegw"]
+
+    def test_layout_pinned(self, tmp_path, small_prepared):
+        # magic, u16 version, u32 q, u16 S, n, rows, cols, u32 header length,
+        # JSON header, float32 raw and mesh blocks, uint8 labels
+        path = tmp_path / "d.eegw"
+        ds.save_prepared(path, small_prepared)
+        blob = path.read_bytes()
+        assert blob[:4] == b"EEGW"
+        assert struct.unpack_from("<H", blob, 4) == (1,)
+        q, s, n, rows, cols = struct.unpack_from("<IHHHH", blob, 6)
+        assert (q, s, n, rows, cols) == small_prepared.raw.shape + small_prepared.meshes.shape[2:]
+        (header_len,) = struct.unpack_from("<I", blob, 18)
+        assert json.loads(blob[22:22 + header_len]) == small_prepared.meta
+        assert len(blob) == 4 + 18 + header_len + q * s * (n + rows * cols) * 4 + q
+        raw_end = 22 + header_len + q * s * n * 4
+        assert blob[22 + header_len:raw_end] == small_prepared.raw.astype("<f4").tobytes()
+        assert blob[-q:] == small_prepared.labels.tobytes()
 
     def test_stored_split_partitions_dataset(self, small_prepared):
         train, test = small_prepared.train_test()

@@ -1,3 +1,4 @@
+import json
 import math
 import struct
 
@@ -164,6 +165,20 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match="empty"):
             train(tiny_config(), TrainConfig(epochs=1), train_set.subset([]), test_set)
 
+    def test_empty_test_set_rejected_before_training(self, tiny_sets, monkeypatch):
+        train_set, test_set = tiny_sets
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return forward(*args, **kwargs)
+
+        forward = models.forward_windows
+        monkeypatch.setattr(training.models, "forward_windows", counted)
+        with pytest.raises(ValueError, match="test set"):
+            train(tiny_config(), TrainConfig(epochs=1), train_set, test_set.subset([]))
+        assert calls == []
+
     def test_nan_loss_aborts_with_diagnostic(self, tiny_sets, monkeypatch):
         train_set, test_set = tiny_sets
 
@@ -300,6 +315,35 @@ class TestCheckpoint:
         path.write_bytes(bytes(blob))
         with pytest.raises(CheckpointVersionError, match="77"):
             load_checkpoint(path)
+
+    def test_header_not_utf8_rejected(self, tiny_sets, tmp_path):
+        config, tc, result = self._train_some(tiny_sets, epochs=1)
+        path = tmp_path / "u.eegc"
+        save_checkpoint(path, config, tc, result.params, result.adam_state,
+                        epoch=1, rng=result.rng, history=result.history)
+        blob = bytearray(path.read_bytes())
+        blob[12] = 0xFF
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointFormatError, match="header"):
+            load_checkpoint(path)
+
+    def test_layout_pinned(self, tiny_sets, tmp_path):
+        # magic, u16 version, u32 header length, JSON header, then parameters
+        # and both Adam moments, each in parameter order
+        config, tc, result = self._train_some(tiny_sets, epochs=1)
+        path = tmp_path / "l.eegc"
+        save_checkpoint(path, config, tc, result.params, result.adam_state,
+                        epoch=1, rng=result.rng, history=result.history)
+        blob = path.read_bytes()
+        assert blob[:4] == b"EEGC"
+        assert struct.unpack_from("<H", blob, 4) == (1,)
+        (header_len,) = struct.unpack_from("<I", blob, 6)
+        header = json.loads(blob[10:10 + header_len])
+        assert [e["name"] for e in header["tensors"]] == list(result.params.tensors)
+        param_bytes = sum(t.data.nbytes for t in result.params.tensors.values())
+        assert len(blob) == 4 + 6 + header_len + 3 * param_bytes
+        last = list(result.adam_state.second_moment.values())[-1]
+        assert blob[-last.nbytes:] == last.astype(last.dtype.newbyteorder("<")).tobytes()
 
     def test_truncated_rejected_without_partial_state(self, tiny_sets, tmp_path):
         config, tc, result = self._train_some(tiny_sets, epochs=1)
