@@ -65,7 +65,8 @@ def read(path, fmt: Format):
 
     Every length is checked against the bytes left in the file before it is
     read, so a damaged length raises the truncated error, never a huge
-    allocation.  A wrong magic or a header that is not UTF-8 JSON raises the
+    allocation.  A wrong magic, a header that is not UTF-8 JSON, or bytes
+    left after the caller's last array when its block exits raise the
     format error, an unknown version the version error.
     """
     with open(path, "rb") as fh:
@@ -98,3 +99,6 @@ def read(path, fmt: Format):
             return arr.astype(dtype.newbyteorder("="), copy=True).reshape(shape)
 
         yield tuple(fixed), header, read_array
+        extra = size - fh.tell()
+        if extra:
+            raise fmt.format_error(f"{fmt.name} has {extra} bytes after its last array")

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .autodiff import Tensor, _accumulate, _lift
+from .autodiff import Tensor, _lift, _op
 
 KERNEL_EXTENT = 3
 
@@ -63,29 +63,25 @@ def _conv_same(x, k, b, nd: int) -> Tensor:
     x, k, b = _lift(x), _lift(k), _lift(b)
     batched = _validate(x, k, b, nd)
     xd = x.data if batched else x.data[None]
-    out, cols = _conv_same_values(xd, k.data, nd)
-    out += b.data.reshape((k.shape[0],) + (1,) * nd)
-    if not batched:
-        out = out[0]
-    if not (x.requires_grad or k.requires_grad or b.requires_grad):
-        return Tensor.constant(out)
-
     kd = k.data
+    out, cols = _conv_same_values(xd, kd, nd)
+    out += b.data.reshape((k.shape[0],) + (1,) * nd)
     spatial_axes = tuple(range(2, 2 + nd))
 
-    def backward(g):
-        gb = g if batched else g[None]
-        if b.requires_grad:
-            _accumulate(b, gb.sum(axis=(0,) + spatial_axes))
-        if k.requires_grad:
-            gmat = np.moveaxis(gb, 1, -1).reshape(-1, kd.shape[0])
-            _accumulate(k, (gmat.T @ cols).reshape(kd.shape))
-        if x.requires_grad:
-            flipped = np.flip(kd, axis=spatial_axes).swapaxes(0, 1)
-            dx = _conv_same_values(np.ascontiguousarray(gb), np.ascontiguousarray(flipped), nd)[0]
-            _accumulate(x, dx if batched else dx[0])
+    def batch(g):
+        return g if batched else g[None]
 
-    return Tensor._from_op(out, (x, k, b), backward)
+    def x_vjp(g):
+        flipped = np.flip(kd, axis=spatial_axes).swapaxes(0, 1)
+        dx = _conv_same_values(np.ascontiguousarray(batch(g)), np.ascontiguousarray(flipped), nd)[0]
+        return dx if batched else dx[0]
+
+    def k_vjp(g):
+        gmat = np.moveaxis(batch(g), 1, -1).reshape(-1, kd.shape[0])
+        return (gmat.T @ cols).reshape(kd.shape)
+
+    return _op(out if batched else out[0], (x, k, b), x_vjp, k_vjp,
+               lambda g: batch(g).sum(axis=(0,) + spatial_axes))
 
 
 def conv1d_same(x, kernels, bias) -> Tensor:

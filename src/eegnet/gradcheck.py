@@ -215,14 +215,16 @@ CHECKS = {
 }
 
 
+def run_check(name: str, seed: int = 0) -> CheckResult:
+    """Run one finite-difference check, seeded from `seed` and its name."""
+    runner, tolerance = CHECKS[name]
+    rng = np.random.default_rng(seed + zlib.crc32(name.encode()) % 1000)
+    return CheckResult(name=name, max_rel_err=runner(rng), tolerance=tolerance)
+
+
 def run_checks(only: str | None = None, seed: int = 0) -> list:
     """Run the named finite-difference checks (all by prefix match)."""
     names = [n for n in CHECKS if only is None or n.startswith(only)]
     if not names:
         raise ValueError(f"no gradient check matches {only!r}; known: {sorted(CHECKS)}")
-    results = []
-    for name in names:
-        runner, tolerance = CHECKS[name]
-        rng = np.random.default_rng(seed + zlib.crc32(name.encode()) % 1000)
-        results.append(CheckResult(name=name, max_rel_err=runner(rng), tolerance=tolerance))
-    return results
+    return [run_check(name, seed) for name in names]

@@ -323,35 +323,42 @@ class Checkpoint:
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """Read an EEGC container.  Besides the container's own errors, a header
+    that decodes but does not describe a checkpoint (a missing or mistyped
+    field, a config the dataclasses reject, an rng state numpy refuses) raises
+    :class:`CheckpointFormatError`."""
     with container.read(path, CHECKPOINT_FORMAT) as (_, header, read_array):
-        mc = dict(header["model_config"])
-        mc["conv_maps"] = tuple(mc["conv_maps"])
-        model_config = ModelConfig(**mc)
-        train_config = TrainConfig(**header["train_config"])
-        values, first, second = (
-            {e["name"]: read_array(e["dtype"], e["shape"], f"{store} of {e['name']}")
-             for e in header["tensors"]}
-            for store in ("parameters", "first moment", "second moment")
-        )
-    params = ModelParams(
-        config=model_config,
-        tensors={name: Tensor.parameter(arr) for name, arr in values.items()},
-    )
-    adam = header["adam"]
-    adam_state = AdamState(
-        step=adam["step"], first_moment=first, second_moment=second,
-        learning_rate=adam["learning_rate"], beta1=adam["beta1"],
-        beta2=adam["beta2"], epsilon=adam["epsilon"],
-    )
-    rng = np.random.default_rng()
-    rng.bit_generator.state = header["rng_state"]
-    return Checkpoint(
-        model_config=model_config,
-        train_config=train_config,
-        params=params,
-        adam_state=adam_state,
-        epoch=header["epoch"],
-        rng=rng,
-        history=[EpochStats(**h) for h in header["history"]],
-        metrics=header.get("metrics"),
-    )
+        try:
+            mc = dict(header["model_config"])
+            mc["conv_maps"] = tuple(mc["conv_maps"])
+            model_config = ModelConfig(**mc)
+            train_config = TrainConfig(**header["train_config"])
+            values, first, second = (
+                {e["name"]: read_array(e["dtype"], e["shape"], f"{store} of {e['name']}")
+                 for e in header["tensors"]}
+                for store in ("parameters", "first moment", "second moment")
+            )
+            params = ModelParams(
+                config=model_config,
+                tensors={name: Tensor.parameter(arr) for name, arr in values.items()},
+            )
+            adam = header["adam"]
+            adam_state = AdamState(
+                step=adam["step"], first_moment=first, second_moment=second,
+                learning_rate=adam["learning_rate"], beta1=adam["beta1"],
+                beta2=adam["beta2"], epsilon=adam["epsilon"],
+            )
+            rng = np.random.default_rng()
+            rng.bit_generator.state = header["rng_state"]
+            return Checkpoint(
+                model_config=model_config,
+                train_config=train_config,
+                params=params,
+                adam_state=adam_state,
+                epoch=header["epoch"],
+                rng=rng,
+                history=[EpochStats(**h) for h in header["history"]],
+                metrics=header.get("metrics"),
+            )
+        except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
+            raise CheckpointFormatError(f"corrupt checkpoint header: {exc!r}") from exc

@@ -1,8 +1,13 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from eegnet import container, optim, synth, training
 from eegnet import dataset as ds
-from eegnet import synth
+from eegnet.gradcheck import reduced_config
+from eegnet.models import param_init
 
 
 def build_prepared(windows_per_class=20, noise=0.25, seed=0, split_seed=0,
@@ -36,3 +41,29 @@ def build_prepared(windows_per_class=20, noise=0.25, seed=0, split_seed=0,
 @pytest.fixture(scope="session")
 def small_prepared():
     return build_prepared(windows_per_class=20, noise=0.25, seed=0, split_seed=0)
+
+
+def rewrite_header(src, dst, fmt, edit):
+    """Copy the container at `src` to `dst` with its JSON header changed in
+    place by `edit`; the fixed fields and the array bytes are kept."""
+    blob = Path(src).read_bytes()
+    start = len(fmt.magic) + fmt.prefix.size
+    _, *fixed, header_len = fmt.prefix.unpack(blob[len(fmt.magic):start])
+    header = json.loads(blob[start:start + header_len])
+    edit(header)
+    payload = np.frombuffer(blob[start + header_len:], dtype=np.uint8)
+    container.write(dst, fmt, tuple(fixed), header, [payload])
+
+
+@pytest.fixture(scope="session")
+def tiny_checkpoint(tmp_path_factory):
+    """An untrained reduced-size cascade checkpoint with one history row."""
+    config = reduced_config("cascade")
+    params = param_init(config, seed=0)
+    path = tmp_path_factory.mktemp("ckpt") / "tiny.eegc"
+    training.save_checkpoint(
+        path, config, training.TrainConfig(epochs=2), params,
+        optim.init_adam(params.tensors, learning_rate=1e-3), epoch=1,
+        rng=np.random.default_rng(0), history=[training.EpochStats(1, 1.1, 0.4, 1.2, 0.3)],
+    )
+    return path

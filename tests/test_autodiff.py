@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from eegnet import autodiff as ad
+from eegnet import convolution
 from eegnet.autodiff import Tensor, backward, softmax_cross_entropy
+from eegnet.convolution import conv2d_same
 from eegnet.gradcheck import finite_diff_check
 
 
@@ -186,14 +188,15 @@ class TestShapeOps:
         c = rng.standard_normal((2, 7))
         weighted = Tensor.constant(c)
 
-        def fn(x, y):
-            xr = ad.reshape(x, (3, 4))
-            xt = ad.transpose(xr, (1, 0))      # (4, 3)
-            part = xt[0:2, :]                   # (2, 3)
-            joined = ad.concat([part, y, part[:, 0:1]], axis=1)  # (2, 7)
-            return ad.tensor_sum(ad.mul(joined, weighted))
+        for axis in (1, -1):
+            def fn(x, y):
+                xr = ad.reshape(x, (3, 4))
+                xt = ad.transpose(xr, (1, 0))      # (4, 3)
+                part = xt[0:2, :]                   # (2, 3)
+                joined = ad.concat([part, y, part[:, 0:1]], axis=axis)  # (2, 7)
+                return ad.tensor_sum(ad.mul(joined, weighted))
 
-        assert finite_diff_check(fn, [x, y]) <= 1e-8
+            assert finite_diff_check(fn, [x, y]) <= 1e-8
 
     def test_sum_axis_gradients(self):
         rng = np.random.default_rng(11)
@@ -204,6 +207,39 @@ class TestShapeOps:
             lambda x: ad.tensor_sum(ad.mul(ad.tensor_sum(x, axis=0), weighted)), [x]
         )
         assert err <= 1e-8
+
+
+class TestOpProtocol:
+    @pytest.mark.parametrize("op", [
+        lambda c: ad.mul(c, 2.0),
+        ad.tanh,
+        lambda c: ad.transpose(c, (2, 0, 1)),
+        lambda c: conv2d_same(c, Tensor.constant(np.ones((2, 3, 3, 3))),
+                              Tensor.constant(np.zeros(2))),
+    ], ids=["mul", "tanh", "transpose", "conv2d_same"])
+    def test_constant_inputs_give_a_constant(self, op):
+        out = op(Tensor.constant(np.arange(60.0).reshape(3, 4, 5)))
+        assert out.requires_grad is False
+        assert out._backward is None
+
+    @pytest.mark.parametrize("x_is_parameter, calls", [(False, 1), (True, 2)])
+    def test_conv_input_gradient_only_when_required(self, monkeypatch, x_is_parameter, calls):
+        rng = np.random.default_rng(14)
+        x = rng.standard_normal((2, 4, 5))
+        x = t64(x) if x_is_parameter else Tensor.constant(x)
+        k, b = t64(rng.standard_normal((3, 2, 3, 3))), t64(rng.standard_normal(3))
+        original = convolution._conv_same_values
+        seen = []
+
+        def counted(*args):
+            seen.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(convolution, "_conv_same_values", counted)
+        backward(ad.tensor_sum(conv2d_same(x, k, b)))
+        assert len(seen) == calls
+        assert k.grad is not None and b.grad is not None
+        assert (x.grad is not None) == x_is_parameter
 
 
 class TestDropout:

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 import eegnet.autodiff as adiff
-from eegnet import cli
+from eegnet import cli, training
 from eegnet import dataset as ds
+
+from conftest import rewrite_header
 
 
 @pytest.fixture(scope="module")
@@ -213,6 +215,15 @@ class TestEvalPredict:
         blob[12] = 0xFF  # inside the JSON header, which starts at byte 10
         damaged = tmp_path / "damaged.eegc"
         damaged.write_bytes(bytes(blob))
+        rc = cli.main(["eval", "--checkpoint", str(damaged), "--data", str(prepared_file)])
+        assert rc == 1
+        assert "error:" in capsys.readouterr().err
+
+    def test_checkpoint_damaged_field_is_error(self, trained_run, prepared_file,
+                                               tmp_path, capsys):
+        damaged = tmp_path / "damaged.eegc"
+        rewrite_header(trained_run / "checkpoint.eegc", damaged, training.CHECKPOINT_FORMAT,
+                       lambda h: h["model_config"].update(arch="nope"))
         rc = cli.main(["eval", "--checkpoint", str(damaged), "--data", str(prepared_file)])
         assert rc == 1
         assert "error:" in capsys.readouterr().err

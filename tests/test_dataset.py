@@ -163,6 +163,15 @@ class TestPreparedRoundTrip:
         with pytest.raises(ds.DatasetFormatError, match="header"):
             ds.load_prepared(path)
 
+    @pytest.mark.parametrize("extra", [1, 63])
+    def test_trailing_bytes_rejected(self, tmp_path, small_prepared, extra):
+        path = tmp_path / "d.eegw"
+        ds.save_prepared(path, small_prepared)
+        with open(path, "ab") as fh:
+            fh.write(bytes(extra))
+        with pytest.raises(ds.DatasetFormatError, match=f"{extra} bytes after"):
+            ds.load_prepared(path)
+
     def test_failed_write_leaves_existing_file(self, tmp_path, small_prepared):
         path = tmp_path / "d.eegw"
         ds.save_prepared(path, small_prepared)

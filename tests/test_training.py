@@ -28,7 +28,7 @@ from eegnet.training import (
     write_history,
 )
 
-from conftest import build_prepared
+from conftest import build_prepared, rewrite_header
 
 
 def tiny_config(arch="cascade", **kw):
@@ -354,3 +354,27 @@ class TestCheckpoint:
         path.write_bytes(blob[:-50])
         with pytest.raises(CheckpointTruncatedError, match="truncated"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("extra", [1, 63])
+    def test_trailing_bytes_rejected(self, tiny_checkpoint, tmp_path, extra):
+        path = tmp_path / "x.eegc"
+        path.write_bytes(tiny_checkpoint.read_bytes() + bytes(extra))
+        with pytest.raises(CheckpointFormatError, match=f"{extra} bytes after"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit, cause", [
+        (lambda h: h["tensors"][0].pop("shape"), KeyError),
+        (lambda h: h["tensors"][0].update(dtype="floau32"), TypeError),
+        (lambda h: h["rng_state"].update(bit_generator="MT"), ValueError),
+        (lambda h: h["rng_state"]["state"].update(state=2**128), OverflowError),
+        (lambda h: h["model_config"].update(arch="nope"), ValueError),
+        (lambda h: h.pop("adam"), KeyError),
+        (lambda h: h["model_config"].update(bogus=1), TypeError),
+    ], ids=["tensor-without-shape", "unknown-dtype", "rng-not-pcg64", "rng-state-too-large",
+            "unknown-arch", "no-adam", "unknown-config-field"])
+    def test_damaged_header_field_rejected(self, tiny_checkpoint, tmp_path, edit, cause):
+        path = tmp_path / "h.eegc"
+        rewrite_header(tiny_checkpoint, path, training.CHECKPOINT_FORMAT, edit)
+        with pytest.raises(CheckpointFormatError, match="header") as excinfo:
+            load_checkpoint(path)
+        assert isinstance(excinfo.value.__cause__, cause)
