@@ -4,7 +4,10 @@ Subcommands: synth (generate a synthetic dataset), prepare (CSV recordings
 -> windowed binary dataset), train, eval, predict, gradcheck.  Progress and
 warnings go to standard error; machine-readable artifacts (config echo,
 history CSV, checkpoints, JSON reports) go to files.  Exit codes: 0 on
-success, 1 on check/training failure, 2 on usage errors.
+success, 1 on check/training failure or a damaged manifest, dataset or
+checkpoint, 2 on usage errors: a missing input file, an invalid flag value,
+or a config or spec file that is not a JSON object, holds an unknown field or
+gives an invalid value.
 """
 
 from __future__ import annotations
@@ -22,13 +25,28 @@ import numpy as np
 
 from . import dataset as ds
 from . import gradcheck, synth, training
-from .models import FUSIONS, ModelConfig
+from .models import FUSIONS, ModelConfig, canonical_config
 from .training import TrainConfig
 
 log = logging.getLogger("eegnet")
 
-# CLI architecture names; rnn64/rnn16 pin the baseline LSTM hidden size.
-CLI_ARCHES = ("cascade", "parallel", "cnn1d", "cnn2d", "cnn3d", "rnn64", "rnn16")
+# CLI-only architecture names for the rnn baseline, each with the LSTM hidden
+# size it stands for (an explicit hidden size still wins).
+RNN_ALIASES = {"rnn64": 64, "rnn16": 16}
+CLI_ARCHES = ("cascade", "parallel", "cnn1d", "cnn2d", "cnn3d", *RNN_ALIASES)
+
+_MODEL_FIELDS = set(ModelConfig.__dataclass_fields__)
+_TRAIN_FIELDS = set(TrainConfig.__dataclass_fields__)
+# every key a run config file may hold; the train flags' dests are among them
+_RUN_KEYS = _MODEL_FIELDS | _TRAIN_FIELDS | {"data", "out_dir"}
+
+
+class UsageError(Exception):
+    pass
+
+
+class ConfigMismatch(Exception):
+    """Config/dataset mismatch: descriptive failure, exit code 1."""
 
 
 def _threads() -> int:
@@ -40,117 +58,71 @@ def _threads() -> int:
         return 1
 
 
-def _model_defaults(arch: str) -> dict:
-    if arch == "cascade":
-        return {"arch": "cascade", "hidden": 64}
-    if arch == "parallel":
-        return {"arch": "parallel", "hidden": 16}
-    if arch == "rnn64":
-        return {"arch": "rnn", "hidden": 64}
-    if arch == "rnn16":
-        return {"arch": "rnn", "hidden": 16}
-    return {"arch": arch, "hidden": 64}
-
-
-_MODEL_FIELDS = set(ModelConfig.__dataclass_fields__)
-_TRAIN_FIELDS = set(TrainConfig.__dataclass_fields__)
-
-
-def _build_run_config(args) -> dict:
-    """Merge defaults <- config file <- CLI flags into one flat mapping."""
-    merged: dict = {}
-    if args.config:
-        path = Path(args.config)
-        if not path.exists():
-            raise UsageError(f"config file not found: {path}")
+def _read_json(path, what: str) -> dict:
+    """The JSON object in a --config or --spec file."""
+    try:
         with open(path) as fh:
-            merged.update(json.load(fh))
-    overrides = {
-        "arch": args.arch,
-        "fusion": args.fusion,
-        "conv_depth": args.conv_depth,
-        "lstm_depth": args.lstm_depth,
-        "window": args.window_size,
-        "seed": args.seed,
-        "epochs": args.epochs,
-        "batch_size": args.batch,
-        "learning_rate": args.lr,
-        "keep_prob": args.keep_prob,
-        "hidden": args.hidden,
-        "fc_width": args.fc_width,
-        "data": args.data,
-        "out_dir": args.out,
-    }
-    merged.update({k: v for k, v in overrides.items() if v is not None})
+            doc = json.load(fh)
+    except FileNotFoundError:
+        raise UsageError(f"{what} file not found: {path}") from None
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"{what} file {path} is not readable JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise UsageError(f"{what} file {path} does not hold a JSON object")
+    return doc
+
+
+def _run_config(args):
+    """The model config, train config, dataset path and output directory of
+    `eegnet train`: the config file's fields, overridden by the flags given."""
+    merged = _read_json(args.config, "config") if args.config else {}
+    merged.update((k, v) for k, v in vars(args).items() if k in _RUN_KEYS and v is not None)
+    unknown = sorted(set(merged) - _RUN_KEYS)
+    if unknown:
+        raise UsageError(f"unknown run config field(s): {', '.join(unknown)}")
     if "arch" not in merged:
         raise UsageError("an architecture is required (--arch or config file)")
-    return merged
-
-
-def _split_run_config(merged: dict):
-    arch_defaults = _model_defaults(merged["arch"])
-    model_kw = dict(arch_defaults)
-    for key, value in merged.items():
-        if key == "arch":
-            continue
-        if key in _MODEL_FIELDS:
-            model_kw[key] = tuple(value) if key == "conv_maps" else value
-    train_kw = {k: v for k, v in merged.items() if k in _TRAIN_FIELDS and k != "seed"}
-    train_kw["seed"] = merged.get("seed", 0)
-    return ModelConfig(**model_kw), TrainConfig(**train_kw)
-
-
-class UsageError(Exception):
-    pass
-
-
-class ConfigMismatch(Exception):
-    """Config/dataset mismatch: descriptive failure, exit code 1."""
+    if not merged.get("data"):
+        raise UsageError("a prepared dataset is required (--data or config file)")
+    arch = merged.pop("arch")
+    if arch in RNN_ALIASES:
+        merged.setdefault("hidden", RNN_ALIASES[arch])
+        arch = "rnn"
+    try:
+        model_config = canonical_config(
+            arch, **{k: v for k, v in merged.items() if k in _MODEL_FIELDS})
+        train_config = TrainConfig(**{k: v for k, v in merged.items() if k in _TRAIN_FIELDS})
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"invalid run config: {exc}") from exc
+    return model_config, train_config, merged["data"], Path(merged.get("out_dir") or "run")
 
 
 def _echo_config(out_dir: Path, model_config: ModelConfig, train_config: TrainConfig,
-                 data: str) -> dict:
-    effective = dict(asdict(model_config))
-    effective["conv_maps"] = list(effective["conv_maps"])
-    for key, value in asdict(train_config).items():
-        effective[key] = value
-    effective["arch"] = {
-        ("rnn", 64): "rnn64", ("rnn", 16): "rnn16",
-    }.get((model_config.arch, model_config.hidden), model_config.arch)
+                 data: str) -> None:
+    effective = {**asdict(model_config), **asdict(train_config)}
+    aliases = {("rnn", hidden): alias for alias, hidden in RNN_ALIASES.items()}
+    effective["arch"] = aliases.get((model_config.arch, model_config.hidden), model_config.arch)
     effective["data"] = data
     effective["out_dir"] = str(out_dir)
     blob = json.dumps(effective, indent=1)
     (out_dir / "config.json").write_text(blob + "\n")
     print(blob, file=sys.stderr)
-    return effective
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 def cmd_synth(args) -> int:
-    if args.spec:
-        path = Path(args.spec)
-        if not path.exists():
-            raise UsageError(f"spec file not found: {path}")
-        with open(path) as fh:
-            doc = json.load(fh)
-        if args.seed is not None:
-            doc["seed"] = args.seed
-        if args.noise is not None:
-            doc["noise"] = args.noise
-        if args.windows_per_class is not None:
-            doc["windows_per_class"] = args.windows_per_class
-        try:
-            spec = synth.spec_from_dict(doc)
-        except (KeyError, ValueError, TypeError) as exc:
-            raise UsageError(f"invalid synthetic spec: {exc}") from exc
-    else:
-        spec = synth.default_spec(
-            windows_per_class=args.windows_per_class or 400,
-            noise=0.25 if args.noise is None else args.noise,
-            seed=args.seed or 0,
-        )
+    given = {k: getattr(args, k) for k in ("seed", "noise", "windows_per_class")
+             if getattr(args, k) is not None}
+    try:
+        if args.spec:
+            spec = synth.spec_from_dict({**_read_json(args.spec, "spec"), **given})
+        else:
+            spec = synth.default_spec(**given)
+        spec.validate()
+    except (KeyError, ValueError, TypeError) as exc:
+        raise UsageError(f"invalid synthetic spec: {exc}") from exc
     manifest, recordings = synth.synth_dataset(spec)
     out = Path(args.out)
     (out / "recordings").mkdir(parents=True, exist_ok=True)
@@ -171,12 +143,11 @@ def cmd_prepare(args) -> int:
     manifest = ds.load_manifest(manifest_path)
     try:
         prepared = ds.prepare_dataset(
-            manifest, window=args.window_size or 10,
+            manifest, window=args.window_size,
             ratio=args.ratio, seed=args.seed, threads=_threads(),
         )
-    except ds.DatasetError as exc:
-        log.error("%s", exc)
-        return 1
+    except ValueError as exc:  # an odd window size or a ratio outside (0, 1)
+        raise UsageError(str(exc)) from exc
     ds.save_prepared(args.out, prepared)
     per_class = np.bincount(prepared.labels, minlength=prepared.n_classes)
     split = prepared.meta["split"]
@@ -191,17 +162,12 @@ def cmd_prepare(args) -> int:
 
 
 def cmd_train(args) -> int:
-    merged = _build_run_config(args)
-    data = merged.get("data")
-    if not data:
-        raise UsageError("a prepared dataset is required (--data or config file)")
+    model_config, train_config, data, out_dir = _run_config(args)
     if not Path(data).exists():
         raise UsageError(f"prepared dataset not found: {data}")
-    out_dir = Path(merged.get("out_dir") or "run")
     out_dir.mkdir(parents=True, exist_ok=True)
 
     prepared = ds.load_prepared(data)
-    model_config, train_config = _split_run_config(merged)
     if model_config.window != prepared.window:
         raise ConfigMismatch(
             f"config window {model_config.window} does not match dataset window "
@@ -223,15 +189,14 @@ def cmd_train(args) -> int:
         log.error("training aborted: %s", exc)
         return 1
     elapsed = time.monotonic() - started
-    metrics = training.evaluate(result.params, test_set)
     training.write_history(out_dir / "history.csv", result.history)
     training.save_checkpoint(
         out_dir / "checkpoint.eegc", model_config, train_config, result.params,
         result.adam_state, epoch=result.history[-1].epoch if result.history else 0,
-        rng=result.rng, history=result.history, metrics=metrics,
+        rng=result.rng, history=result.history, metrics=result.metrics,
     )
     log.info("finished %d epochs in %.1fs", len(result.history), elapsed)
-    print(f"final test accuracy: {metrics.accuracy:.4f}")
+    print(f"final test accuracy: {result.metrics.accuracy:.4f}")
     print(f"checkpoint -> {out_dir / 'checkpoint.eegc'}")
     print(f"history -> {out_dir / 'history.csv'}")
     return 0
@@ -318,21 +283,22 @@ def cmd_gradcheck(args) -> int:
 # argument parsing
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
+    # each dest is the run config key the flag overrides
     p.add_argument("--arch", choices=CLI_ARCHES, help="architecture to train")
     p.add_argument("--fusion", choices=FUSIONS, help="parallel-model fusion method")
     p.add_argument("--conv-depth", dest="conv_depth", type=int, choices=(1, 2, 3))
     p.add_argument("--lstm-depth", dest="lstm_depth", type=int, choices=(1, 2))
-    p.add_argument("--window-size", dest="window_size", type=int)
+    p.add_argument("--window-size", dest="window", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--config", help="JSON run config; flags override its fields")
     p.add_argument("--epochs", type=int)
-    p.add_argument("--batch", type=int)
-    p.add_argument("--lr", dest="lr", type=float, help="Adam learning rate")
+    p.add_argument("--batch", dest="batch_size", type=int)
+    p.add_argument("--lr", dest="learning_rate", type=float, help="Adam learning rate")
     p.add_argument("--keep-prob", dest="keep_prob", type=float)
     p.add_argument("--hidden", type=int, help="LSTM hidden size override")
     p.add_argument("--fc-width", dest="fc_width", type=int)
     p.add_argument("--data", help="prepared dataset (EEGW file)")
-    p.add_argument("--out", help="output directory")
+    p.add_argument("--out", dest="out_dir", help="output directory")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -393,10 +359,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ConfigMismatch as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ds.DatasetError, training.CheckpointError) as exc:
+    except (ConfigMismatch, ds.DatasetError, training.CheckpointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

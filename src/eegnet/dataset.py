@@ -112,20 +112,26 @@ class DatasetManifest:
 
 
 def load_manifest(path) -> DatasetManifest:
+    """Read a manifest; a file that is not JSON or does not describe a
+    manifest (a missing key, a label that is not an integer) raises
+    :class:`DatasetError` naming the file."""
     path = Path(path)
-    with open(path) as fh:
-        doc = json.load(fh)
-    return DatasetManifest(
-        recordings=[
-            ManifestEntry(path=r["path"], subject=r.get("subject", ""), label=int(r["label"]))
-            for r in doc["recordings"]
-        ],
-        label_names={int(k): v for k, v in doc["label_names"].items()},
-        sample_rate=int(doc.get("sample_rate", 160)),
-        split_seed=int(doc.get("split", {}).get("seed", 0)),
-        split_ratio=float(doc.get("split", {}).get("ratio", 0.75)),
-        base_dir=path.parent,
-    )
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+        return DatasetManifest(
+            recordings=[
+                ManifestEntry(path=r["path"], subject=r.get("subject", ""), label=int(r["label"]))
+                for r in doc["recordings"]
+            ],
+            label_names={int(k): v for k, v in doc["label_names"].items()},
+            sample_rate=int(doc.get("sample_rate", 160)),
+            split_seed=int(doc.get("split", {}).get("seed", 0)),
+            split_ratio=float(doc.get("split", {}).get("ratio", 0.75)),
+            base_dir=path.parent,
+        )
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise DatasetError(f"{path}: not a dataset manifest ({exc!r})") from exc
 
 
 def save_manifest(path, manifest: DatasetManifest) -> None:

@@ -50,6 +50,8 @@ class ModelConfig:
     final_fc: bool = True
 
     def __post_init__(self):
+        # JSON gives a list; the frozen config always holds a tuple
+        object.__setattr__(self, "conv_maps", tuple(self.conv_maps))
         if self.arch not in ARCHITECTURES:
             raise ValueError(f"unknown architecture {self.arch!r}, expected one of {ARCHITECTURES}")
         if self.fusion not in FUSIONS:

@@ -164,6 +164,7 @@ class TrainResult:
     adam_state: AdamState
     history: list
     rng: np.random.Generator
+    metrics: Metrics  # eval-mode metrics of `params` on the test set
 
 
 def train(model_config: ModelConfig, train_config: TrainConfig,
@@ -175,10 +176,11 @@ def train(model_config: ModelConfig, train_config: TrainConfig,
 
     One epoch = seeded shuffle, then forward/backward/Adam per batch.  The
     history records per-epoch train loss/accuracy and eval-mode test
-    loss/accuracy.  ``train_loss`` is the mean dropout-mode loss of the
-    epoch's batches, each taken before that batch's update; it carries the
-    dropout-mask noise, so it need not fall monotonically even under
-    full-batch descent.  A parameter with no gradient (it took no part in
+    loss/accuracy; the last evaluation comes back as ``metrics``, so the
+    caller need not evaluate the final parameters again.  ``train_loss`` is
+    the mean dropout-mode loss of the epoch's batches, each taken before
+    that batch's update; it carries the dropout-mask noise, so it need not
+    fall monotonically even under full-batch descent.  A parameter with no gradient (it took no part in
     the loss) gets a zero gradient, which Adam leaves in place.  Early
     stopping (optional) watches test loss.  A NaN/Inf loss aborts with a
     diagnostic.
@@ -201,6 +203,7 @@ def train(model_config: ModelConfig, train_config: TrainConfig,
     count = train_set.count
     best_loss = min((h.test_loss for h in history), default=np.inf)
     since_best = 0
+    test_metrics = None
 
     for epoch in range(start_epoch, train_config.epochs):
         order = rng.permutation(count) if train_config.shuffle else np.arange(count)
@@ -247,7 +250,10 @@ def train(model_config: ModelConfig, train_config: TrainConfig,
                     log.info("early stop: no test-loss improvement for %d epochs",
                              train_config.patience)
                     break
-    return TrainResult(params=params, adam_state=adam_state, history=history, rng=rng)
+    if test_metrics is None:  # resumed at or past the last epoch
+        test_metrics = evaluate(params, test_set)
+    return TrainResult(params=params, adam_state=adam_state, history=history, rng=rng,
+                       metrics=test_metrics)
 
 
 # ---------------------------------------------------------------------------
@@ -325,14 +331,19 @@ class Checkpoint:
 def load_checkpoint(path) -> Checkpoint:
     """Read an EEGC container.  Besides the container's own errors, a header
     that decodes but does not describe a checkpoint (a missing or mistyped
-    field, a config the dataclasses reject, an rng state numpy refuses) raises
+    field, a config the dataclasses reject, a tensor table whose names and
+    shapes differ from the config's, an rng state numpy refuses) raises
     :class:`CheckpointFormatError`."""
     with container.read(path, CHECKPOINT_FORMAT) as (_, header, read_array):
         try:
-            mc = dict(header["model_config"])
-            mc["conv_maps"] = tuple(mc["conv_maps"])
-            model_config = ModelConfig(**mc)
+            model_config = ModelConfig(**header["model_config"])
             train_config = TrainConfig(**header["train_config"])
+            table = {e["name"]: tuple(e["shape"]) for e in header["tensors"]}
+            plan = {name: shape for name, shape, _ in models._plan(model_config)}
+            if table != plan:
+                wrong = sorted(set(table.items()) ^ set(plan.items()))
+                raise CheckpointFormatError(
+                    f"tensor table does not match the model config: {wrong}")
             values, first, second = (
                 {e["name"]: read_array(e["dtype"], e["shape"], f"{store} of {e['name']}")
                  for e in header["tensors"]}

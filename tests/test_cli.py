@@ -87,6 +87,15 @@ class TestPrepare:
         prepared = ds.load_prepared(out)
         assert prepared.count == 120
 
+    def test_damaged_manifest_is_error(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"recordings": [{"path": "a.csv"}],
+                                        "label_names": {"0": "a"}}))
+        rc = cli.main(["prepare", "--manifest", str(manifest),
+                       "--out", str(tmp_path / "x.eegw")])
+        assert rc == 1
+        assert "error:" in capsys.readouterr().err
+
     def test_missing_manifest_is_usage_error(self, tmp_path):
         rc = cli.main(["prepare", "--manifest", str(tmp_path / "none.json"),
                        "--out", str(tmp_path / "x.eegw")])
@@ -168,6 +177,18 @@ class TestTrain:
                        "--data", str(tmp_path / "none.eegw"), "--out", str(tmp_path)])
         assert rc == 2
 
+    def test_test_split_evaluated_once_per_epoch(self, prepared_file, tmp_path,
+                                                 monkeypatch):
+        calls = []
+        evaluate = training.evaluate
+        monkeypatch.setattr(training, "evaluate",
+                            lambda *a, **kw: calls.append(1) or evaluate(*a, **kw))
+        out = tmp_path / "once"
+        rc = cli.main(["train", "--arch", "cascade", "--data", str(prepared_file),
+                       "--out", str(out), "--conv-depth", "1", *TINY_MODEL])
+        assert rc == 0
+        assert len(calls) == len(training.read_history(out / "history.csv")) == 2
+
     def test_window_mismatch_is_descriptive_failure(self, prepared_file, tmp_path):
         rc = cli.main(["train", "--arch", "cascade", "--data", str(prepared_file),
                        "--out", str(tmp_path / "w"), "--window-size", "6",
@@ -228,6 +249,18 @@ class TestEvalPredict:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, data_flag", [("eval", "--data"),
+                                                    ("predict", "--windows")],
+                             ids=["eval", "predict"])
+    def test_checkpoint_tensor_table_mismatch_is_error(self, trained_run, prepared_file,
+                                                       tmp_path, capsys, command, data_flag):
+        damaged = tmp_path / "renamed.eegc"
+        rewrite_header(trained_run / "checkpoint.eegc", damaged, training.CHECKPOINT_FORMAT,
+                       lambda h: h["tensors"][0].update(name="cnn.conv0.kernex"))
+        rc = cli.main([command, "--checkpoint", str(damaged), data_flag, str(prepared_file)])
+        assert rc == 1
+        assert "error:" in capsys.readouterr().err
+
     def test_missing_checkpoint_is_usage_error(self, prepared_file, tmp_path):
         rc = cli.main(["eval", "--checkpoint", str(tmp_path / "none.eegc"),
                        "--data", str(prepared_file)])
@@ -262,3 +295,31 @@ def test_usage_error_exit_code_for_bad_flags(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["train", "--arch", "transformer"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (["train", "--arch", "cascade", "--keep-prob", "2"], "keep probability"),
+    (["train", "--arch", "cascade", "--epochs", "0"], "epochs"),
+    # "--epochs 1" keeps a run that ignores the typo short
+    (["train", "--arch", "cascade", "--epochs", "1", "--config", "{typo}"], "epoch"),
+    (["train", "--arch", "cascade", "--config", "{garbage}"], "JSON"),
+    (["synth", "--spec", "{garbage}"], "JSON"),
+    (["synth", "--windows-per-class", "0"], "windows_per_class"),
+    (["prepare", "--window-size", "9"], "window size"),
+    (["prepare", "--ratio", "1.5"], "ratio"),
+], ids=["keep-prob-2", "epochs-0", "config-typo", "config-not-json", "spec-not-json",
+        "synth-zero-windows", "prepare-odd-window", "prepare-ratio-1.5"])
+def test_bad_input_is_usage_error(argv, reason, synth_dir, prepared_file, tmp_path, capsys):
+    (tmp_path / "typo.json").write_text(json.dumps({"epoch": 1}))
+    (tmp_path / "garbage.json").write_text("{not json")
+    files = {"typo": tmp_path / "typo.json", "garbage": tmp_path / "garbage.json"}
+    out = tmp_path / "out"
+    inputs = {"train": ["--data", str(prepared_file)], "synth": [],
+              "prepare": ["--manifest", str(synth_dir / "manifest.json")]}[argv[0]]
+    rc = cli.main([argv[0], *inputs, "--out", str(out),
+                   *(a.format(**files) for a in argv[1:])])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and reason in err
+    assert not out.exists()
+    assert not list(tmp_path.rglob("checkpoint.eegc")) and not list(tmp_path.rglob("config.json"))

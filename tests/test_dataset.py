@@ -291,6 +291,21 @@ class TestManifest:
                 label_names={0: "a"},
             )
 
+    @pytest.mark.parametrize("doc", [
+        "{not json",
+        {"label_names": {"0": "a"}},
+        {"recordings": []},
+        {"recordings": [{"label": 0}], "label_names": {"0": "a"}},
+        {"recordings": [{"path": "a.csv"}], "label_names": {"0": "a"}},
+        {"recordings": [{"path": "a.csv", "label": "x"}], "label_names": {"0": "a"}},
+    ], ids=["not-json", "no-recordings", "no-label-names", "no-path", "no-label",
+            "label-not-int"])
+    def test_damaged_manifest_rejected(self, tmp_path, doc):
+        path = tmp_path / "manifest.json"
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        with pytest.raises(ds.DatasetError, match="manifest.json"):
+            ds.load_manifest(path)
+
 
 class TestPrepareDataset:
     def test_skips_damaged_recording_and_processes_rest(self, tmp_path, caplog):

@@ -61,6 +61,12 @@ class TestModelConfig:
         assert canonical_config("cascade").fc_width == 1024
         assert canonical_config("cascade").conv_maps == (32, 64, 128)
 
+    def test_conv_maps_stored_as_tuple(self):
+        # a JSON config or checkpoint header gives a list
+        config = ModelConfig(arch="cascade", conv_maps=[2, 3, 4])
+        assert config.conv_maps == (2, 3, 4) and isinstance(config.conv_maps, tuple)
+        assert config == ModelConfig(arch="cascade", conv_maps=(2, 3, 4))
+
 
 class TestParamInit:
     def test_same_seed_bitwise_identical(self):

@@ -196,6 +196,29 @@ class TestTrainLoop:
         # zero learning rate: test loss never improves after epoch 1
         assert len(result.history) == 4  # best at 1, patience 2 exhausted at 4
 
+    @pytest.mark.parametrize("epochs, patience, stop_at", [
+        (3, None, None), (50, 0, None), (10, None, 2),
+    ], ids=["by-epochs", "by-patience", "by-on-epoch"])
+    def test_returned_metrics_are_final_evaluation(self, tiny_sets, epochs, patience,
+                                                   stop_at):
+        train_set, test_set = tiny_sets
+        # zero learning rate makes patience 0 stop the run at epoch 2
+        tc = TrainConfig(epochs=epochs, batch_size=32, seed=3, patience=patience,
+                         learning_rate=0.0 if patience == 0 else 1e-3)
+        result = train(tiny_config(), tc, train_set, test_set,
+                       on_epoch=lambda stats, _: stats.epoch == stop_at)
+        assert len(result.history) == (2 if patience == 0 or stop_at else epochs)
+        assert result.metrics.to_dict() == evaluate(result.params, test_set).to_dict()
+        assert result.metrics.mean_loss == result.history[-1].test_loss
+
+    def test_resume_past_last_epoch_still_returns_metrics(self, tiny_sets):
+        train_set, test_set = tiny_sets
+        params = param_init(tiny_config(), seed=0)
+        result = train(tiny_config(), TrainConfig(epochs=2), train_set, test_set,
+                       params=params, start_epoch=2)
+        assert result.history == []
+        assert result.metrics.to_dict() == evaluate(params, test_set).to_dict()
+
     def test_invalid_train_config_rejected(self):
         with pytest.raises(ValueError):
             TrainConfig(epochs=0)
@@ -378,3 +401,21 @@ class TestCheckpoint:
         with pytest.raises(CheckpointFormatError, match="header") as excinfo:
             load_checkpoint(path)
         assert isinstance(excinfo.value.__cause__, cause)
+
+    def test_config_round_trip(self, tiny_checkpoint):
+        assert load_checkpoint(tiny_checkpoint).model_config == reduced_config("cascade")
+
+    @pytest.mark.parametrize("entry", [
+        {"name": "cnn.conv0.kernex"},
+        {"shape": [1, 2, 3, 3]},  # same byte count as the planned [2, 1, 3, 3]
+    ], ids=["renamed", "reshaped"])
+    def test_tensor_table_must_match_config(self, tiny_checkpoint, tmp_path, entry):
+        def edit(header):
+            first = header["tensors"][0]
+            assert first["name"] == "cnn.conv0.kernel" and first["shape"] == [2, 1, 3, 3]
+            first.update(entry)
+
+        path = tmp_path / "t.eegc"
+        rewrite_header(tiny_checkpoint, path, training.CHECKPOINT_FORMAT, edit)
+        with pytest.raises(CheckpointFormatError, match="tensor table"):
+            load_checkpoint(path)
