@@ -197,8 +197,21 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 # runs, so verification harnesses can substitute them (fault injection in
 # tests).
 
-def _elu_grad(x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    return np.where(x > 0, np.asarray(1.0, dtype=out.dtype), out + 1.0)
+def _elu_values(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """maximum(x, 0) + expm1(minimum(x, 0)), exact on both branches; `out`
+    may be `x` itself."""
+    neg = np.minimum(x, 0.0, out=np.empty_like(x))
+    np.expm1(neg, out=neg)
+    out = np.maximum(x, 0.0, out=np.empty_like(x) if out is None else out)
+    out += neg
+    return out
+
+
+def _elu_grad(out: np.ndarray) -> np.ndarray:
+    """The ELU derivative from its output: 1 where x > 0, exp(x) = out + 1
+    elsewhere."""
+    d = np.add(out, 1.0, out=np.empty_like(out))
+    return np.minimum(d, 1.0, out=d)
 
 
 def _sigmoid_grad(out: np.ndarray) -> np.ndarray:
@@ -212,9 +225,8 @@ def _tanh_grad(out: np.ndarray) -> np.ndarray:
 def elu(x) -> Tensor:
     """Exponential linear unit with alpha = 1."""
     x = _lift(x)
-    xd = x.data
-    out = np.where(xd > 0, xd, np.expm1(np.minimum(xd, 0.0)))
-    return _op(out, (x,), lambda g: g * _elu_grad(xd, out))
+    out = _elu_values(x.data)
+    return _op(out, (x,), lambda g: g * _elu_grad(out))
 
 
 def _sigmoid_values(x: np.ndarray) -> np.ndarray:

@@ -183,11 +183,7 @@ def cmd_train(args) -> int:
     log.info("training %s on %d windows (%d test)", model_config.arch,
              train_set.count, test_set.count)
     started = time.monotonic()
-    try:
-        result = training.train(model_config, train_config, train_set, test_set)
-    except training.TrainingDiverged as exc:
-        log.error("training aborted: %s", exc)
-        return 1
+    result = training.train(model_config, train_config, train_set, test_set)
     elapsed = time.monotonic() - started
     training.write_history(out_dir / "history.csv", result.history)
     training.save_checkpoint(
@@ -207,6 +203,21 @@ def _load_checkpoint(path):
     if not path.exists():
         raise UsageError(f"checkpoint not found: {path}")
     return training.load_checkpoint(path)
+
+
+def _check_fits(ckpt: training.Checkpoint, prepared: ds.PreparedDataset) -> None:
+    """The checkpoint's model reads windows of the dataset's length and
+    scores the dataset's classes."""
+    config = ckpt.model_config
+    if prepared.window != config.window:
+        raise ConfigMismatch(
+            f"dataset window {prepared.window} does not match checkpoint window {config.window}"
+        )
+    if prepared.n_classes != config.classes:
+        raise ConfigMismatch(
+            f"dataset classes {prepared.n_classes} does not match checkpoint classes "
+            f"{config.classes}"
+        )
 
 
 def _select_split(prepared: ds.PreparedDataset, which: str) -> ds.PreparedDataset:
@@ -235,10 +246,7 @@ def cmd_eval(args) -> int:
     if not Path(args.data).exists():
         raise UsageError(f"prepared dataset not found: {args.data}")
     prepared = ds.load_prepared(args.data)
-    if prepared.window != ckpt.model_config.window:
-        log.error("dataset window %d does not match checkpoint window %d",
-                  prepared.window, ckpt.model_config.window)
-        return 1
+    _check_fits(ckpt, prepared)
     subset = _select_split(prepared, args.split)
     metrics = training.evaluate(ckpt.params, subset)
     print(_format_metrics(metrics, prepared.label_names))
@@ -254,6 +262,7 @@ def cmd_predict(args) -> int:
     if not Path(args.windows).exists():
         raise UsageError(f"prepared dataset not found: {args.windows}")
     prepared = ds.load_prepared(args.windows)
+    _check_fits(ckpt, prepared)
     names = prepared.label_names
     for i in range(prepared.count):
         probs, cls = training.predict(ckpt.params, prepared.raw[i], prepared.meshes[i])
@@ -359,7 +368,8 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ConfigMismatch, ds.DatasetError, training.CheckpointError) as exc:
+    except (ConfigMismatch, ds.DatasetError, training.CheckpointError,
+            training.TrainingDiverged) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -20,8 +20,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import autodiff as ad
+from . import convolution
 from .autodiff import Tensor
-from .convolution import conv1d_same, conv2d_same, conv3d_same
 
 ARCHITECTURES = ("cascade", "parallel", "cnn1d", "cnn2d", "cnn3d", "rnn")
 FUSIONS = ("cat", "add", "cat-fc", "cat-conv")
@@ -268,10 +268,17 @@ def _dense_elu_dropout(x: Tensor, config: ModelConfig, tensors: dict, name: str,
 
 def _conv_stack(config: ModelConfig, tensors: dict, x: Tensor, nd: int,
                 mode: str, rng, with_fc: bool) -> Tensor:
-    conv = {1: conv1d_same, 2: conv2d_same, 3: conv3d_same}[nd]
-    h = x
+    """Conv layers, each one fused conv + bias + ELU node, over a channels-first
+    (N, 1, *spatial) batch; the flattened last layer, then `cnn.fc` if `with_fc`."""
+    # The layers run channels-last, (N, *spatial, C), so each output is the
+    # next layer's lowering input as it stands.  Only the last layer emits
+    # channels-first and C-contiguous: the flatten is then a view, and the
+    # rows of cnn.fc.weight keep their (C, *spatial) order.
+    h = convolution._channels_last(x, nd)
+    last = config.conv_depth - 1
     for i in range(config.conv_depth):
-        h = ad.elu(conv(h, tensors[f"cnn.conv{i}.kernel"], tensors[f"cnn.conv{i}.bias"]))
+        h = convolution._conv(h, tensors[f"cnn.conv{i}.kernel"], tensors[f"cnn.conv{i}.bias"],
+                              elu=True, channels_first=i == last)
     flat = ad.reshape(h, (x.shape[0], -1))
     return _dense_elu_dropout(flat, config, tensors, "cnn.fc", mode, rng) if with_fc else flat
 

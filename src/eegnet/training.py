@@ -218,6 +218,7 @@ def train(model_config: ModelConfig, train_config: TrainConfig,
                     f"loss became {loss_value} at epoch {epoch + 1}, step {step + 1}"
                 )
             backward(loss)
+            del logits, loss  # frees the step's tape and its .grads before Adam allocates
             grads = {
                 name: (t.grad if t.grad is not None else np.zeros_like(t.data))
                 for name, t in params.tensors.items()

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import eegnet.autodiff as adiff
-from eegnet import cli, training
+from eegnet import cli, models, optim, training
 from eegnet import dataset as ds
 
 from conftest import rewrite_header
@@ -189,6 +189,18 @@ class TestTrain:
         assert rc == 0
         assert len(calls) == len(training.read_history(out / "history.csv")) == 2
 
+    def test_divergence_is_error(self, prepared_file, tmp_path, monkeypatch, capsys):
+        def diverge(*args, **kwargs):
+            raise training.TrainingDiverged("loss became nan at epoch 1, step 1")
+
+        monkeypatch.setattr(training, "train", diverge)
+        out = tmp_path / "diverged"
+        rc = cli.main(["train", "--arch", "cascade", "--data", str(prepared_file),
+                       "--out", str(out), *TINY_MODEL])
+        assert rc == 1
+        assert "error: loss became nan at epoch 1, step 1" in capsys.readouterr().err
+        assert not (out / "checkpoint.eegc").exists()
+
     def test_window_mismatch_is_descriptive_failure(self, prepared_file, tmp_path):
         rc = cli.main(["train", "--arch", "cascade", "--data", str(prepared_file),
                        "--out", str(tmp_path / "w"), "--window-size", "6",
@@ -260,6 +272,31 @@ class TestEvalPredict:
         rc = cli.main([command, "--checkpoint", str(damaged), data_flag, str(prepared_file)])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, data_flag", [("eval", "--data"),
+                                                    ("predict", "--windows")],
+                             ids=["eval", "predict"])
+    def test_class_count_mismatch_is_error(self, prepared_file, tmp_path, capsys,
+                                           command, data_flag):
+        config = models.ModelConfig("cascade", classes=3, fc_width=16, hidden=8,
+                                    conv_maps=(2, 3, 4))
+        params = models.param_init(config, seed=0)
+        path = tmp_path / "three.eegc"
+        training.save_checkpoint(path, config, training.TrainConfig(), params,
+                                 optim.init_adam(params.tensors, learning_rate=1e-3),
+                                 epoch=0, rng=np.random.default_rng(0), history=[])
+        rc = cli.main([command, "--checkpoint", str(path), data_flag, str(prepared_file)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "error: dataset classes 5 does not match checkpoint classes 3" in captured.err
+        assert "window 0:" not in captured.out
+
+    def test_eval_window_mismatch_is_error(self, tiny_checkpoint, prepared_file, capsys):
+        rc = cli.main(["eval", "--checkpoint", str(tiny_checkpoint),
+                       "--data", str(prepared_file)])
+        assert rc == 1
+        assert ("error: dataset window 10 does not match checkpoint window 3"
+                in capsys.readouterr().err)
 
     def test_missing_checkpoint_is_usage_error(self, prepared_file, tmp_path):
         rc = cli.main(["eval", "--checkpoint", str(tmp_path / "none.eegc"),

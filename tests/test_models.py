@@ -3,7 +3,8 @@ import pytest
 
 from eegnet import autodiff as ad
 from eegnet import models
-from eegnet.autodiff import Tensor
+from eegnet.autodiff import Tensor, backward
+from eegnet.convolution import conv1d_same, conv2d_same, conv3d_same
 from eegnet.dataset import WindowSegment
 from eegnet.gradcheck import reduced_config
 from eegnet.models import (
@@ -144,6 +145,38 @@ class TestConvStack:
         rng = np.random.default_rng(0)
         out = conv_stack_forward(rng.standard_normal((1, 10, 11)).astype(np.float32), params)
         assert out.shape == (1024,)
+
+    @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-5)],
+                             ids=["f64", "f32"])
+    @pytest.mark.parametrize("arch", ["cnn1d", "cnn2d", "cnn3d"])
+    def test_matches_composed_public_convs(self, arch, dtype, tol):
+        # the fused channels-last stack against elu(convNd_same(...)) layer by
+        # layer: the stack cut after each depth, values and gradients
+        spatial = models._conv_spatial(reduced_config(arch), arch)
+        nd = len(spatial)
+        conv = {1: conv1d_same, 2: conv2d_same, 3: conv3d_same}[nd]
+        rng = np.random.default_rng(nd)
+        x = Tensor.parameter(rng.standard_normal((2, 1) + spatial).astype(dtype))
+        for depth in (1, 2, 3):
+            config = reduced_config(arch, conv_depth=depth)
+            tensors = {name: Tensor.parameter(rng.standard_normal(shape).astype(dtype))
+                       for name, shape, _ in models._plan(config) if name.startswith("cnn.conv")}
+            width = config.maps[-1] * int(np.prod(spatial))
+            weights = Tensor.constant(rng.standard_normal((2, width)).astype(dtype))
+
+            def grads(out):
+                backward(ad.tensor_sum(ad.mul(out, weights)))
+                return [x.grad] + [t.grad for t in tensors.values()]
+
+            fused = models._conv_stack(config, tensors, x, nd, "eval", None, with_fc=False)
+            fused_grads = grads(fused)
+            h = x
+            for i in range(depth):
+                h = ad.elu(conv(h, tensors[f"cnn.conv{i}.kernel"], tensors[f"cnn.conv{i}.bias"]))
+            composed = ad.reshape(h, (2, -1))
+            assert fused.data.dtype == fused_grads[0].dtype == dtype
+            for a, b in zip([fused.data] + fused_grads, [composed.data] + grads(composed)):
+                assert np.abs(a - b).max() <= tol * np.abs(b).max()
 
     def test_wrong_mesh_shape_rejected(self):
         params = param_init(reduced_config("cascade"), seed=0)

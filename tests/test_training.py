@@ -1,6 +1,7 @@
 import json
 import math
 import struct
+import weakref
 
 import numpy as np
 import pytest
@@ -159,6 +160,27 @@ class TestTrainLoop:
         assert [h.__dict__ for h in a.history] == [h.__dict__ for h in b.history]
         for k in a.params.tensors:
             np.testing.assert_array_equal(a.params.tensors[k].data, b.params.tensors[k].data)
+
+    def test_step_tape_released_before_adam(self, tiny_sets, monkeypatch):
+        # a Tensor takes no weakref (__slots__), its value array does
+        train_set, test_set = tiny_sets
+        logits_refs, dead_at_adam = [], []
+
+        def forward(*args, **kwargs):
+            logits = original_forward(*args, **kwargs)
+            if kwargs.get("mode") == "train":
+                logits_refs.append(weakref.ref(logits.data))
+            return logits
+
+        def step(*args, **kwargs):
+            dead_at_adam.append(logits_refs[-1]() is None)
+            return original_step(*args, **kwargs)
+
+        original_forward, original_step = models.forward_windows, training.adam_step
+        monkeypatch.setattr(models, "forward_windows", forward)
+        monkeypatch.setattr(training, "adam_step", step)
+        train(tiny_config(), TrainConfig(epochs=1, batch_size=32), train_set, test_set)
+        assert dead_at_adam and all(dead_at_adam)
 
     def test_empty_training_set_rejected(self, tiny_sets):
         train_set, test_set = tiny_sets
