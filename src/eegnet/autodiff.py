@@ -6,7 +6,9 @@ gradient to that input's gradient.  The op hands both to :func:`_op`, which
 alone decides whether the result joins the tape (only when some input
 requires a gradient) and how each input's gradient is summed: its one
 backward closure calls the VJPs of the inputs that require a gradient, in
-input order, and adds each result to that input's ``.grad``.  Calling
+input order, and adds each result to that input's ``.grad``.  Work that
+all of an op's VJPs share goes in `_op`'s `upstream` function, run once per
+backward; VJPs keep no state between calls.  Calling
 :func:`backward` on a scalar node walks the graph once in reverse
 topological order, so shared subexpressions accumulate correctly.
 
@@ -123,12 +125,14 @@ def _lift(x, dtype=None) -> Tensor:
     return Tensor.constant(np.asarray(x, dtype=dtype or DEFAULT_DTYPE))
 
 
-def _op(out, parents: tuple, *vjps: Callable) -> Tensor:
+def _op(out, parents: tuple, *vjps: Callable, upstream: Callable | None = None) -> Tensor:
     """The result of an op with value `out`, inputs `parents` and one VJP
     per input.  With no input requiring a gradient it is a constant, off the
     tape.  Otherwise it is a tape node whose backward adds ``vjps[i](g)`` to
-    the gradient of each input i that requires one, in input order.  Op
-    results skip the finiteness scan, which would dominate training time."""
+    the gradient of each input i that requires one, in input order; if
+    given, ``upstream(g)``, computed once before the VJPs, replaces ``g``
+    as their argument.  VJPs must not keep state between calls.  Op results
+    skip the finiteness scan, which would dominate training time."""
     # A loop, not any() over a generator: this runs for every op, and the
     # generator alone costs about 0.8 us a call on CPython 3.11.
     for p in parents:
@@ -138,6 +142,8 @@ def _op(out, parents: tuple, *vjps: Callable) -> Tensor:
         return Tensor.constant(out)
 
     def backward(g):
+        if upstream is not None:
+            g = upstream(g)
         for p, vjp in zip(parents, vjps):
             if p.requires_grad:
                 d = vjp(g)

@@ -82,6 +82,9 @@ def _run_config(args):
         raise UsageError(f"unknown run config field(s): {', '.join(unknown)}")
     if "arch" not in merged:
         raise UsageError("an architecture is required (--arch or config file)")
+    for key in ("data", "out_dir"):
+        if merged.get(key) is not None and not isinstance(merged[key], str):
+            raise UsageError(f"{key} must be a string, got {merged[key]!r}")
     if not merged.get("data"):
         raise UsageError("a prepared dataset is required (--data or config file)")
     arch = merged.pop("arch")
@@ -165,19 +168,9 @@ def cmd_train(args) -> int:
     model_config, train_config, data, out_dir = _run_config(args)
     if not Path(data).exists():
         raise UsageError(f"prepared dataset not found: {data}")
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     prepared = ds.load_prepared(data)
-    if model_config.window != prepared.window:
-        raise ConfigMismatch(
-            f"config window {model_config.window} does not match dataset window "
-            f"{prepared.window}"
-        )
-    if model_config.classes != prepared.n_classes:
-        raise ConfigMismatch(
-            f"config classes {model_config.classes} does not match dataset classes "
-            f"{prepared.n_classes}"
-        )
+    _check_fits(model_config, "config", prepared)
+    out_dir.mkdir(parents=True, exist_ok=True)
     _echo_config(out_dir, model_config, train_config, data)
     train_set, test_set = prepared.train_test()
     log.info("training %s on %d windows (%d test)", model_config.arch,
@@ -205,17 +198,17 @@ def _load_checkpoint(path):
     return training.load_checkpoint(path)
 
 
-def _check_fits(ckpt: training.Checkpoint, prepared: ds.PreparedDataset) -> None:
-    """The checkpoint's model reads windows of the dataset's length and
-    scores the dataset's classes."""
-    config = ckpt.model_config
+def _check_fits(config: ModelConfig, source: str, prepared: ds.PreparedDataset) -> None:
+    """The model of `config`, which came from `source` (the run config or a
+    checkpoint), reads windows of the dataset's length and scores the
+    dataset's classes."""
     if prepared.window != config.window:
         raise ConfigMismatch(
-            f"dataset window {prepared.window} does not match checkpoint window {config.window}"
+            f"dataset window {prepared.window} does not match {source} window {config.window}"
         )
     if prepared.n_classes != config.classes:
         raise ConfigMismatch(
-            f"dataset classes {prepared.n_classes} does not match checkpoint classes "
+            f"dataset classes {prepared.n_classes} does not match {source} classes "
             f"{config.classes}"
         )
 
@@ -246,7 +239,7 @@ def cmd_eval(args) -> int:
     if not Path(args.data).exists():
         raise UsageError(f"prepared dataset not found: {args.data}")
     prepared = ds.load_prepared(args.data)
-    _check_fits(ckpt, prepared)
+    _check_fits(ckpt.model_config, "checkpoint", prepared)
     subset = _select_split(prepared, args.split)
     metrics = training.evaluate(ckpt.params, subset)
     print(_format_metrics(metrics, prepared.label_names))
@@ -262,7 +255,7 @@ def cmd_predict(args) -> int:
     if not Path(args.windows).exists():
         raise UsageError(f"prepared dataset not found: {args.windows}")
     prepared = ds.load_prepared(args.windows)
-    _check_fits(ckpt, prepared)
+    _check_fits(ckpt.model_config, "checkpoint", prepared)
     names = prepared.label_names
     for i in range(prepared.count):
         probs, cls = training.predict(ckpt.params, prepared.raw[i], prepared.meshes[i])

@@ -80,7 +80,8 @@ def _conv(x: Tensor, k: Tensor, b: Tensor, *, elu: bool, channels_first: bool) -
     """The channels-last core as one tape op: ``x`` (B, *spatial, C_in) to
     ``elu(conv(x, k) + b)`` (ELU only if `elu`), channels-last or, if
     `channels_first`, as a C-contiguous (B, C_out, *spatial).  The node keeps
-    the output and the lowered input, not the pre-activation."""
+    the output and the lowered input, not the pre-activation.  Its three VJPs
+    take the (B * P, C_out) pre-activation gradient from `_op`'s `upstream`."""
     kd = k.data
     batch, *spatial = x.shape[:-1]
     cout = kd.shape[0]
@@ -93,30 +94,22 @@ def _conv(x: Tensor, k: Tensor, b: Tensor, *, elu: bool, channels_first: bool) -
     out = z.reshape(batch, *spatial, cout)
     if channels_first:
         out = np.ascontiguousarray(np.moveaxis(out, -1, 1))
-    shared = []  # [g, dz]: this backward's upstream and pre-activation gradients
 
-    def dz(g):
-        """The (B * P, C_out) pre-activation gradient, once per backward."""
-        if not shared or shared[0] is not g:
-            d = g
-            if elu:
-                d = ad._elu_grad(out)
-                d *= g
-            if channels_first:
-                d = np.moveaxis(d, 1, -1)
-            shared[:] = [g, np.ascontiguousarray(d).reshape(-1, cout)]
-        return shared[1]
+    def preactivation_grad(g):
+        if elu:
+            d = ad._elu_grad(out)
+            d *= g
+            g = d
+        if channels_first:
+            g = np.moveaxis(g, 1, -1)
+        return np.ascontiguousarray(g).reshape(-1, cout)
 
-    def k_vjp(g):
-        dk = (dz(g).T @ cols).reshape((cout,) + (KERNEL_EXTENT,) * len(spatial) + (kd.shape[1],))
+    def k_vjp(dz):
+        dk = (dz.T @ cols).reshape((cout,) + (KERNEL_EXTENT,) * len(spatial) + (kd.shape[1],))
         return np.moveaxis(dk, -1, 1)
 
-    def b_vjp(g):
-        db = dz(g).sum(axis=0)
-        shared.clear()  # b's VJP runs last (_op calls them in input order)
-        return db
-
-    return _op(out, (x, k, b), lambda g: _input_grad(dz(g), kd, spatial), k_vjp, b_vjp)
+    return _op(out, (x, k, b), lambda dz: _input_grad(dz, kd, spatial), k_vjp,
+               lambda dz: dz.sum(axis=0), upstream=preactivation_grad)
 
 
 def _validate(x: Tensor, k: Tensor, b: Tensor, nd: int) -> bool:

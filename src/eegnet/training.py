@@ -65,6 +65,7 @@ class TrainConfig:
     precision: str = "f32"
 
     def __post_init__(self):
+        models._check_field_types(self)
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:

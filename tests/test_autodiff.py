@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -255,6 +256,105 @@ class TestOpProtocol:
         assert len(seen) == calls
         assert k.grad is not None and b.grad is not None
         assert (x.grad is not None) == x_is_parameter
+
+    def test_upstream_runs_once_and_feeds_every_vjp(self):
+        a, b = t64([1.0, 2.0]), t64([3.0, 4.0])
+        made, seen = [], []
+
+        def upstream(g):
+            made.append(g * 10.0)
+            return made[-1]
+
+        def vjp(g):
+            seen.append(g)
+            return g
+
+        loss = ad.tensor_sum(ad._op(a.data + b.data, (a, b), vjp, vjp, upstream=upstream))
+        for n in (1, 2):
+            backward(loss)
+            assert len(made) == n
+            assert seen[-2] is made[-1] and seen[-1] is made[-1]
+        np.testing.assert_array_equal(a.grad, [10.0, 10.0])
+        np.testing.assert_array_equal(b.grad, [10.0, 10.0])
+
+    def test_upstream_never_runs_without_a_gradient(self):
+        calls = []
+
+        def upstream(g):
+            calls.append(g)
+            return g
+
+        a, b = Tensor.constant(np.ones(2)), Tensor.constant(np.ones(2))
+        out = ad._op(a.data + b.data, (a, b), lambda g: g, lambda g: g, upstream=upstream)
+        assert out.requires_grad is False and out._backward is None
+        w = t64([1.0, 2.0])
+        backward(ad.tensor_sum(ad.mul(out, w)))
+        assert calls == []
+        np.testing.assert_array_equal(w.grad, [2.0, 2.0])
+
+    @staticmethod
+    def _chained_conv_elu(parameters):
+        """Two fused nodes chained as gradcheck's conv_elu check chains them,
+        with only the inputs named in `parameters` ('x', 'k', 'b') requiring
+        a gradient; returns the loss and the inputs by name."""
+        rng = np.random.default_rng(21)
+        shapes = {"x": (2, 4, 5, 2), "k0": (3, 2, 3, 3), "b0": (3,), "k1": (2, 3, 3, 3), "b1": (2,)}
+        inputs = {name: Tensor(rng.standard_normal(shape), requires_grad=name[0] in parameters)
+                  for name, shape in shapes.items()}
+        c = Tensor.constant(rng.standard_normal((2, 2, 4, 5)))
+        h = convolution._conv(inputs["x"], inputs["k0"], inputs["b0"],
+                              elu=True, channels_first=False)
+        out = convolution._conv(h, inputs["k1"], inputs["b1"], elu=True, channels_first=True)
+        return ad.tensor_sum(ad.mul(out, c)), inputs
+
+    @pytest.mark.parametrize("parameters", ["x", "k", "b", "xk", "xb", "kb", "xkb"])
+    def test_fused_conv_shares_one_elu_grad_per_node(self, monkeypatch, parameters):
+        reference_loss, reference = self._chained_conv_elu("xkb")
+        backward(reference_loss)
+        loss, inputs = self._chained_conv_elu(parameters)
+        original = ad._elu_grad
+        calls = []
+
+        def counted(out):
+            calls.append(out)
+            return original(out)
+
+        monkeypatch.setattr(ad, "_elu_grad", counted)
+        backward(loss)
+        assert len(calls) == 2
+        for name, t in inputs.items():
+            if name[0] in parameters:
+                assert t.grad.tobytes() == reference[name].grad.tobytes(), name
+            else:
+                assert t.grad is None, name
+
+    def test_constant_bias_keeps_no_gradient_alive(self, monkeypatch):
+        rng = np.random.default_rng(22)
+        x, k = t64(rng.standard_normal((2, 4, 5, 2))), t64(rng.standard_normal((3, 2, 3, 3)))
+        b = Tensor.constant(rng.standard_normal(3))
+        original = ad._elu_grad
+        refs = []
+
+        def tracked(out):
+            d = original(out)
+            refs.append(weakref.ref(d))
+            return d
+
+        monkeypatch.setattr(ad, "_elu_grad", tracked)
+        out = convolution._conv(x, k, b, elu=True, channels_first=False)
+        backward(ad.tensor_sum(out))
+        assert len(refs) == 1
+        assert out._backward is not None  # the graph is still alive
+        assert refs[0]() is None
+
+    def test_fused_conv_looks_up_elu_grad_at_backward_time(self, monkeypatch):
+        rng = np.random.default_rng(23)
+        x, k, b = (t64(rng.standard_normal(shape)) for shape in ((2, 4, 5, 2), (3, 2, 3, 3), (3,)))
+        out = convolution._conv(x, k, b, elu=True, channels_first=True)
+        monkeypatch.setattr(ad, "_elu_grad", np.zeros_like)
+        backward(ad.tensor_sum(out))
+        for t in (x, k, b):
+            assert not t.grad.any()
 
 
 class TestDropout:

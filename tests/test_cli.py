@@ -344,15 +344,28 @@ def test_usage_error_exit_code_for_bad_flags(capsys):
     (["synth", "--windows-per-class", "0"], "windows_per_class"),
     (["prepare", "--window-size", "9"], "window size"),
     (["prepare", "--ratio", "1.5"], "ratio"),
+    (["train", "--arch", "cascade", "--epochs", "1", "--config", "{hidden}"],
+     "hidden must be an int"),
+    (["train", "--arch", "cascade", "--epochs", "1", "--config", "{patience}"],
+     "patience must be an int or None"),
+    (["train", "--arch", "cascade", "--epochs", "1", "--config", "{data}"],
+     "data must be a string"),
 ], ids=["keep-prob-2", "epochs-0", "config-typo", "config-not-json", "spec-not-json",
-        "synth-zero-windows", "prepare-odd-window", "prepare-ratio-1.5"])
+        "synth-zero-windows", "prepare-odd-window", "prepare-ratio-1.5", "config-hidden-float",
+        "config-patience-string", "config-data-number"])
 def test_bad_input_is_usage_error(argv, reason, synth_dir, prepared_file, tmp_path, capsys):
-    (tmp_path / "typo.json").write_text(json.dumps({"epoch": 1}))
-    (tmp_path / "garbage.json").write_text("{not json")
-    files = {"typo": tmp_path / "typo.json", "garbage": tmp_path / "garbage.json"}
+    configs = {"typo": {"epoch": 1}, "hidden": {"hidden": 8.5}, "patience": {"patience": "3"},
+               "data": {"data": 5}}
+    files = {name: tmp_path / f"{name}.json" for name in configs}
+    for name, doc in configs.items():
+        files[name].write_text(json.dumps(doc))
+    files["garbage"] = tmp_path / "garbage.json"
+    files["garbage"].write_text("{not json")
     out = tmp_path / "out"
     inputs = {"train": ["--data", str(prepared_file)], "synth": [],
               "prepare": ["--manifest", str(synth_dir / "manifest.json")]}[argv[0]]
+    if "{data}" in argv:  # the config file names the dataset, so no --data flag
+        inputs = []
     rc = cli.main([argv[0], *inputs, "--out", str(out),
                    *(a.format(**files) for a in argv[1:])])
     assert rc == 2

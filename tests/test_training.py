@@ -94,12 +94,12 @@ class TestMetrics:
 
 
 class TestEvaluate:
-    def test_untrained_loss_near_log_k(self, tiny_sets):
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("arch", models.ARCHITECTURES)
+    def test_untrained_loss_near_log_k(self, tiny_sets, arch, seed):
         train_set, _ = tiny_sets
-        for arch in ("cascade", "parallel"):
-            params = param_init(tiny_config(arch), seed=0)
-            m = evaluate(params, train_set)
-            assert abs(m.mean_loss - math.log(5)) <= 0.2
+        m = evaluate(param_init(tiny_config(arch), seed=seed), train_set)
+        assert abs(m.mean_loss - math.log(5)) <= 0.1
 
     def test_deterministic(self, tiny_sets):
         _, test_set = tiny_sets
@@ -415,8 +415,9 @@ class TestCheckpoint:
         (lambda h: h["model_config"].update(arch="nope"), ValueError),
         (lambda h: h.pop("adam"), KeyError),
         (lambda h: h["model_config"].update(bogus=1), TypeError),
+        (lambda h: h["train_config"].update(patience="3"), TypeError),
     ], ids=["tensor-without-shape", "unknown-dtype", "rng-not-pcg64", "rng-state-too-large",
-            "unknown-arch", "no-adam", "unknown-config-field"])
+            "unknown-arch", "no-adam", "unknown-config-field", "patience-not-int"])
     def test_damaged_header_field_rejected(self, tiny_checkpoint, tmp_path, edit, cause):
         path = tmp_path / "h.eegc"
         rewrite_header(tiny_checkpoint, path, training.CHECKPOINT_FORMAT, edit)
