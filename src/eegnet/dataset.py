@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import container
-from .layout import ElectrodeLayout, layout_default, to_mesh_batch, zscore_mesh_batch
+from .layout import layout_default, to_mesh_batch, zscore_mesh_batch
 
 log = logging.getLogger(__name__)
 
@@ -182,18 +182,17 @@ def load_recording_csv(path, entry: ManifestEntry, sample_rate: int = 160,
 # ---------------------------------------------------------------------------
 # windowing and splitting
 
-def segment_windows(recording: Recording, window: int = 10,
-                    layout: ElectrodeLayout | None = None) -> list:
+def segment_windows(recording: Recording, window: int = 10) -> list:
     """Slice a recording into 50%-overlapping windows of `window` samples.
 
     Starts form the arithmetic progression 0, S/2, S, ...; each window
     carries the recording's label and never crosses into another recording.
-    All-zero (missing) samples are kept.  Returns [] when the recording is
+    All-zero (missing) samples are kept.  Meshes use the default 64-channel,
+    10x11 montage (``layout_default``).  Returns [] when the recording is
     shorter than one window.
     """
     if window < 2 or window % 2:
         raise ValueError(f"window size must be even and >= 2, got {window}")
-    layout = layout or layout_default()
     samples = recording.samples
     n = samples.shape[0]
     if n < window:
@@ -203,7 +202,7 @@ def segment_windows(recording: Recording, window: int = 10,
         )
         return []
     step = window // 2
-    meshes = zscore_mesh_batch(to_mesh_batch(samples, layout), layout).astype(np.float32)
+    meshes = zscore_mesh_batch(to_mesh_batch(samples)).astype(np.float32)
     segments = []
     for start in range(0, n - window + 1, step):
         segments.append(
@@ -297,14 +296,15 @@ def from_segments(segments, meta: dict) -> PreparedDataset:
 
 def prepare_dataset(manifest: DatasetManifest, window: int = 10,
                     ratio: float | None = None, seed: int | None = None,
-                    threads: int = 1, layout: ElectrodeLayout | None = None) -> PreparedDataset:
+                    threads: int = 1) -> PreparedDataset:
     """Full ingestion pipeline: load -> mesh -> normalize -> window -> split.
 
-    Damaged recordings are skipped with a warning; the remainder is
-    processed in manifest order so output is deterministic for any thread
-    count.
+    Recordings have the 64 channels of the default 10x11 montage
+    (``layout_default``), which places every sample on the mesh.  Damaged
+    recordings are skipped with a warning; the remainder is processed in
+    manifest order so output is deterministic for any thread count.
     """
-    layout = layout or layout_default()
+    layout = layout_default()
     ratio = manifest.split_ratio if ratio is None else ratio
     seed = manifest.split_seed if seed is None else seed
 
@@ -328,7 +328,7 @@ def prepare_dataset(manifest: DatasetManifest, window: int = 10,
         if rec is None:
             skipped.append(entry.path)
             continue
-        segments.extend(segment_windows(rec, window=window, layout=layout))
+        segments.extend(segment_windows(rec, window=window))
     if not segments:
         raise DatasetError("no usable windows: every recording was skipped or too short")
 

@@ -4,7 +4,10 @@ Every architecture maps one labeled window (raw vectors and/or normalized
 meshes) to K class logits; softmax lives in the loss during training and in
 prediction at inference.  Forward passes are pure functions of the input,
 the parameters, the mode and the dropout mask source, and accept either one
-window (spec-level entry points) or a batch (training paths).
+window (spec-level entry points) or a batch (training paths).  A forward's
+mode is its dropout source: each public entry point turns "train" into its
+rng and "eval" into None, and the private blocks drop out exactly when they
+are handed an rng.
 
 Dropout placement: after the fully connected layer inside the per-step conv
 stack and after the final-stage fully connected layers (the cascade head FC
@@ -285,38 +288,43 @@ def param_init(config: ModelConfig, seed: int, dtype=np.float32) -> ModelParams:
 # ---------------------------------------------------------------------------
 # building blocks
 
-def _require_rng(mode: str, rng):
+def _dropout_rng(mode: str, rng):
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     if mode == "train" and rng is None:
         raise ValueError("train mode needs an rng for dropout masks")
+    return rng if mode == "train" else None
+
+
+def _require_arch(params: ModelParams, arch: str) -> None:
+    if params.config.arch != arch:
+        raise ValueError(f"params are for {params.config.arch!r}, not {arch!r}")
 
 
 def _dense(x: Tensor, tensors: dict, name: str) -> Tensor:
     return ad.add(ad.matmul(x, tensors[f"{name}.weight"]), tensors[f"{name}.bias"])
 
 
-def _dense_elu_dropout(x: Tensor, config: ModelConfig, tensors: dict, name: str,
-                       mode: str, rng) -> Tensor:
+def _dense_elu_dropout(x: Tensor, config: ModelConfig, tensors: dict, name: str, rng) -> Tensor:
     out = ad.elu(_dense(x, tensors, name))
-    return ad.dropout(out, config.keep_prob, rng) if mode == "train" else out
+    return out if rng is None else ad.dropout(out, config.keep_prob, rng)
 
 
-def _conv_stack(config: ModelConfig, tensors: dict, x: Tensor, nd: int,
-                mode: str, rng, with_fc: bool) -> Tensor:
+def _conv_stack(config: ModelConfig, tensors: dict, x: Tensor, rng) -> Tensor:
     """Conv layers, each one fused conv + bias + ELU node, over a channels-first
-    (N, 1, *spatial) batch; the flattened last layer, then `cnn.fc` if `with_fc`."""
+    (N, 1, *spatial) batch; the flattened last layer, then `cnn.fc` if the model has one."""
     # The layers run channels-last, (N, *spatial, C), so each output is the
     # next layer's lowering input as it stands.  Only the last layer emits
     # channels-first and C-contiguous: the flatten is then a view, and the
     # rows of cnn.fc.weight keep their (C, *spatial) order.
-    h = convolution._channels_last(x, nd)
+    h = convolution._channels_last(x, x.ndim - 2)
     last = config.conv_depth - 1
     for i in range(config.conv_depth):
         h = convolution._conv(h, tensors[f"cnn.conv{i}.kernel"], tensors[f"cnn.conv{i}.bias"],
                               elu=True, channels_first=i == last)
     flat = ad.reshape(h, (x.shape[0], -1))
-    return _dense_elu_dropout(flat, config, tensors, "cnn.fc", mode, rng) if with_fc else flat
+    with_fc = "cnn.fc.weight" in tensors
+    return _dense_elu_dropout(flat, config, tensors, "cnn.fc", rng) if with_fc else flat
 
 
 def _lstm_step(x: Tensor, h: Tensor, c: Tensor, tensors: dict, layer: str, hidden: int):
@@ -355,9 +363,7 @@ def lstm_sequence(inputs, params: ModelParams) -> Tensor:
     """Stacked-LSTM readout of a step sequence: only the final time step's
     top-layer hidden state is returned."""
     steps = [x if isinstance(x, Tensor) else Tensor.constant(np.asarray(x)) for x in inputs]
-    if not steps:
-        raise ValueError("LSTM sequence must contain at least one step")
-    single = steps[0].ndim == 1
+    single = bool(steps) and steps[0].ndim == 1
     if single:
         steps = [ad.reshape(x, (1, -1)) for x in steps]
     out = _lstm_stack(steps, params.tensors, params.config.lstm_depth, params.config.hidden)
@@ -365,19 +371,14 @@ def lstm_sequence(inputs, params: ModelParams) -> Tensor:
 
 
 def conv_stack_forward(mesh, params: ModelParams, mode: str = "eval", rng=None) -> Tensor:
-    """Per-step spatial feature extractor: one mesh in, one feature vector out."""
-    _require_rng(mode, rng)
+    """Per-step spatial feature vector of one (h, w) or (1, h, w) mesh."""
+    rng = _dropout_rng(mode, rng)
     config = params.config
-    x = mesh if isinstance(mesh, Tensor) else Tensor.constant(np.asarray(mesh))
-    if x.ndim == 2:
-        x = ad.reshape(x, (1,) + x.shape)
-    if x.shape != (1, config.mesh_h, config.mesh_w):
-        raise ValueError(
-            f"mesh must be (1, {config.mesh_h}, {config.mesh_w}), got {x.shape}"
-        )
-    x = ad.reshape(x, (1,) + x.shape)
-    feats = _conv_stack(config, params.tensors, x, 2, mode, rng, with_fc=config.mid_fc)
-    return ad.reshape(feats, (-1,))
+    mesh = np.asarray(mesh)
+    if mesh.shape not in ((config.mesh_h, config.mesh_w), (1, config.mesh_h, config.mesh_w)):
+        raise ValueError(f"mesh must be (1, {config.mesh_h}, {config.mesh_w}), got {mesh.shape}")
+    meshes = mesh.reshape(1, 1, config.mesh_h, config.mesh_w)
+    return ad.reshape(_step_features(params, meshes, rng), (-1,))
 
 
 def fuse(spatial, temporal, kind: str, params: ModelParams | None = None) -> Tensor:
@@ -412,17 +413,17 @@ def fuse(spatial, temporal, kind: str, params: ModelParams | None = None) -> Ten
 # ---------------------------------------------------------------------------
 # batched architecture forwards
 
-def _step_features(params: ModelParams, meshes: np.ndarray, mode: str, rng) -> Tensor:
+def _step_features(params: ModelParams, meshes: np.ndarray, rng) -> Tensor:
     """(B, S, F) per-step conv features of a mesh window batch; the conv
     weights are shared across steps (cascade and parallel)."""
     config = params.config
     batch, steps = meshes.shape[:2]
     x = Tensor.constant(meshes.reshape(batch * steps, 1, config.mesh_h, config.mesh_w))
-    feats = _conv_stack(config, params.tensors, x, 2, mode, rng, with_fc=config.mid_fc)
+    feats = _conv_stack(config, params.tensors, x, rng)
     return ad.reshape(feats, (batch, steps, feats.shape[1]))
 
 
-def _temporal_path(params: ModelParams, raw: np.ndarray, mode: str, rng) -> Tensor:
+def _temporal_path(params: ModelParams, raw: np.ndarray, rng) -> Tensor:
     """Raw window batch through fc_in, the stacked LSTM and fc_out with
     dropout (the parallel model's RNN path and the rnn baseline)."""
     config = params.config
@@ -435,8 +436,15 @@ def _temporal_path(params: ModelParams, raw: np.ndarray, mode: str, rng) -> Tens
     h_last = _lstm_stack([rseq[:, s] for s in range(steps)], tensors,
                          config.lstm_depth, config.hidden)
     if config.final_fc:
-        h_last = _dense_elu_dropout(h_last, config, tensors, "rnn.fc_out", mode, rng)
+        h_last = _dense_elu_dropout(h_last, config, tensors, "rnn.fc_out", rng)
     return h_last
+
+
+def _parallel_paths(params: ModelParams, raw: np.ndarray, meshes: np.ndarray, rng):
+    """The parallel model's two pre-fusion feature batches: the per-step
+    spatial features summed over the window, and the temporal features."""
+    spatial = ad.tensor_sum(_step_features(params, meshes, rng), axis=1)
+    return spatial, _temporal_path(params, raw, rng)
 
 
 def forward_windows(params: ModelParams, raw: np.ndarray, meshes: np.ndarray,
@@ -449,31 +457,29 @@ def forward_windows(params: ModelParams, raw: np.ndarray, meshes: np.ndarray,
     per-step logits; the average is order-invariant, so these models see no
     temporal structure, matching their single-sample contracts.
     """
-    _require_rng(mode, rng)
+    rng = _dropout_rng(mode, rng)
     config = params.config
     arch = config.arch
     tensors = params.tensors
     if arch == "cascade":
-        fseq = _step_features(params, meshes, mode, rng)
+        fseq = _step_features(params, meshes, rng)
         feats = _lstm_stack([fseq[:, s] for s in range(fseq.shape[1])], tensors,
                             config.lstm_depth, config.hidden)
         if config.final_fc:
-            feats = _dense_elu_dropout(feats, config, tensors, "head.fc", mode, rng)
+            feats = _dense_elu_dropout(feats, config, tensors, "head.fc", rng)
     elif arch == "parallel":
-        spatial = ad.tensor_sum(_step_features(params, meshes, mode, rng), axis=1)
-        feats = fuse(spatial, _temporal_path(params, raw, mode, rng), config.fusion, params)
+        feats = fuse(*_parallel_paths(params, raw, meshes, rng), config.fusion, params)
     elif arch == "rnn":
-        feats = _temporal_path(params, raw, mode, rng)
+        feats = _temporal_path(params, raw, rng)
     elif arch == "cnn3d":
         batch, steps = meshes.shape[:2]
         x = meshes.reshape(batch, 1, steps, config.mesh_h, config.mesh_w)
-        feats = _conv_stack(config, tensors, Tensor.constant(x), 3, mode, rng, with_fc=True)
+        feats = _conv_stack(config, tensors, Tensor.constant(x), rng)
     else:  # cnn1d, cnn2d: one conv pass per step, then the mean of the step logits
         samples = raw if arch == "cnn1d" else meshes
         batch, steps = samples.shape[:2]
-        spatial = _conv_spatial(config, arch)
-        x = Tensor.constant(samples.reshape((batch * steps, 1) + spatial))
-        feats = _conv_stack(config, tensors, x, len(spatial), mode, rng, with_fc=True)
+        x = Tensor.constant(samples.reshape((batch * steps, 1) + _conv_spatial(config, arch)))
+        feats = _conv_stack(config, tensors, x, rng)
         per_step = ad.reshape(_dense(feats, tensors, "head.out"), (batch, steps, config.classes))
         return ad.mul(ad.tensor_sum(per_step, axis=1), 1.0 / steps)
     return _dense(feats, tensors, "head.out")
@@ -483,8 +489,7 @@ def forward_windows(params: ModelParams, raw: np.ndarray, meshes: np.ndarray,
 # spec-level single-window entry points
 
 def _single(params: ModelParams, arch: str, segment, mode: str, rng) -> Tensor:
-    if params.config.arch != arch:
-        raise ValueError(f"params are for {params.config.arch!r}, not {arch}")
+    _require_arch(params, arch)
     raw, meshes = np.asarray(segment.raw), np.asarray(segment.meshes)
     return ad.reshape(forward_windows(params, raw[None], meshes[None], mode, rng), (-1,))
 
@@ -500,10 +505,9 @@ def parallel_forward(segment, params: ModelParams, mode: str = "eval", rng=None)
 def parallel_features(segment, params: ModelParams, mode: str = "eval", rng=None):
     """The two pre-fusion feature vectors of the parallel model: the summed
     per-step spatial features and the RNN-path temporal features."""
-    _require_rng(mode, rng)
-    spatial = ad.tensor_sum(_step_features(params, np.asarray(segment.meshes)[None], mode, rng),
-                            axis=1)
-    temporal = _temporal_path(params, np.asarray(segment.raw)[None], mode, rng)
+    _require_arch(params, "parallel")
+    spatial, temporal = _parallel_paths(params, np.asarray(segment.raw)[None],
+                                        np.asarray(segment.meshes)[None], _dropout_rng(mode, rng))
     return ad.reshape(spatial, (-1,)), ad.reshape(temporal, (-1,))
 
 
@@ -511,21 +515,14 @@ def baseline_forward(x, params: ModelParams, kind: str, mode: str = "eval", rng=
     """Single-input baseline contract: cnn1d takes one raw sample (n,),
     cnn2d one mesh (h, w), cnn3d a mesh window (S, h, w), rnn a raw window
     (S, n)."""
-    _require_rng(mode, rng)
+    _require_arch(params, kind)
     config = params.config
-    if kind != config.arch:
-        raise ValueError(f"params are for {config.arch!r}, not {kind!r}")
-    x = np.asarray(x)
-    expected = {
-        "cnn1d": (config.channels,),
-        "cnn2d": (config.mesh_h, config.mesh_w),
-        "cnn3d": (config.window, config.mesh_h, config.mesh_w),
-        "rnn": (config.window, config.channels),
-    }
-    if kind not in expected:
+    if kind not in ("cnn1d", "cnn2d", "cnn3d", "rnn"):
         raise ValueError(f"unknown baseline kind {kind!r}")
-    if x.shape != expected[kind]:
-        raise ValueError(f"{kind} input must have shape {expected[kind]}, got {x.shape}")
+    x = np.asarray(x)
+    expected = (config.window, config.channels) if kind == "rnn" else _conv_spatial(config, kind)
+    if x.shape != expected:
+        raise ValueError(f"{kind} input must have shape {expected}, got {x.shape}")
     # a one-window batch; a single cnn1d/cnn2d sample is a one-step window.
     # The architecture reads only its own input, so x serves as raw and mesh.
     window = x[None] if kind in ("cnn3d", "rnn") else x[None, None]

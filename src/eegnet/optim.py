@@ -24,16 +24,13 @@ class AdamState:
     epsilon: float = 1e-8
 
 
-def init_adam(params: dict, learning_rate: float = 1e-4, beta1: float = 0.9,
-              beta2: float = 0.999, epsilon: float = 1e-8) -> AdamState:
+def init_adam(params: dict, learning_rate: float = 1e-4) -> AdamState:
+    """Fresh state with zero moments and the ``AdamState`` defaults
+    beta1 = 0.9, beta2 = 0.999 and epsilon = 1e-8."""
     return AdamState(
-        step=0,
         first_moment={name: np.zeros_like(p.data) for name, p in params.items()},
         second_moment={name: np.zeros_like(p.data) for name, p in params.items()},
         learning_rate=learning_rate,
-        beta1=beta1,
-        beta2=beta2,
-        epsilon=epsilon,
     )
 
 

@@ -133,8 +133,9 @@ def _batches(count: int, batch_size: int, order: np.ndarray):
         yield order[start:start + batch_size]
 
 
-def evaluate(params: ModelParams, dataset: PreparedDataset, batch_size: int = 256) -> Metrics:
-    """Deterministic eval-mode metrics over a labeled dataset."""
+def evaluate(params: ModelParams, dataset: PreparedDataset) -> Metrics:
+    """Deterministic eval-mode metrics over a labeled dataset, run through
+    the model 256 windows at a time."""
     if dataset.count == 0:
         raise ValueError("cannot evaluate an empty dataset")
     k = params.config.classes
@@ -142,7 +143,7 @@ def evaluate(params: ModelParams, dataset: PreparedDataset, batch_size: int = 25
     labels = dataset.labels.astype(np.int64)
     confusion = np.zeros((k, k), dtype=np.int64)
     loss_sum = 0.0
-    for idx in _batches(dataset.count, batch_size, np.arange(dataset.count)):
+    for idx in _batches(dataset.count, 256, np.arange(dataset.count)):
         logits = models.forward_windows(params, raw[idx], meshes[idx], mode="eval")
         loss, probs = softmax_cross_entropy_batch(logits, labels[idx])
         loss_sum += float(loss.data) * len(idx)

@@ -168,7 +168,7 @@ class TestConvStack:
                 backward(ad.tensor_sum(ad.mul(out, weights)))
                 return [x.grad] + [t.grad for t in tensors.values()]
 
-            fused = models._conv_stack(config, tensors, x, nd, "eval", None, with_fc=False)
+            fused = models._conv_stack(config, tensors, x, None)
             fused_grads = grads(fused)
             h = x
             for i in range(depth):
