@@ -161,6 +161,11 @@ def load_recording_csv(path, entry: ManifestEntry, sample_rate: int = 160,
     try:
         with open(path) as fh:
             header = fh.readline().strip()
+            start = fh.tell()
+            # loadtxt warns on input without rows; find a row before calling it
+            if not any(line.split("#", 1)[0].strip() for line in iter(fh.readline, "")):
+                raise RecordingError(f"{path}: recording holds no samples")
+            fh.seek(start)
             data = np.loadtxt(fh, delimiter=",", ndmin=2, dtype=np.float64)
     except (OSError, ValueError) as exc:
         raise RecordingError(f"{path}: unreadable recording ({exc})") from exc

@@ -96,6 +96,8 @@ class ModelConfig:
             raise ValueError(f"unknown architecture {self.arch!r}, expected one of {ARCHITECTURES}")
         if self.fusion not in FUSIONS:
             raise ValueError(f"unknown fusion {self.fusion!r}, expected one of {FUSIONS}")
+        if min(self.conv_maps, default=1) < 1:
+            raise ValueError(f"conv_maps entries must be >= 1, got {self.conv_maps}")
         if not 1 <= self.conv_depth <= len(self.conv_maps):
             raise ValueError(f"conv depth {self.conv_depth} needs feature-map counts, have {self.conv_maps}")
         if self.lstm_depth < 1:

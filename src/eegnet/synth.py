@@ -58,6 +58,8 @@ class SynthSpec:
             raise ValueError("recordings_per_class must be >= 1")
         if self.window < 2 or self.window % 2:
             raise ValueError(f"window size must be even and >= 2, got {self.window}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         names = [c.name for c in self.classes]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate class names: {names}")
@@ -150,8 +152,23 @@ def synth_dataset(spec: SynthSpec):
     return manifest, recordings
 
 
+_SPEC_KEYS = {"classes", "noise", "windows_per_class", "recordings_per_class", "window",
+              "sample_rate", "seed"}
+_CLASS_KEYS = {"name", "channels", "frequency", "phase", "amplitude"}
+
+
+def _reject_unknown(doc: dict, known: set, where: str) -> None:
+    unknown = sorted(set(doc) - known)
+    if unknown:
+        raise ValueError(f"unknown {where} field(s): {', '.join(unknown)}")
+
+
 def spec_from_dict(doc: dict) -> SynthSpec:
-    """Build a spec from a JSON document (the CLI's --spec file)."""
+    """Build a spec from a JSON document (the CLI's --spec file); a key that
+    names no spec or class field is an error."""
+    _reject_unknown(doc, _SPEC_KEYS, "spec")
+    for i, c in enumerate(doc["classes"]):
+        _reject_unknown(c, _CLASS_KEYS, f"class {i}")
     classes = [
         SynthClass(
             name=c["name"],

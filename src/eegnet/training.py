@@ -70,6 +70,11 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch size must be >= 1")
+        # zero is allowed: a run that never moves the parameters
+        if not 0.0 <= self.learning_rate < np.inf:
+            raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.precision not in ("f32", "f64"):
             raise ValueError(f"precision must be 'f32' or 'f64', got {self.precision!r}")
 
@@ -122,6 +127,14 @@ def metrics_from_confusion(confusion: np.ndarray, mean_loss: float) -> Metrics:
     accuracy = float(diag.sum() / total) if total else 0.0
     return Metrics(accuracy=accuracy, precision=precision, recall=recall, f1=f1,
                    confusion=confusion, mean_loss=float(mean_loss))
+
+
+def _require_config(params: ModelParams, model_config: ModelConfig) -> None:
+    ours, given = asdict(params.config), asdict(model_config)
+    differ = [name for name in ours if ours[name] != given[name]]
+    if differ:
+        raise ValueError(f"params do not match the model config: they differ in "
+                         f"{', '.join(differ)}")
 
 
 def _as_dtype(dataset: PreparedDataset, dtype):
@@ -185,7 +198,7 @@ def train(model_config: ModelConfig, train_config: TrainConfig,
     fall monotonically even under full-batch descent.  A parameter with no gradient (it took no part in
     the loss) gets a zero gradient, which Adam leaves in place.  Early
     stopping (optional) watches test loss.  A NaN/Inf loss aborts with a
-    diagnostic.
+    diagnostic.  Given ``params`` must be for ``model_config``.
     """
     if train_set.count == 0:
         raise ValueError("training set is empty")
@@ -194,6 +207,7 @@ def train(model_config: ModelConfig, train_config: TrainConfig,
     dtype = train_config.dtype
     if params is None:
         params = param_init(model_config, train_config.seed, dtype=dtype)
+    _require_config(params, model_config)
     if adam_state is None:
         adam_state = init_adam(params.tensors, learning_rate=train_config.learning_rate)
     if rng is None:
@@ -295,11 +309,13 @@ def save_checkpoint(path, model_config: ModelConfig, train_config: TrainConfig,
                     params: ModelParams, adam_state: AdamState, epoch: int,
                     rng: np.random.Generator, history, metrics: Metrics | None = None) -> None:
     """Binary container: magic, version, JSON header, raw little-endian
-    tensor payload (parameters, then Adam first/second moments)."""
+    tensor payload (parameters, then Adam first/second moments).  `params`
+    must be for `model_config`."""
+    _require_config(params, model_config)
     values = {name: t.data for name, t in params.tensors.items()}
     stores = (values, adam_state.first_moment, adam_state.second_moment)
     header = {
-        "model_config": asdict(params.config),
+        "model_config": asdict(model_config),
         "train_config": asdict(train_config),
         "epoch": epoch,
         "rng_state": rng.bit_generator.state,

@@ -82,6 +82,26 @@ class TestActivations:
         assert out.data.tobytes() == ref_out.tobytes()
         assert t.grad.tobytes() == ref_grad.tobytes()
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sigmoid_bitwise_equals_masked_form(self, dtype):
+        # reference: each sign's branch evaluated on its own elements only
+        def masked(x):
+            out = np.empty_like(x)
+            pos = x >= 0
+            out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+            ex = np.exp(x[~pos])
+            out[~pos] = ex / (1.0 + ex)
+            return out
+
+        grid = np.array([0.0, -0.0, 1e-30, -1e-30, 1.0, -1.0, 300.0, -300.0], dtype)
+        rng = np.random.default_rng(16)
+        for x in (np.concatenate([grid, np.linspace(-400.0, 400.0, 8001, dtype=dtype)]),
+                  rng.standard_normal((64, 64)).astype(dtype) * 20,
+                  rng.standard_normal((1, 16)).astype(dtype)):
+            out = ad.sigmoid(Tensor.constant(x)).data
+            assert out.dtype == dtype and out.shape == x.shape
+            assert out.tobytes() == masked(x).tobytes()
+
     @pytest.mark.parametrize("op", [ad.elu, ad.sigmoid, ad.tanh])
     def test_gradients_match_finite_differences(self, op):
         rng = np.random.default_rng(3)

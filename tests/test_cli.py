@@ -350,12 +350,27 @@ def test_usage_error_exit_code_for_bad_flags(capsys):
      "patience must be an int or None"),
     (["train", "--arch", "cascade", "--epochs", "1", "--config", "{data}"],
      "data must be a string"),
+    (["train", "--arch", "cascade", "--epochs", "1", "--config", "{maps}"],
+     "conv_maps entries must be >= 1"),
+    (["train", "--arch", "cascade", "--epochs", "1", "--config", "{seed}"],
+     "seed must be >= 0"),
+    (["train", "--arch", "cascade", "--epochs", "1", "--config", "{lr}"],
+     "learning_rate must be finite and >= 0"),
+    (["synth", "--seed", "-1"], "seed must be >= 0"),
+    (["synth", "--spec", "{spec_typo}"], "unknown spec field(s): windows_per_clas"),
+    (["synth", "--spec", "{class_typo}"], "unknown class 1 field(s): amplitud"),
 ], ids=["keep-prob-2", "epochs-0", "config-typo", "config-not-json", "spec-not-json",
         "synth-zero-windows", "prepare-odd-window", "prepare-ratio-1.5", "config-hidden-float",
-        "config-patience-string", "config-data-number"])
+        "config-patience-string", "config-data-number", "config-conv-maps-zero",
+        "config-seed-negative", "config-lr-negative", "synth-seed-negative",
+        "spec-unknown-key", "spec-class-unknown-key"])
 def test_bad_input_is_usage_error(argv, reason, synth_dir, prepared_file, tmp_path, capsys):
     configs = {"typo": {"epoch": 1}, "hidden": {"hidden": 8.5}, "patience": {"patience": "3"},
-               "data": {"data": 5}}
+               "data": {"data": 5}, "maps": {"conv_maps": [0, 3, 4]}, "seed": {"seed": -1},
+               "lr": {"learning_rate": -1.0},
+               "spec_typo": {"classes": [{"name": "a"}, {"name": "b"}], "windows_per_clas": 3},
+               "class_typo": {"classes": [{"name": "a"}, {"name": "b", "amplitud": 2}],
+                              "windows_per_class": 2}}
     files = {name: tmp_path / f"{name}.json" for name in configs}
     for name, doc in configs.items():
         files[name].write_text(json.dumps(doc))

@@ -255,6 +255,14 @@ class TestRecordingCsv:
         with pytest.raises(ds.RecordingError, match="NaN"):
             ds.load_recording_csv(path, entry)
 
+    @pytest.mark.parametrize("body", ["", "\n\n", "# no rows\n"], ids=["bare", "blank", "comment"])
+    def test_header_only_rejected(self, tmp_path, body):
+        path = tmp_path / "rec.csv"
+        path.write_text(",".join(f"ch{i + 1}" for i in range(64)) + "\n" + body)
+        entry = ds.ManifestEntry(path="rec.csv", subject="s", label=0)
+        with pytest.raises(ds.RecordingError, match="holds no samples"):
+            ds.load_recording_csv(path, entry)
+
     def test_garbage_rejected(self, tmp_path):
         path = tmp_path / "rec.csv"
         header = ",".join(f"ch{i + 1}" for i in range(64))
@@ -322,7 +330,7 @@ class TestPrepareDataset:
         )
         with caplog.at_level("WARNING"):
             prepared = ds.prepare_dataset(manifest, window=10, ratio=0.5, seed=0)
-        assert "skipping recording" in caplog.text
+        assert "skipping recording" in caplog.text and "holds no samples" in caplog.text
         assert prepared.meta["skipped"] == ["recordings/bad.csv"]
         assert prepared.count == 3
         assert set(prepared.labels.tolist()) == {1}

@@ -52,6 +52,10 @@ class TestModelConfig:
         with pytest.raises(ValueError, match="keep"):
             ModelConfig(arch="cascade", keep_prob=1.2)
 
+    def test_conv_maps_must_be_positive(self):
+        with pytest.raises(ValueError, match="conv_maps entries must be >= 1"):
+            ModelConfig(arch="cascade", conv_maps=(0, 3, 4))
+
     def test_conv_depth_needs_map_counts(self):
         with pytest.raises(ValueError, match="feature-map"):
             ModelConfig(arch="cascade", conv_depth=4)
@@ -385,6 +389,12 @@ class TestParallel:
         spatial2, temporal2 = parallel_features(shuffled, params)
         np.testing.assert_allclose(spatial2.data, spatial.data, atol=1e-10)
         assert not np.allclose(temporal2.data, temporal.data)
+
+    def test_features_of_other_arch_params_rejected(self):
+        config = reduced_config("cascade")
+        params = param_init(config, seed=0)
+        with pytest.raises(ValueError, match="'cascade', not 'parallel'"):
+            parallel_features(make_segment(config), params)
 
     @pytest.mark.parametrize("fusion", ["cat", "add", "cat-fc", "cat-conv"])
     def test_all_fusions_emit_k_logits(self, fusion):

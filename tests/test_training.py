@@ -248,6 +248,20 @@ class TestTrainLoop:
             TrainConfig(batch_size=0)
         with pytest.raises(ValueError):
             TrainConfig(precision="f16")
+        for lr in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="learning_rate"):
+                TrainConfig(learning_rate=lr)
+        with pytest.raises(ValueError, match="seed"):
+            TrainConfig(seed=-1)
+
+    def test_params_of_another_config_rejected_before_training(self, tiny_sets):
+        train_set, test_set = tiny_sets
+        params = param_init(tiny_config("cascade"), seed=0)
+        epochs = []
+        with pytest.raises(ValueError, match="differ in arch"):
+            train(tiny_config("cnn2d"), TrainConfig(epochs=1), train_set, test_set,
+                  params=params, on_epoch=lambda stats, _: epochs.append(stats))
+        assert epochs == []
 
 
 class TestPredict:
@@ -344,6 +358,15 @@ class TestCheckpoint:
             np.testing.assert_array_equal(straight.params.tensors[k].data,
                                           resumed.params.tensors[k].data)
 
+    def test_params_of_another_config_not_saved(self, tmp_path):
+        params = param_init(tiny_config("cascade"), seed=0)
+        path = tmp_path / "m.eegc"
+        with pytest.raises(ValueError, match="differ in arch"):
+            save_checkpoint(path, tiny_config("parallel"), TrainConfig(), params,
+                            init_adam(params.tensors), epoch=0,
+                            rng=np.random.default_rng(0), history=[])
+        assert not path.exists()
+
     def test_wrong_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.eegc"
         path.write_bytes(b"JUNKJUNKJUNK")
@@ -416,8 +439,10 @@ class TestCheckpoint:
         (lambda h: h.pop("adam"), KeyError),
         (lambda h: h["model_config"].update(bogus=1), TypeError),
         (lambda h: h["train_config"].update(patience="3"), TypeError),
+        (lambda h: h["train_config"].update(learning_rate=-1.0), ValueError),
     ], ids=["tensor-without-shape", "unknown-dtype", "rng-not-pcg64", "rng-state-too-large",
-            "unknown-arch", "no-adam", "unknown-config-field", "patience-not-int"])
+            "unknown-arch", "no-adam", "unknown-config-field", "patience-not-int",
+            "learning-rate-negative"])
     def test_damaged_header_field_rejected(self, tiny_checkpoint, tmp_path, edit, cause):
         path = tmp_path / "h.eegc"
         rewrite_header(tiny_checkpoint, path, training.CHECKPOINT_FORMAT, edit)
