@@ -7,7 +7,8 @@ history CSV, checkpoints, JSON reports) go to files.  Exit codes: 0 on
 success, 1 on check/training failure or a damaged manifest, dataset or
 checkpoint, 2 on usage errors: a missing input file, an invalid flag value,
 or a config or spec file that is not a JSON object, holds an unknown field or
-gives an invalid value.
+gives an invalid value.  When the reader of standard output goes away
+(``eegnet predict ... | head -1``) the command stops quietly with exit code 1.
 """
 
 from __future__ import annotations
@@ -357,7 +358,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here rather than at exit
+        return code
+    except BrokenPipeError:
+        # as the `signal` docs advise, so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -3,8 +3,8 @@
 Recordings arrive as CSV (one row per time sample, columns ch1..chN) plus a
 JSON manifest carrying subject ids, labels, the sample rate and the split
 policy.  Prepared datasets are stored in a little-endian binary container
-(magic ``EEGW``) holding the raw windows, the normalized mesh windows and
-the labels.
+(magic ``EEGW``) holding the raw windows, the labels and the split; the
+loader rebuilds the meshes, a per-frame function of the raw windows.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import container
-from .layout import layout_default, to_mesh_batch, zscore_mesh_batch
+from .layout import layout_default, normalized_meshes
 
 log = logging.getLogger(__name__)
 
@@ -31,7 +31,7 @@ LABEL_NAMES = {
 }
 
 PREPARED_MAGIC = b"EEGW"
-PREPARED_VERSION = 1
+PREPARED_VERSION = 2
 
 
 class DatasetError(Exception):
@@ -54,9 +54,9 @@ class DatasetTruncatedError(DatasetError):
     """Prepared-dataset container ends before its declared payload."""
 
 
-# fixed fields: window count q, window length S, channels n, mesh rows, cols
+# fixed fields: window count q, window length S, channels n
 PREPARED_FORMAT = container.Format(
-    "prepared dataset", PREPARED_MAGIC, PREPARED_VERSION, "IHHHH",
+    "prepared dataset", PREPARED_MAGIC, PREPARED_VERSION, "IHH",
     DatasetFormatError, DatasetVersionError, DatasetTruncatedError,
 )
 
@@ -174,8 +174,9 @@ def load_recording_csv(path, entry: ManifestEntry, sample_rate: int = 160,
         raise RecordingError(f"{path}: bad header, expected columns ch1..ch{n_channels}")
     if data.ndim != 2 or data.shape[1] != n_channels:
         raise RecordingError(f"{path}: expected {n_channels} columns, got {data.shape}")
-    if not np.all(np.isfinite(data)):
-        raise RecordingError(f"{path}: recording contains NaN or Inf values")
+    # NaN fails the comparison; a value past float32's range would cast to inf
+    if not np.all(np.abs(data) <= np.finfo(np.float32).max):
+        raise RecordingError(f"{path}: recording contains NaN, Inf or values beyond float32")
     return Recording(
         subject=entry.subject,
         label=entry.label,
@@ -207,7 +208,7 @@ def segment_windows(recording: Recording, window: int = 10) -> list:
         )
         return []
     step = window // 2
-    meshes = zscore_mesh_batch(to_mesh_batch(samples)).astype(np.float32)
+    meshes = normalized_meshes(samples).astype(np.float32, copy=False)
     segments = []
     for start in range(0, n - window + 1, step):
         segments.append(
@@ -302,7 +303,7 @@ def from_segments(segments, meta: dict) -> PreparedDataset:
 def prepare_dataset(manifest: DatasetManifest, window: int = 10,
                     ratio: float | None = None, seed: int | None = None,
                     threads: int = 1) -> PreparedDataset:
-    """Full ingestion pipeline: load -> mesh -> normalize -> window -> split.
+    """Full ingestion pipeline: load -> normalize -> mesh -> window -> split.
 
     Recordings have the 64 channels of the default 10x11 montage
     (``layout_default``), which places every sample on the mesh.  Damaged
@@ -354,21 +355,24 @@ def prepare_dataset(manifest: DatasetManifest, window: int = 10,
 
 
 def save_prepared(path, dataset: PreparedDataset) -> None:
-    """Write the EEGW container: header, metadata JSON, float32 blocks, labels."""
-    q, s, n = dataset.raw.shape
-    rows, cols = dataset.meshes.shape[2:]
-    blocks = ((dataset.raw, np.float32), (dataset.meshes, np.float32), (dataset.labels, np.uint8))
-    container.write(path, PREPARED_FORMAT, (q, s, n, rows, cols), dataset.meta,
+    """Write the EEGW v2 container: fixed fields (q, S, n), metadata JSON,
+    float32 raw block, uint8 labels.  The meshes are left out."""
+    blocks = ((dataset.raw, np.float32), (dataset.labels, np.uint8))
+    container.write(path, PREPARED_FORMAT, dataset.raw.shape, dataset.meta,
                     (np.asarray(block, dtype=dtype) for block, dtype in blocks))
 
 
 def load_prepared(path) -> PreparedDataset:
-    """Read an EEGW container; bad magic, version, header and truncation
-    raise distinct errors and never yield a partial dataset."""
-    with container.read(path, PREPARED_FORMAT) as ((q, s, n, rows, cols), meta, read_array):
-        return PreparedDataset(
-            raw=read_array("f4", (q, s, n), "raw block"),
-            meshes=read_array("f4", (q, s, rows, cols), "mesh block"),
-            labels=read_array("u1", (q,), "labels"),
-            meta=meta,
-        )
+    """Read an EEGW v2 container and rebuild its meshes by ingest's rule.  Bad
+    magic, version (v1 included), header, truncation, a channel count other
+    than 64 and NaN or Inf raise typed errors, never a partial dataset."""
+    layout = layout_default()
+    with container.read(path, PREPARED_FORMAT) as ((q, s, n), meta, read_array):
+        if n != layout.n_channels:
+            raise DatasetFormatError(
+                f"prepared dataset has {n} channels; meshes need {layout.n_channels}")
+        raw = read_array("f4", (q, s, n), "raw block")
+        labels = read_array("u1", (q,), "labels")
+    if not np.all(np.isfinite(raw)):
+        raise DatasetFormatError("prepared dataset raw block holds NaN or Inf values")
+    return PreparedDataset(raw=raw, meshes=normalized_meshes(raw, layout), labels=labels, meta=meta)

@@ -56,6 +56,8 @@ class ElectrodeLayout:
         rr, cc = np.nonzero(self.mask)
         self._rows = rr[order]
         self._cols = cc[order]
+        # np.take indices into a channel vector with a 0 put in front of it
+        self._take = grid.ravel().astype(np.intp)
 
     def channel_at(self, row: int, col: int):
         """Channel number at a cell, or None for a null cell."""
@@ -112,9 +114,24 @@ def to_mesh_batch(samples: np.ndarray, layout: ElectrodeLayout | None = None) ->
         raise ValueError(
             f"samples must have {layout.n_channels} channels, got shape {samples.shape}"
         )
-    meshes = np.zeros(samples.shape[:-1] + (layout.rows, layout.cols), dtype=samples.dtype)
-    meshes[..., layout._rows, layout._cols] = samples
-    return meshes
+    lead = samples.shape[:-1]
+    padded = np.zeros(lead + (layout.n_channels + 1,), dtype=samples.dtype)
+    padded[..., 1:] = samples
+    return np.take(padded, layout._take, axis=-1).reshape(lead + (layout.rows, layout.cols))
+
+
+def normalized_meshes(samples: np.ndarray, layout: ElectrodeLayout | None = None) -> np.ndarray:
+    """``zscore_mesh_batch(to_mesh_batch(samples))`` with one placement: each
+    frame's channels are z-scored (see :func:`zscore_mesh`), then placed.  The
+    statistics are float64, in which a huge but finite float32 value cannot
+    overflow; the result has the samples' float dtype, at least float32."""
+    samples = np.asarray(samples)
+    x = samples.astype(np.float64)
+    x -= x.mean(axis=-1, keepdims=True)
+    std = np.sqrt(np.einsum("...i,...i->...", x, x)[..., None] / x.shape[-1])
+    # a NaN frame keeps its NaN std, so it stays NaN rather than turning to 0
+    x *= np.where(std < DEGENERATE_STD, 0.0, 1.0 / np.maximum(std, DEGENERATE_STD))
+    return to_mesh_batch(x.astype(np.result_type(samples, np.float32), copy=False), layout)
 
 
 def zscore_mesh(mesh: np.ndarray, layout: ElectrodeLayout | None = None) -> np.ndarray:
@@ -131,13 +148,7 @@ def zscore_mesh(mesh: np.ndarray, layout: ElectrodeLayout | None = None) -> np.n
 def zscore_mesh_batch(meshes: np.ndarray, layout: ElectrodeLayout | None = None) -> np.ndarray:
     """Vectorized per-frame z-score over any number of leading axes."""
     layout = layout or _DEFAULT_LAYOUT
-    meshes = np.asarray(meshes, dtype=np.result_type(meshes, np.float32))
+    meshes = np.asarray(meshes)
     if meshes.shape[-2:] != (layout.rows, layout.cols):
         raise ValueError(f"meshes must end in {layout.rows}x{layout.cols}, got {meshes.shape}")
-    values = meshes[..., layout._rows, layout._cols]
-    mean = values.mean(axis=-1, keepdims=True)
-    std = values.std(axis=-1, keepdims=True)
-    scaled = np.where(std < DEGENERATE_STD, 0.0, (values - mean) / np.where(std < DEGENERATE_STD, 1.0, std))
-    out = np.zeros_like(meshes)
-    out[..., layout._rows, layout._cols] = scaled
-    return out
+    return normalized_meshes(meshes[..., layout._rows, layout._cols], layout)

@@ -50,6 +50,7 @@ _FIELD_KINDS = {
     "float": ("a real number", lambda v: isinstance(v, numbers.Real) and not _is_bool(v)),
     "bool": ("a bool", _is_bool),
     "str": ("a string", lambda v: isinstance(v, str)),
+    "list": ("a list", lambda v: isinstance(v, list)),
     "tuple": ("a list of ints", lambda v: isinstance(v, (list, tuple)) and all(map(_is_int, v))),
 }
 

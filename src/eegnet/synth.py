@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import DatasetManifest, ManifestEntry, Recording
-from .layout import layout_default
+from .models import _check_field_types
 
 
 @dataclass
@@ -34,6 +34,10 @@ class SynthClass:
     frequency: float = 32.0   # Hz
     phase: float = 0.0        # radians
     amplitude: float = 1.0
+
+    def __post_init__(self):
+        _check_field_types(self)
+        self.channels = tuple(self.channels)  # JSON gives a list
 
 
 @dataclass
@@ -46,6 +50,10 @@ class SynthSpec:
     sample_rate: int = 160
     seed: int = 0
     n_channels: int = 64
+
+    def __post_init__(self):
+        # values are never coerced: an int field given 2.9 or true is an error
+        _check_field_types(self)
 
     def validate(self) -> None:
         if not self.classes:
@@ -165,28 +173,11 @@ def _reject_unknown(doc: dict, known: set, where: str) -> None:
 
 def spec_from_dict(doc: dict) -> SynthSpec:
     """Build a spec from a JSON document (the CLI's --spec file); a key that
-    names no spec or class field is an error."""
+    names no spec or class field, or a value of the wrong type, is an error.
+    Values are taken as given, never coerced."""
     _reject_unknown(doc, _SPEC_KEYS, "spec")
     for i, c in enumerate(doc["classes"]):
         _reject_unknown(c, _CLASS_KEYS, f"class {i}")
-    classes = [
-        SynthClass(
-            name=c["name"],
-            channels=tuple(c.get("channels", ())),
-            frequency=float(c.get("frequency", 32.0)),
-            phase=float(c.get("phase", 0.0)),
-            amplitude=float(c.get("amplitude", 1.0)),
-        )
-        for c in doc["classes"]
-    ]
-    spec = SynthSpec(
-        classes=classes,
-        noise=float(doc.get("noise", 0.25)),
-        windows_per_class=int(doc.get("windows_per_class", 400)),
-        recordings_per_class=int(doc.get("recordings_per_class", 2)),
-        window=int(doc.get("window", 10)),
-        sample_rate=int(doc.get("sample_rate", 160)),
-        seed=int(doc.get("seed", 0)),
-    )
+    spec = SynthSpec(**{**doc, "classes": [SynthClass(**c) for c in doc["classes"]]})
     spec.validate()
     return spec

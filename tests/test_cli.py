@@ -1,5 +1,10 @@
+import fcntl
 import filecmp
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -242,6 +247,24 @@ class TestEvalPredict:
             probs = [float(x) for x in line.split("probs=[")[1].rstrip("]").split()]
             assert abs(sum(probs) - 1.0) <= 1e-6
 
+    def test_predict_into_closed_pipe_exits_quietly(self, trained_run, prepared_file):
+        # the reader closes the pipe after one line, as `| head -1` does; a
+        # one-page pipe cannot hold the rest, so the command is still writing
+        read_fd, write_fd = os.pipe()
+        fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, 4096)
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "eegnet.cli", "predict",
+             "--checkpoint", str(trained_run / "checkpoint.eegc"), "--windows", str(prepared_file)],
+            stdout=write_fd, stderr=subprocess.PIPE, env=env)
+        os.close(write_fd)
+        with os.fdopen(read_fd, "rb", buffering=0) as out:
+            assert out.readline().startswith(b"window 0:")
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 1
+        assert "Traceback" not in err and "BrokenPipeError" not in err
+
     def test_checkpoint_header_not_utf8_is_error(self, trained_run, prepared_file,
                                                  tmp_path, capsys):
         blob = bytearray((trained_run / "checkpoint.eegc").read_bytes())
@@ -359,18 +382,25 @@ def test_usage_error_exit_code_for_bad_flags(capsys):
     (["synth", "--seed", "-1"], "seed must be >= 0"),
     (["synth", "--spec", "{spec_typo}"], "unknown spec field(s): windows_per_clas"),
     (["synth", "--spec", "{class_typo}"], "unknown class 1 field(s): amplitud"),
+    (["synth", "--spec", "{channel_float}"], "channels must be a list of ints, got [1.9]"),
+    (["synth", "--spec", "{windows_float}"], "windows_per_class must be an int, got 2.9"),
+    (["synth", "--spec", "{seed_bool}"], "seed must be an int, got True"),
 ], ids=["keep-prob-2", "epochs-0", "config-typo", "config-not-json", "spec-not-json",
         "synth-zero-windows", "prepare-odd-window", "prepare-ratio-1.5", "config-hidden-float",
         "config-patience-string", "config-data-number", "config-conv-maps-zero",
         "config-seed-negative", "config-lr-negative", "synth-seed-negative",
-        "spec-unknown-key", "spec-class-unknown-key"])
+        "spec-unknown-key", "spec-class-unknown-key", "spec-channel-float",
+        "spec-windows-float", "spec-seed-bool"])
 def test_bad_input_is_usage_error(argv, reason, synth_dir, prepared_file, tmp_path, capsys):
     configs = {"typo": {"epoch": 1}, "hidden": {"hidden": 8.5}, "patience": {"patience": "3"},
                "data": {"data": 5}, "maps": {"conv_maps": [0, 3, 4]}, "seed": {"seed": -1},
                "lr": {"learning_rate": -1.0},
                "spec_typo": {"classes": [{"name": "a"}, {"name": "b"}], "windows_per_clas": 3},
                "class_typo": {"classes": [{"name": "a"}, {"name": "b", "amplitud": 2}],
-                              "windows_per_class": 2}}
+                              "windows_per_class": 2},
+               "channel_float": {"classes": [{"name": "a", "channels": [1.9]}]},
+               "windows_float": {"classes": [{"name": "a"}], "windows_per_class": 2.9},
+               "seed_bool": {"classes": [{"name": "a"}], "seed": True}}
     files = {name: tmp_path / f"{name}.json" for name in configs}
     for name, doc in configs.items():
         files[name].write_text(json.dumps(doc))

@@ -135,10 +135,15 @@ class TestPreparedRoundTrip:
         with pytest.raises(ds.DatasetVersionError, match="99"):
             ds.load_prepared(path)
 
-    def _damaged(self, tmp_path, small_prepared, offset, patch):
+    @staticmethod
+    def _saved(tmp_path, small_prepared) -> bytes:
         path = tmp_path / "d.eegw"
         ds.save_prepared(path, small_prepared)
-        blob = bytearray(path.read_bytes())
+        return path.read_bytes()
+
+    def _damaged(self, tmp_path, small_prepared, offset, patch):
+        path = tmp_path / "d.eegw"
+        blob = bytearray(self._saved(tmp_path, small_prepared))
         blob[offset:offset + len(patch)] = patch
         path.write_bytes(bytes(blob))
         return path
@@ -149,7 +154,7 @@ class TestPreparedRoundTrip:
             ds.load_prepared(path)
 
     def test_huge_header_length_rejected_as_truncated(self, tmp_path, small_prepared):
-        path = self._damaged(tmp_path, small_prepared, 18, struct.pack("<I", 0xFFFFFFF0))
+        path = self._damaged(tmp_path, small_prepared, 14, struct.pack("<I", 0xFFFFFFF0))
         with pytest.raises(ds.DatasetTruncatedError, match="truncated"):
             ds.load_prepared(path)
 
@@ -159,7 +164,7 @@ class TestPreparedRoundTrip:
             ds.load_prepared(path)
 
     def test_header_not_json_rejected(self, tmp_path, small_prepared):
-        path = self._damaged(tmp_path, small_prepared, 22, b"x")
+        path = self._damaged(tmp_path, small_prepared, 18, b"x")
         with pytest.raises(ds.DatasetFormatError, match="header"):
             ds.load_prepared(path)
 
@@ -185,21 +190,37 @@ class TestPreparedRoundTrip:
         assert [p.name for p in tmp_path.iterdir()] == ["d.eegw"]
 
     def test_layout_pinned(self, tmp_path, small_prepared):
-        # magic, u16 version, u32 q, u16 S, n, rows, cols, u32 header length,
-        # JSON header, float32 raw and mesh blocks, uint8 labels
+        # magic, u16 version, u32 q, u16 S, n, u32 header length, JSON
+        # header, float32 raw block, uint8 labels; no mesh block
         path = tmp_path / "d.eegw"
         ds.save_prepared(path, small_prepared)
         blob = path.read_bytes()
         assert blob[:4] == b"EEGW"
-        assert struct.unpack_from("<H", blob, 4) == (1,)
-        q, s, n, rows, cols = struct.unpack_from("<IHHHH", blob, 6)
-        assert (q, s, n, rows, cols) == small_prepared.raw.shape + small_prepared.meshes.shape[2:]
-        (header_len,) = struct.unpack_from("<I", blob, 18)
-        assert json.loads(blob[22:22 + header_len]) == small_prepared.meta
-        assert len(blob) == 4 + 18 + header_len + q * s * (n + rows * cols) * 4 + q
-        raw_end = 22 + header_len + q * s * n * 4
-        assert blob[22 + header_len:raw_end] == small_prepared.raw.astype("<f4").tobytes()
+        assert struct.unpack_from("<H", blob, 4) == (2,)
+        q, s, n = struct.unpack_from("<IHH", blob, 6)
+        assert (q, s, n) == small_prepared.raw.shape
+        (header_len,) = struct.unpack_from("<I", blob, 14)
+        assert json.loads(blob[18:18 + header_len]) == small_prepared.meta
+        assert len(blob) == 4 + 14 + header_len + q * s * n * 4 + q
+        assert blob[18 + header_len:-q] == small_prepared.raw.astype("<f4").tobytes()
         assert blob[-q:] == small_prepared.labels.tobytes()
+
+    def test_v1_file_rejected_naming_version(self, tmp_path, small_prepared):
+        path = self._damaged(tmp_path, small_prepared, 4, struct.pack("<H", 1))
+        with pytest.raises(ds.DatasetVersionError, match="version 1"):
+            ds.load_prepared(path)
+
+    def test_raw_nan_rejected(self, tmp_path, small_prepared):
+        (header_len,) = struct.unpack_from("<I", self._saved(tmp_path, small_prepared), 14)
+        nan = np.array([np.nan], dtype="<f4").tobytes()
+        path = self._damaged(tmp_path, small_prepared, 18 + header_len + 4 * 37, nan)
+        with pytest.raises(ds.DatasetFormatError, match="NaN"):
+            ds.load_prepared(path)
+
+    def test_channel_count_other_than_64_rejected(self, tmp_path, small_prepared):
+        path = self._damaged(tmp_path, small_prepared, 12, struct.pack("<H", 63))
+        with pytest.raises(ds.DatasetFormatError, match="63 channels"):
+            ds.load_prepared(path)
 
     def test_stored_split_partitions_dataset(self, small_prepared):
         train, test = small_prepared.train_test()
@@ -247,13 +268,15 @@ class TestRecordingCsv:
             ds.load_recording_csv(path, entry)
 
     def test_nan_rejected(self, tmp_path):
+        # 1e39 is finite in float64 but would cast to inf in float32
         path = tmp_path / "rec.csv"
         header = ",".join(f"ch{i + 1}" for i in range(64))
-        row = ",".join(["1.0"] * 63 + ["nan"])
-        path.write_text(f"{header}\n{row}\n")
         entry = ds.ManifestEntry(path="rec.csv", subject="s", label=0)
-        with pytest.raises(ds.RecordingError, match="NaN"):
-            ds.load_recording_csv(path, entry)
+        for cell in ("nan", "1e39"):
+            row = ",".join(["1.0"] * 63 + [cell])
+            path.write_text(f"{header}\n{row}\n")
+            with pytest.raises(ds.RecordingError, match="NaN, Inf or values beyond float32"):
+                ds.load_recording_csv(path, entry)
 
     @pytest.mark.parametrize("body", ["", "\n\n", "# no rows\n"], ids=["bare", "blank", "comment"])
     def test_header_only_rejected(self, tmp_path, body):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from eegnet.layout import (
     ElectrodeLayout,
     from_mesh,
     layout_default,
+    normalized_meshes,
     to_mesh,
     to_mesh_batch,
     zscore_mesh,
@@ -161,3 +164,22 @@ class TestZscore:
         batched = zscore_mesh_batch(meshes)
         for i in range(5):
             np.testing.assert_allclose(batched[i], zscore_mesh(meshes[i]), atol=1e-12)
+
+    def test_huge_finite_values_give_finite_output_without_warning(self):
+        # float32 statistics would overflow squaring 1e38
+        sample = np.zeros(64, dtype=np.float32)
+        sample[3], sample[40] = 1e38, -1e38
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = zscore_mesh_batch(to_mesh_batch(sample[None]))
+        assert out.dtype == np.float32
+        assert np.all(np.isfinite(out))
+        assert out[0][layout_default().mask].std() == pytest.approx(1.0, rel=1e-5)
+
+
+class TestNormalizedMeshes:
+    def test_equals_two_step_rule_bitwise(self):
+        samples = np.random.default_rng(7).standard_normal((4, 6, 64)).astype(np.float32)
+        out = normalized_meshes(samples)
+        assert out.dtype == np.float32 and out.shape == (4, 6, 10, 11)
+        np.testing.assert_array_equal(out, zscore_mesh_batch(to_mesh_batch(samples)))
