@@ -196,6 +196,20 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _op(a.data @ b.data, (a, b), lambda g: g @ b.data.T, lambda g: a.data.T @ g)
 
 
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Dense layer ``x @ w.T + b`` as one node, the weight stored (out, in).
+
+    The product runs as ``(w @ x.T).T``: for a few rows of x, as in one-window
+    prediction, OpenBLAS runs this form faster than ``x @ w`` with w stored
+    (in, out), or than ``x @ w.T``; a GEMM's speed depends on how its operands
+    pack (Goto & van de Geijn 2008).  At training batch sizes all three match."""
+    x, w, b = _lift(x), _lift(w), _lift(b)
+    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[1] or b.shape != w.shape[:1]:
+        raise ValueError(f"linear shape mismatch: {x.shape} x {w.shape}.T + {b.shape}")
+    return _op((w.data @ x.data.T).T + b.data, (x, w, b),
+               lambda g: g @ w.data, lambda g: g.T @ x.data, lambda g: g.sum(axis=0))
+
+
 # ---------------------------------------------------------------------------
 # activations
 #

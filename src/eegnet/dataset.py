@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import logging
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -362,10 +363,48 @@ def save_prepared(path, dataset: PreparedDataset) -> None:
                     (np.asarray(block, dtype=dtype) for block, dtype in blocks))
 
 
+def _check_labels(meta, labels: np.ndarray) -> None:
+    """Raise DatasetFormatError unless `label_names` is an object keyed by
+    the dense indices "0".."K-1", as a manifest's are, and every label is
+    one of its keys."""
+    names = meta.get("label_names") if isinstance(meta, dict) else None
+    if not isinstance(names, dict) or set(names) != set(map(str, range(len(names)))):
+        raise DatasetFormatError(
+            f"prepared dataset label_names must be keyed 0..K-1, got {names!r}")
+    bad = np.flatnonzero(labels >= len(names))
+    if bad.size:
+        raise DatasetFormatError(f"prepared dataset window {bad[0]} has label {labels[bad[0]]}, "
+                                 f"not a key of label_names {sorted(names, key=int)}")
+
+
+def _check_split(meta: dict, count: int) -> None:
+    """Raise DatasetFormatError unless a stored split lists window indices:
+    ints in [0, count), each of them once over both sides."""
+    split = meta.get("split", {})
+    if not isinstance(split, dict):
+        raise DatasetFormatError(f"prepared dataset split must be an object, got {split!r}")
+    if "train" not in split and "test" not in split:
+        return
+    sides = [split.get("train"), split.get("test")]
+    for side, indices in zip(("train", "test"), sides):
+        if not isinstance(indices, list):
+            raise DatasetFormatError(f"prepared dataset split.{side} must be a list, "
+                                     f"got {indices!r}")
+        bad = [i for i in indices if type(i) is not int or not 0 <= i < count]
+        if bad:
+            raise DatasetFormatError(f"prepared dataset split.{side} holds {bad[0]!r}, not a "
+                                     f"window index in [0, {count})")
+    twice = [i for i, n in Counter(sides[0] + sides[1]).items() if n > 1]
+    if twice:
+        raise DatasetFormatError(f"prepared dataset split lists window {twice[0]} more than once")
+
+
 def load_prepared(path) -> PreparedDataset:
     """Read an EEGW v2 container and rebuild its meshes by ingest's rule.  Bad
     magic, version (v1 included), header, truncation, a channel count other
-    than 64 and NaN or Inf raise typed errors, never a partial dataset."""
+    than 64, NaN or Inf, a label outside `label_names` and a stored split
+    that does not index the windows raise typed errors, never a partial
+    dataset."""
     layout = layout_default()
     with container.read(path, PREPARED_FORMAT) as ((q, s, n), meta, read_array):
         if n != layout.n_channels:
@@ -373,6 +412,8 @@ def load_prepared(path) -> PreparedDataset:
                 f"prepared dataset has {n} channels; meshes need {layout.n_channels}")
         raw = read_array("f4", (q, s, n), "raw block")
         labels = read_array("u1", (q,), "labels")
+    _check_labels(meta, labels)
+    _check_split(meta, q)
     if not np.all(np.isfinite(raw)):
         raise DatasetFormatError("prepared dataset raw block holds NaN or Inf values")
     return PreparedDataset(raw=raw, meshes=normalized_meshes(raw, layout), labels=labels, meta=meta)

@@ -87,6 +87,12 @@ def _check_matmul(rng):
     return finite_diff_check(lambda a, b: _weighted_sum(ad.matmul(a, b), c), [a, b])
 
 
+def _check_linear(rng):
+    x, w, b = _t(rng, 4, 3), _t(rng, 2, 3), _t(rng, 2)
+    c = rng.standard_normal((4, 2))
+    return finite_diff_check(lambda x, w, b: _weighted_sum(ad.linear(x, w, b), c), [x, w, b])
+
+
 def _check_conv(nd):
     conv = {1: conv1d_same, 2: conv2d_same, 3: conv3d_same}[nd]
     spatial = {1: (7,), 2: (4, 5), 3: (3, 4, 4)}[nd]
@@ -210,6 +216,7 @@ def _check_model(arch: str, **overrides):
 # name -> (runner, tolerance); model checks get the architecture-level bound
 CHECKS = {
     "matmul": (_check_matmul, 1e-6),
+    "linear": (_check_linear, 1e-6),
     "conv1d": (_check_conv(1), 1e-6),
     "conv2d": (_check_conv(2), 1e-6),
     "conv3d": (_check_conv(3), 1e-6),

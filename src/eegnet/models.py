@@ -13,7 +13,8 @@ Dropout placement: after the fully connected layer inside the per-step conv
 stack and after the final-stage fully connected layers (the cascade head FC
 and the parallel post-LSTM FC).  The parallel pre-LSTM FC and recurrent
 connections carry no dropout.  Per-step conv weights are shared across the
-window's time steps.
+window's time steps.  Every dense layer stores its weight (out, in) and runs
+as one :func:`autodiff.linear` node.
 """
 
 from __future__ import annotations
@@ -133,6 +134,12 @@ class ModelParams:
     def n_params(self) -> int:
         return sum(t.size for t in self.tensors.values())
 
+    def frozen(self) -> "ModelParams":
+        """The same arrays, uncopied, as constants: a forward on them builds
+        no tape and leaves every ``.grad`` alone (evaluation and prediction)."""
+        return ModelParams(self.config, {name: Tensor.constant(t.data)
+                                         for name, t in self.tensors.items()})
+
 
 # ---------------------------------------------------------------------------
 # shape plan and initialization
@@ -172,12 +179,14 @@ def _fused_size(config: ModelConfig) -> int:
 
 def _plan(config: ModelConfig) -> list:
     """Ordered (name, shape, init) triples; init is 'dense', 'window_dense',
-    'conv', 'lstm_w', 'lstm_u', 'bias' or 'forget_bias'."""
+    'conv', 'lstm_w', 'lstm_u', 'bias' or 'forget_bias'.  Dense weights are
+    stored (out, in), as :func:`autodiff.linear` takes them; LSTM matrices
+    (in, 4·hidden)."""
     arch = config.arch
     plan = []
 
     def dense(name: str, fan_in: int, fan_out: int, kind: str = "dense"):
-        plan.append((f"{name}.weight", (fan_in, fan_out), kind))
+        plan.append((f"{name}.weight", (fan_out, fan_in), kind))
         plan.append((f"{name}.bias", (fan_out,), "bias"))
 
     def conv_stack(spatial_nd: int):
@@ -245,9 +254,10 @@ def _glorot_bound(fan_in: int, fan_out: int) -> float:
 def param_init(config: ModelConfig, seed: int, dtype=np.float32) -> ModelParams:
     """Deterministic fan-in-scaled uniform initialization.
 
-    Dense and conv weights use bound sqrt(6/(fan_in+fan_out)); LSTM matrices
-    are initialized per gate; biases start at zero except LSTM forget-gate
-    biases, which start at 1.
+    Dense and conv weights use bound sqrt(6/(fan_in+fan_out)), each drawn
+    in its stored shape (dense (out, in)); LSTM matrices are initialized per
+    gate; biases start at zero except LSTM forget-gate biases, which start
+    at 1.
 
     Two dense layers that read a whole window at once have their bound
     divided by ``config.window``; without it the untrained loss sits far
@@ -305,7 +315,7 @@ def _require_arch(params: ModelParams, arch: str) -> None:
 
 
 def _dense(x: Tensor, tensors: dict, name: str) -> Tensor:
-    return ad.add(ad.matmul(x, tensors[f"{name}.weight"]), tensors[f"{name}.bias"])
+    return ad.linear(x, tensors[f"{name}.weight"], tensors[f"{name}.bias"])
 
 
 def _dense_elu_dropout(x: Tensor, config: ModelConfig, tensors: dict, name: str, rng) -> Tensor:
@@ -319,7 +329,7 @@ def _conv_stack(config: ModelConfig, tensors: dict, x: Tensor, rng) -> Tensor:
     # The layers run channels-last, (N, *spatial, C), so each output is the
     # next layer's lowering input as it stands.  Only the last layer emits
     # channels-first and C-contiguous: the flatten is then a view, and the
-    # rows of cnn.fc.weight keep their (C, *spatial) order.
+    # columns of cnn.fc.weight keep their (C, *spatial) order.
     h = convolution._channels_last(x, x.ndim - 2)
     last = config.conv_depth - 1
     for i in range(config.conv_depth):

@@ -25,7 +25,7 @@ from .optim import AdamState, adam_step, init_adam
 log = logging.getLogger(__name__)
 
 CHECKPOINT_MAGIC = b"EEGC"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class TrainingDiverged(RuntimeError):
@@ -148,9 +148,10 @@ def _batches(count: int, batch_size: int, order: np.ndarray):
 
 def evaluate(params: ModelParams, dataset: PreparedDataset) -> Metrics:
     """Deterministic eval-mode metrics over a labeled dataset, run through
-    the model 256 windows at a time."""
+    the model 256 windows at a time on frozen parameters (no tape)."""
     if dataset.count == 0:
         raise ValueError("cannot evaluate an empty dataset")
+    params = params.frozen()
     k = params.config.classes
     raw, meshes = _as_dtype(dataset, params.tensors["head.out.bias"].dtype)
     labels = dataset.labels.astype(np.int64)
@@ -166,9 +167,10 @@ def evaluate(params: ModelParams, dataset: PreparedDataset) -> Metrics:
 
 
 def predict(params: ModelParams, raw: np.ndarray, meshes: np.ndarray):
-    """Class probabilities and argmax class (ties -> lowest index) for one window."""
-    logits = models.forward_windows(params, np.asarray(raw)[None], np.asarray(meshes)[None],
-                                    mode="eval")
+    """Class probabilities and argmax class (ties -> lowest index) for one
+    window, from a forward on frozen parameters (no tape)."""
+    logits = models.forward_windows(params.frozen(), np.asarray(raw)[None],
+                                    np.asarray(meshes)[None], mode="eval")
     probs = _softmax_rows(logits.data)[0]
     return probs, int(probs.argmax())
 

@@ -53,6 +53,33 @@ class TestMatmul:
             ad.matmul(t64(np.ones((2, 3))), t64(np.ones((2, 3))))
 
 
+class TestLinear:
+    @staticmethod
+    def _grads(fn, *arrays):
+        inputs = [Tensor.parameter(a.copy()) for a in arrays]
+        out = fn(*inputs)
+        weights = Tensor.constant(np.arange(out.size, dtype=np.float64).reshape(out.shape))
+        backward(ad.tensor_sum(ad.mul(out, weights)))
+        return out.data, [t.grad for t in inputs]
+
+    def test_equals_matmul_with_transposed_weight(self):
+        rng = np.random.default_rng(2)
+        x, w, b = rng.standard_normal((4, 5)), rng.standard_normal((3, 5)), rng.standard_normal(3)
+        got, got_grads = self._grads(ad.linear, x, w, b)
+        want, want_grads = self._grads(
+            lambda x, w, b: ad.add(ad.matmul(x, ad.transpose(w, (1, 0))), b), x, w, b)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+        assert [g.shape for g in got_grads] == [(4, 5), (3, 5), (3,)]
+        for g, h in zip(got_grads, want_grads):
+            np.testing.assert_allclose(g, h, rtol=1e-12, atol=1e-12)
+
+    def test_shape_mismatch_reports_all_shapes(self):
+        with pytest.raises(ValueError, match=r"\(2, 3\).*\(4, 2\).*\(4,\)"):
+            ad.linear(t64(np.ones((2, 3))), t64(np.ones((4, 2))), t64(np.ones(4)))
+        with pytest.raises(ValueError, match="linear shape mismatch"):
+            ad.linear(t64(np.ones((2, 3))), t64(np.ones((4, 3))), t64(np.ones(3)))
+
+
 class TestActivations:
     def test_values_at_zero(self):
         zero = t64([0.0])

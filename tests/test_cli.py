@@ -321,6 +321,44 @@ class TestEvalPredict:
         assert ("error: dataset window 10 does not match checkpoint window 3"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("command, data_flag", [("eval", "--data"),
+                                                    ("predict", "--windows")],
+                             ids=["eval", "predict"])
+    def test_v1_checkpoint_is_error(self, trained_run, prepared_file, tmp_path, capsys,
+                                    command, data_flag):
+        blob = bytearray((trained_run / "checkpoint.eegc").read_bytes())
+        blob[4:6] = (1).to_bytes(2, "little")  # v1: dense weights stored (in, out)
+        old = tmp_path / "v1.eegc"
+        old.write_bytes(bytes(blob))
+        rc = cli.main([command, "--checkpoint", str(old), data_flag, str(prepared_file)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "error: unsupported checkpoint version 1, expected 2" in captured.err
+        assert "window 0:" not in captured.out
+
+    def test_label_outside_label_names_is_error(self, trained_run, prepared_file, tmp_path,
+                                                capsys):
+        blob = bytearray(prepared_file.read_bytes())
+        blob[-1] = 9  # the last window's label, in a 5-class dataset
+        damaged = tmp_path / "label9.eegw"
+        damaged.write_bytes(bytes(blob))
+        rc = cli.main(["eval", "--checkpoint", str(trained_run / "checkpoint.eegc"),
+                       "--data", str(damaged), "--split", "all"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "error: prepared dataset window " in err and "has label 9" in err
+
+    @pytest.mark.parametrize("entry", [1000000, -1], ids=["past-the-end", "negative"])
+    def test_split_index_outside_windows_is_error(self, trained_run, prepared_file, tmp_path,
+                                                  capsys, entry):
+        damaged = tmp_path / "split.eegw"
+        rewrite_header(prepared_file, damaged, ds.PREPARED_FORMAT,
+                       lambda h: h["split"]["test"].append(entry))
+        rc = cli.main(["eval", "--checkpoint", str(trained_run / "checkpoint.eegc"),
+                       "--data", str(damaged)])
+        assert rc == 1
+        assert f"error: prepared dataset split.test holds {entry}" in capsys.readouterr().err
+
     def test_missing_checkpoint_is_usage_error(self, prepared_file, tmp_path):
         rc = cli.main(["eval", "--checkpoint", str(tmp_path / "none.eegc"),
                        "--data", str(prepared_file)])

@@ -7,7 +7,7 @@ import pytest
 from eegnet import dataset as ds
 from eegnet.layout import layout_default, to_mesh, zscore_mesh
 
-from conftest import build_prepared
+from conftest import build_prepared, rewrite_header
 
 
 def make_recording(n_samples, label=2, seed=0):
@@ -136,10 +136,14 @@ class TestPreparedRoundTrip:
             ds.load_prepared(path)
 
     @staticmethod
-    def _saved(tmp_path, small_prepared) -> bytes:
+    def _saved_path(tmp_path, small_prepared):
         path = tmp_path / "d.eegw"
         ds.save_prepared(path, small_prepared)
-        return path.read_bytes()
+        return path
+
+    @classmethod
+    def _saved(cls, tmp_path, small_prepared) -> bytes:
+        return cls._saved_path(tmp_path, small_prepared).read_bytes()
 
     def _damaged(self, tmp_path, small_prepared, offset, patch):
         path = tmp_path / "d.eegw"
@@ -247,6 +251,58 @@ class TestPreparedRoundTrip:
         train, test = ds.load_prepared(path).train_test()
         assert train.count == 0 and train.raw.shape[1:] == small_prepared.raw.shape[1:]
         assert test.count == small_prepared.count
+
+
+    def test_label_outside_label_names_rejected(self, tmp_path, small_prepared):
+        # the label block ends the file; its last byte is the last window's label
+        path = self._saved_path(tmp_path, small_prepared)
+        blob = bytearray(path.read_bytes())
+        blob[-1] = 9
+        path.write_bytes(bytes(blob))
+        last = small_prepared.count - 1
+        with pytest.raises(ds.DatasetFormatError,
+                           match=f"window {last} has label 9, not a key of label_names"):
+            ds.load_prepared(path)
+
+    @pytest.mark.parametrize("names", [{"0": "a", "2": "b"}, ["a", "b"], None],
+                             ids=["sparse", "list", "missing"])
+    def test_label_names_not_keyed_by_class_index_rejected(self, tmp_path, small_prepared,
+                                                           names):
+        path = tmp_path / "n.eegw"
+        rewrite_header(self._saved_path(tmp_path, small_prepared), path, ds.PREPARED_FORMAT,
+                       lambda h: h.update(label_names=names))
+        with pytest.raises(ds.DatasetFormatError, match="label_names must be keyed 0..K-1"):
+            ds.load_prepared(path)
+
+    @pytest.mark.parametrize("side, entry", [
+        ("test", 1000000), ("test", -1), ("train", 2.0), ("train", True), ("test", "3"),
+    ], ids=["past-the-end", "negative", "float", "bool", "string"])
+    def test_split_entry_not_a_window_index_rejected(self, tmp_path, small_prepared,
+                                                     side, entry):
+        path = tmp_path / "s.eegw"
+        rewrite_header(self._saved_path(tmp_path, small_prepared), path, ds.PREPARED_FORMAT,
+                       lambda h: h["split"][side].append(entry))
+        with pytest.raises(ds.DatasetFormatError, match=f"split.{side} holds {entry!r}, "
+                                                        f"not a window index in \\[0, "):
+            ds.load_prepared(path)
+
+    @pytest.mark.parametrize("side", ["test", "train"], ids=["both-sides", "one-side-twice"])
+    def test_split_index_listed_twice_rejected(self, tmp_path, small_prepared, side):
+        path = tmp_path / "s.eegw"
+        first = small_prepared.meta["split"]["train"][0]
+        rewrite_header(self._saved_path(tmp_path, small_prepared), path, ds.PREPARED_FORMAT,
+                       lambda h: h["split"][side].append(first))
+        with pytest.raises(ds.DatasetFormatError, match=f"lists window {first} more than once"):
+            ds.load_prepared(path)
+
+    @pytest.mark.parametrize("split", [[1, 2], {"train": [0]}, {"test": 3}],
+                             ids=["not-an-object", "no-test", "test-not-a-list"])
+    def test_split_not_two_index_lists_rejected(self, tmp_path, small_prepared, split):
+        path = tmp_path / "s.eegw"
+        rewrite_header(self._saved_path(tmp_path, small_prepared), path, ds.PREPARED_FORMAT,
+                       lambda h: h.update(split=split))
+        with pytest.raises(ds.DatasetFormatError, match="split"):
+            ds.load_prepared(path)
 
 
 class TestRecordingCsv:

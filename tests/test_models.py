@@ -352,9 +352,10 @@ class TestCascade:
         got = cascade_forward(segment, params)
         feats = conv_stack_forward(segment.meshes[0][None], params)
         t = params.tensors
-        hidden = ad.elu(ad.add(ad.matmul(ad.reshape(feats, (1, -1)), t["head.fc.weight"]),
-                               t["head.fc.bias"]))
-        expected = ad.add(ad.matmul(hidden, t["head.out.weight"]), t["head.out.bias"])
+        # dense weights are stored (out, in)
+        w_fc, w_out = (ad.transpose(t[f"head.{n}.weight"], (1, 0)) for n in ("fc", "out"))
+        hidden = ad.elu(ad.add(ad.matmul(ad.reshape(feats, (1, -1)), w_fc), t["head.fc.bias"]))
+        expected = ad.add(ad.matmul(hidden, w_out), t["head.out.bias"])
         np.testing.assert_allclose(got.data, expected.data.reshape(-1), atol=1e-12)
 
 
@@ -366,7 +367,7 @@ class TestParallel:
         spatial, temporal = parallel_features(segment, params)
         fused = fuse(spatial, temporal, "cat", params)
         assert fused.shape == (2 * config.fc_width,)
-        assert params.tensors["head.out.weight"].shape == (2 * config.fc_width, config.classes)
+        assert params.tensors["head.out.weight"].shape == (config.classes, 2 * config.fc_width)
 
     def test_spatial_features_equal_per_step_sum(self):
         config = reduced_config("parallel")

@@ -307,6 +307,62 @@ class TestPredict:
         np.testing.assert_array_equal(confusion, m.confusion)
 
 
+class TestTapeFreeInference:
+    """`predict` and `evaluate` run on frozen parameters: their forwards
+    build no tape and give the tape-building forward's values bit for bit."""
+
+    @pytest.fixture
+    def captured(self, monkeypatch):
+        """The unpatched `forward_windows`, and every logits tensor it returns
+        from then on, in call order."""
+        logits = []
+        real = models.forward_windows
+
+        def capture(*args, **kwargs):
+            logits.append(real(*args, **kwargs))
+            return logits[-1]
+
+        monkeypatch.setattr(training.models, "forward_windows", capture)
+        return real, logits
+
+    @pytest.mark.parametrize("arch", models.ARCHITECTURES)
+    def test_logits_off_tape_and_no_gradient(self, tiny_sets, captured, arch):
+        _, test_set = tiny_sets
+        params = param_init(tiny_config(arch), seed=4)
+        predict(params, test_set.raw[0], test_set.meshes[0])
+        evaluate(params, test_set)
+        _, logits = captured
+        assert len(logits) == 2
+        for out in logits:
+            assert out.requires_grad is False and out._backward is None
+        assert all(t.grad is None and t.requires_grad for t in params.tensors.values())
+
+    @pytest.mark.parametrize("arch", ["cascade", "parallel"])
+    def test_bitwise_equal_to_forward_on_parameters(self, tiny_sets, captured, monkeypatch,
+                                                    arch):
+        _, test_set = tiny_sets
+        params = param_init(tiny_config(arch), seed=5)
+        forward, logits = captured
+        predict(params, test_set.raw[0], test_set.meshes[0])
+        on_tape = forward(params, test_set.raw[:1], test_set.meshes[:1], mode="eval")
+        assert on_tape._backward is not None
+        np.testing.assert_array_equal(logits[0].data, on_tape.data)
+
+        frozen_metrics = evaluate(params, test_set)
+        # the same evaluation with every forward run on the parameters themselves
+        monkeypatch.setattr(training.models, "forward_windows",
+                            lambda _frozen, *a, **k: forward(params, *a, **k))
+        assert evaluate(params, test_set).to_dict() == frozen_metrics.to_dict()
+
+    def test_frozen_shares_memory(self):
+        params = param_init(tiny_config("parallel"), seed=0)
+        frozen = params.frozen()
+        assert frozen.config == params.config and list(frozen.tensors) == list(params.tensors)
+        for name, t in params.tensors.items():
+            assert np.shares_memory(frozen.tensors[name].data, t.data)
+            assert not frozen.tensors[name].requires_grad
+
+
 class TestHistoryCsv:
     def test_round_trip_preserves_full_precision(self, tmp_path):
         rows = [EpochStats(1, 1.2345678901234567, 0.5, 1.1, 0.25),
@@ -384,6 +440,15 @@ class TestCheckpoint:
         with pytest.raises(CheckpointVersionError, match="77"):
             load_checkpoint(path)
 
+    def test_v1_checkpoint_rejected(self, tiny_checkpoint, tmp_path):
+        # v1 stored dense weights (in, out); there is no v1 reader
+        path = tmp_path / "v1.eegc"
+        blob = bytearray(tiny_checkpoint.read_bytes())
+        blob[4:6] = struct.pack("<H", 1)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointVersionError, match="version 1, expected 2"):
+            load_checkpoint(path)
+
     def test_header_not_utf8_rejected(self, tiny_sets, tmp_path):
         config, tc, result = self._train_some(tiny_sets, epochs=1)
         path = tmp_path / "u.eegc"
@@ -404,7 +469,7 @@ class TestCheckpoint:
                         epoch=1, rng=result.rng, history=result.history)
         blob = path.read_bytes()
         assert blob[:4] == b"EEGC"
-        assert struct.unpack_from("<H", blob, 4) == (1,)
+        assert struct.unpack_from("<H", blob, 4) == (2,)
         (header_len,) = struct.unpack_from("<I", blob, 6)
         header = json.loads(blob[10:10 + header_len])
         assert [e["name"] for e in header["tensors"]] == list(result.params.tensors)
