@@ -8,8 +8,9 @@ requires a gradient) and how each input's gradient is summed: its one
 backward closure calls the VJPs of the inputs that require a gradient, in
 input order, and adds each result to that input's ``.grad``.  Work that
 all of an op's VJPs share goes in `_op`'s `upstream` function, run once per
-backward; VJPs keep no state between calls.  Calling
-:func:`backward` on a scalar node walks the graph once in reverse
+backward; VJPs keep no state between calls.  A whole LSTM layer is one
+such op, :func:`lstm`, whose backward through time is its `upstream`.
+Calling :func:`backward` on a scalar node walks the graph once in reverse
 topological order, so shared subexpressions accumulate correctly.
 
 Convention: training runs in float32, verification (finite-difference
@@ -104,9 +105,6 @@ class Tensor:
     def __rmul__(self, other):
         return mul(self, other)
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __getitem__(self, idx):
         return getitem(self, idx)
 
@@ -189,13 +187,6 @@ def mul(a, b) -> Tensor:
                lambda g: _unbroadcast(g * a.data, b.data.shape))
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _lift(a), _lift(b)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ValueError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-    return _op(a.data @ b.data, (a, b), lambda g: g @ b.data.T, lambda g: a.data.T @ g)
-
-
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Dense layer ``x @ w.T + b`` as one node, the weight stored (out, in).
 
@@ -255,16 +246,54 @@ def _sigmoid_values(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def sigmoid(x) -> Tensor:
-    x = _lift(x)
-    out = _sigmoid_values(x.data)
-    return _op(out, (x,), lambda g: g * _sigmoid_grad(out))
+# ---------------------------------------------------------------------------
+# recurrence
 
+def lstm(xw: Tensor, u: Tensor) -> Tensor:
+    """One LSTM layer over a sequence as one node: every step's hidden state,
+    (B, S, d), from a zero state.  `xw` (B, S, 4d) is the input projection of
+    all steps plus the bias, run before as one :func:`linear` (Appleyard,
+    Kočiský & Blunsom 2016); `u` (d, 4d) is the recurrent weight.  The gate
+    blocks are input, forget, candidate, output.  Backward through time runs
+    once, as `_op`'s `upstream`, and yields both inputs' gradients."""
+    xw, u = _lift(xw), _lift(u)
+    d = u.shape[0]
+    if xw.ndim != 3 or u.shape != (d, 4 * d) or xw.shape[2] != 4 * d:
+        raise ValueError(f"lstm shape mismatch: {xw.shape} with recurrent weight {u.shape}")
+    batch, steps = xw.shape[:2]
+    gates = np.empty_like(xw.data)
+    cells = np.empty((batch, steps, d), xw.dtype)
+    tanh_cells = np.empty_like(cells)
+    hidden = np.empty_like(cells)
+    i, f, cand, o = (gates[..., k * d:(k + 1) * d] for k in range(4))
+    for s in range(steps):
+        z = xw.data[:, s] if s == 0 else xw.data[:, s] + hidden[:, s - 1] @ u.data
+        gates[:, s] = _sigmoid_values(z)
+        cand[:, s] = np.tanh(z[:, 2 * d:3 * d])
+        cells[:, s] = i[:, s] * cand[:, s] + (f[:, s] * cells[:, s - 1] if s else 0.0)
+        tanh_cells[:, s] = np.tanh(cells[:, s])
+        hidden[:, s] = o[:, s] * tanh_cells[:, s]
 
-def tanh(x) -> Tensor:
-    x = _lift(x)
-    out = np.tanh(x.data)
-    return _op(out, (x,), lambda g: g * _tanh_grad(out))
+    def bptt(g):
+        slope = _sigmoid_grad(gates)
+        slope[..., 2 * d:3 * d] = _tanh_grad(cand)
+        tanh_slope = _tanh_grad(tanh_cells)
+        dz = np.empty_like(gates)
+        dc = np.zeros((batch, d), gates.dtype)
+        for s in range(steps - 1, -1, -1):
+            dh = g[:, s] if s == steps - 1 else g[:, s] + dz[:, s + 1] @ u.data.T
+            dc += dh * o[:, s] * tanh_slope[:, s]
+            dzs = dz[:, s]
+            dzs[:, :d] = dc * cand[:, s]
+            dzs[:, d:2 * d] = dc * cells[:, s - 1] if s else 0.0
+            dzs[:, 2 * d:3 * d] = dc * i[:, s]
+            dzs[:, 3 * d:] = dh * tanh_cells[:, s]
+            dzs *= slope[:, s]
+            dc *= f[:, s]
+        du = hidden[:, :-1].reshape(-1, d).T @ dz[:, 1:].reshape(-1, 4 * d)
+        return dz, du
+
+    return _op(hidden, (xw, u), lambda grads: grads[0], lambda grads: grads[1], upstream=bptt)
 
 
 # ---------------------------------------------------------------------------

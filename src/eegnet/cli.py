@@ -4,10 +4,11 @@ Subcommands: synth (generate a synthetic dataset), prepare (CSV recordings
 -> windowed binary dataset), train, eval, predict, gradcheck.  Progress and
 warnings go to standard error; machine-readable artifacts (config echo,
 history CSV, checkpoints, JSON reports) go to files.  Exit codes: 0 on
-success, 1 on check/training failure or a damaged manifest, dataset or
-checkpoint, 2 on usage errors: a missing input file, an invalid flag value,
-or a config or spec file that is not a JSON object, holds an unknown field or
-gives an invalid value.  When the reader of standard output goes away
+success, 1 on check/training failure, a damaged manifest, dataset or
+checkpoint, or an empty split side to train or evaluate on, 2 on usage
+errors: a missing input file, an invalid flag value, a split ratio that
+leaves a side empty, or a config or spec file that is not a JSON object,
+holds an unknown field or gives an invalid value.  When the reader of standard output goes away
 (``eegnet predict ... | head -1``) the command stops quietly with exit code 1.
 """
 
@@ -152,9 +153,13 @@ def cmd_prepare(args) -> int:
         )
     except ValueError as exc:  # an odd window size or a ratio outside (0, 1)
         raise UsageError(str(exc)) from exc
+    split = prepared.meta["split"]
+    for side in ("train", "test"):
+        if not split[side]:
+            raise UsageError(f"split ratio {split['ratio']} leaves the {side} side of "
+                             f"{prepared.count} windows empty")
     ds.save_prepared(args.out, prepared)
     per_class = np.bincount(prepared.labels, minlength=prepared.n_classes)
-    split = prepared.meta["split"]
     print(f"recordings: {len(manifest.recordings)} "
           f"(skipped {len(prepared.meta['skipped'])})")
     print(f"windows: {prepared.count} (train {len(split['train'])}, "
@@ -171,9 +176,11 @@ def cmd_train(args) -> int:
         raise UsageError(f"prepared dataset not found: {data}")
     prepared = ds.load_prepared(data)
     _check_fits(model_config, "config", prepared)
+    train_set, test_set = prepared.train_test()
+    _require_windows(train_set, data, "train")
+    _require_windows(test_set, data, "test")
     out_dir.mkdir(parents=True, exist_ok=True)
     _echo_config(out_dir, model_config, train_config, data)
-    train_set, test_set = prepared.train_test()
     log.info("training %s on %d windows (%d test)", model_config.arch,
              train_set.count, test_set.count)
     started = time.monotonic()
@@ -214,6 +221,11 @@ def _check_fits(config: ModelConfig, source: str, prepared: ds.PreparedDataset) 
         )
 
 
+def _require_windows(subset: ds.PreparedDataset, data, side: str) -> None:
+    if subset.count == 0:  # a stored split may leave a side empty
+        raise ds.DatasetError(f"{data}: the {side} split holds no windows")
+
+
 def _select_split(prepared: ds.PreparedDataset, which: str) -> ds.PreparedDataset:
     if which == "all":
         return prepared
@@ -242,6 +254,7 @@ def cmd_eval(args) -> int:
     prepared = ds.load_prepared(args.data)
     _check_fits(ckpt.model_config, "checkpoint", prepared)
     subset = _select_split(prepared, args.split)
+    _require_windows(subset, args.data, args.split)
     metrics = training.evaluate(ckpt.params, subset)
     print(_format_metrics(metrics, prepared.label_names))
     if args.json_out:

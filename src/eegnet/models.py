@@ -14,7 +14,10 @@ stack and after the final-stage fully connected layers (the cascade head FC
 and the parallel post-LSTM FC).  The parallel pre-LSTM FC and recurrent
 connections carry no dropout.  Per-step conv weights are shared across the
 window's time steps.  Every dense layer stores its weight (out, in) and runs
-as one :func:`autodiff.linear` node.
+as one :func:`autodiff.linear` node.  Each LSTM layer is two nodes whatever
+the window length: its input projection over all steps as one
+:func:`autodiff.linear`, with `rnn.l{j}.w` stored (4·hidden, in), and its
+recurrence as one :func:`autodiff.lstm`.
 """
 
 from __future__ import annotations
@@ -179,9 +182,9 @@ def _fused_size(config: ModelConfig) -> int:
 
 def _plan(config: ModelConfig) -> list:
     """Ordered (name, shape, init) triples; init is 'dense', 'window_dense',
-    'conv', 'lstm_w', 'lstm_u', 'bias' or 'forget_bias'.  Dense weights are
-    stored (out, in), as :func:`autodiff.linear` takes them; LSTM matrices
-    (in, 4·hidden)."""
+    'conv', 'lstm_w', 'lstm_u', 'bias' or 'forget_bias'.  Dense weights and
+    the LSTM input weight `w` are stored (out, in), as :func:`autodiff.linear`
+    takes them; the recurrent `u` (hidden, 4·hidden), as :func:`autodiff.lstm`."""
     arch = config.arch
     plan = []
 
@@ -204,7 +207,7 @@ def _plan(config: ModelConfig) -> list:
         d = config.hidden
         for j in range(config.lstm_depth):
             size = input_size if j == 0 else d
-            plan.append((f"rnn.l{j}.w", (size, _GATES * d), "lstm_w"))
+            plan.append((f"rnn.l{j}.w", (_GATES * d, size), "lstm_w"))
             plan.append((f"rnn.l{j}.u", (d, _GATES * d), "lstm_u"))
             plan.append((f"rnn.l{j}.b", (_GATES * d,), "forget_bias"))
 
@@ -255,9 +258,9 @@ def param_init(config: ModelConfig, seed: int, dtype=np.float32) -> ModelParams:
     """Deterministic fan-in-scaled uniform initialization.
 
     Dense and conv weights use bound sqrt(6/(fan_in+fan_out)), each drawn
-    in its stored shape (dense (out, in)); LSTM matrices are initialized per
-    gate; biases start at zero except LSTM forget-gate biases, which start
-    at 1.
+    in its stored shape (dense and LSTM `w` (out, in)); LSTM matrices are
+    initialized per gate; biases start at zero except LSTM forget-gate
+    biases, which start at 1.
 
     Two dense layers that read a whole window at once have their bound
     divided by ``config.window``; without it the untrained loss sits far
@@ -290,7 +293,7 @@ def param_init(config: ModelConfig, seed: int, dtype=np.float32) -> ModelParams:
                 receptive = int(np.prod(shape[2:]))
                 bound = _glorot_bound(shape[1] * receptive, shape[0] * receptive)
             elif kind == "lstm_w":
-                bound = _glorot_bound(shape[0], d)
+                bound = _glorot_bound(shape[1], d)
             else:  # lstm_u
                 bound = _glorot_bound(d, d)
             arr = rng.uniform(-bound, bound, size=shape)
@@ -340,46 +343,30 @@ def _conv_stack(config: ModelConfig, tensors: dict, x: Tensor, rng) -> Tensor:
     return _dense_elu_dropout(flat, config, tensors, "cnn.fc", rng) if with_fc else flat
 
 
-def _lstm_step(x: Tensor, h: Tensor, c: Tensor, tensors: dict, layer: str, hidden: int):
-    z = ad.add(ad.add(ad.matmul(x, tensors[f"{layer}.w"]), ad.matmul(h, tensors[f"{layer}.u"])),
-               tensors[f"{layer}.b"])
-    i = ad.sigmoid(z[:, 0 * hidden:1 * hidden])
-    f = ad.sigmoid(z[:, 1 * hidden:2 * hidden])
-    g = ad.tanh(z[:, 2 * hidden:3 * hidden])
-    o = ad.sigmoid(z[:, 3 * hidden:4 * hidden])
-    c_next = ad.add(ad.mul(f, c), ad.mul(i, g))
-    h_next = ad.mul(o, ad.tanh(c_next))
-    return h_next, c_next
-
-
-def _lstm_stack(steps: list, tensors: dict, depth: int, hidden: int) -> Tensor:
-    """Run `depth` stacked LSTM layers over a step sequence of (B, in)
-    tensors; returns the top layer's final hidden state (B, hidden)."""
-    if not steps:
+def _lstm_stack(seq: Tensor, tensors: dict, depth: int, hidden: int) -> Tensor:
+    """Run `depth` stacked LSTM layers over a (B, S, in) sequence; returns
+    the top layer's final hidden state (B, hidden).  Each layer is two tape
+    nodes: the input projection of all steps as one :func:`autodiff.linear`,
+    then the recurrence as one :func:`autodiff.lstm`."""
+    batch, steps = seq.shape[:2]
+    if steps == 0:
         raise ValueError("LSTM sequence must contain at least one step")
-    batch = steps[0].shape[0]
-    dtype = steps[0].dtype
-    sequence = steps
-    h = None
     for j in range(depth):
-        h = Tensor.constant(np.zeros((batch, hidden), dtype=dtype))
-        c = Tensor.constant(np.zeros((batch, hidden), dtype=dtype))
-        outputs = []
-        for x in sequence:
-            h, c = _lstm_step(x, h, c, tensors, f"rnn.l{j}", hidden)
-            outputs.append(h)
-        sequence = outputs
-    return h
+        flat = ad.reshape(seq, (batch * steps, seq.shape[2]))
+        xw = ad.linear(flat, tensors[f"rnn.l{j}.w"], tensors[f"rnn.l{j}.b"])
+        seq = ad.lstm(ad.reshape(xw, (batch, steps, _GATES * hidden)), tensors[f"rnn.l{j}.u"])
+    return seq[:, -1]
 
 
 def lstm_sequence(inputs, params: ModelParams) -> Tensor:
-    """Stacked-LSTM readout of a step sequence: only the final time step's
-    top-layer hidden state is returned."""
+    """Stacked-LSTM readout of a step sequence, each step (B, in) or (in,):
+    only the final time step's top-layer hidden state is returned."""
     steps = [x if isinstance(x, Tensor) else Tensor.constant(np.asarray(x)) for x in inputs]
-    single = bool(steps) and steps[0].ndim == 1
-    if single:
-        steps = [ad.reshape(x, (1, -1)) for x in steps]
-    out = _lstm_stack(steps, params.tensors, params.config.lstm_depth, params.config.hidden)
+    if not steps:
+        raise ValueError("LSTM sequence must contain at least one step")
+    single = steps[0].ndim == 1
+    seq = ad.concat([ad.reshape(x, (-1, 1, x.shape[-1])) for x in steps], axis=1)
+    out = _lstm_stack(seq, params.tensors, params.config.lstm_depth, params.config.hidden)
     return ad.reshape(out, (-1,)) if single else out
 
 
@@ -446,8 +433,7 @@ def _temporal_path(params: ModelParams, raw: np.ndarray, rng) -> Tensor:
     if config.mid_fc:
         xr = ad.elu(_dense(xr, tensors, "rnn.fc_in"))
     rseq = ad.reshape(xr, (batch, steps, xr.shape[1]))
-    h_last = _lstm_stack([rseq[:, s] for s in range(steps)], tensors,
-                         config.lstm_depth, config.hidden)
+    h_last = _lstm_stack(rseq, tensors, config.lstm_depth, config.hidden)
     if config.final_fc:
         h_last = _dense_elu_dropout(h_last, config, tensors, "rnn.fc_out", rng)
     return h_last
@@ -475,8 +461,7 @@ def forward_windows(params: ModelParams, raw: np.ndarray, meshes: np.ndarray,
     arch = config.arch
     tensors = params.tensors
     if arch == "cascade":
-        fseq = _step_features(params, meshes, rng)
-        feats = _lstm_stack([fseq[:, s] for s in range(fseq.shape[1])], tensors,
+        feats = _lstm_stack(_step_features(params, meshes, rng), tensors,
                             config.lstm_depth, config.hidden)
         if config.final_fc:
             feats = _dense_elu_dropout(feats, config, tensors, "head.fc", rng)

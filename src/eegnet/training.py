@@ -25,7 +25,7 @@ from .optim import AdamState, adam_step, init_adam
 log = logging.getLogger(__name__)
 
 CHECKPOINT_MAGIC = b"EEGC"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 class TrainingDiverged(RuntimeError):

@@ -27,32 +27,6 @@ class TestTensor:
         assert t.dtype == np.float32
 
 
-class TestMatmul:
-    def test_identity(self):
-        out = ad.matmul(t64(np.eye(2)), t64([[3.0, 4.0], [5.0, 6.0]]))
-        np.testing.assert_array_equal(out.data, [[3.0, 4.0], [5.0, 6.0]])
-
-    def test_hand_arithmetic(self):
-        out = ad.matmul(t64([[1.0, 2.0]]), t64([[3.0], [4.0]]))
-        np.testing.assert_array_equal(out.data, [[11.0]])
-
-    def test_matches_triple_loop_oracle(self):
-        rng = np.random.default_rng(1)
-        a = rng.standard_normal((7, 5))
-        b = rng.standard_normal((5, 3))
-        expected = np.zeros((7, 3))
-        for i in range(7):
-            for j in range(3):
-                for k in range(5):
-                    expected[i, j] += a[i, k] * b[k, j]
-        out = ad.matmul(t64(a), t64(b))
-        assert np.abs(out.data - expected).max() <= 1e-12
-
-    def test_shape_mismatch_reports_both_shapes(self):
-        with pytest.raises(ValueError, match=r"\(2, 3\).*\(2, 3\)"):
-            ad.matmul(t64(np.ones((2, 3))), t64(np.ones((2, 3))))
-
-
 class TestLinear:
     @staticmethod
     def _grads(fn, *arrays):
@@ -66,12 +40,12 @@ class TestLinear:
         rng = np.random.default_rng(2)
         x, w, b = rng.standard_normal((4, 5)), rng.standard_normal((3, 5)), rng.standard_normal(3)
         got, got_grads = self._grads(ad.linear, x, w, b)
-        want, want_grads = self._grads(
-            lambda x, w, b: ad.add(ad.matmul(x, ad.transpose(w, (1, 0))), b), x, w, b)
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
-        assert [g.shape for g in got_grads] == [(4, 5), (3, 5), (3,)]
-        for g, h in zip(got_grads, want_grads):
-            np.testing.assert_allclose(g, h, rtol=1e-12, atol=1e-12)
+        # numpy reference: out = x @ w.T + b; upstream g is _grads' weights
+        g = np.arange(12, dtype=np.float64).reshape(4, 3)
+        np.testing.assert_allclose(got, x @ w.T + b, rtol=1e-12, atol=1e-12)
+        assert [d.shape for d in got_grads] == [(4, 5), (3, 5), (3,)]
+        for d, want in zip(got_grads, (g @ w, g.T @ x, g.sum(axis=0))):
+            np.testing.assert_allclose(d, want, rtol=1e-12, atol=1e-12)
 
     def test_shape_mismatch_reports_all_shapes(self):
         with pytest.raises(ValueError, match=r"\(2, 3\).*\(4, 2\).*\(4,\)"):
@@ -80,12 +54,18 @@ class TestLinear:
             ad.linear(t64(np.ones((2, 3))), t64(np.ones((4, 3))), t64(np.ones(3)))
 
 
+def _gate(x, values, grad):
+    """An op made of one LSTM gate's value function and the derivative
+    helper that `ad.lstm`'s backward applies to its output."""
+    out = values(x.data)
+    return ad._op(out, (x,), lambda g: g * grad(out))
+
+
 class TestActivations:
     def test_values_at_zero(self):
         zero = t64([0.0])
         assert ad.elu(zero).data[0] == 0.0
-        assert ad.sigmoid(zero).data[0] == 0.5
-        assert ad.tanh(zero).data[0] == 0.0
+        assert ad._sigmoid_values(zero.data)[0] == 0.5
 
     def test_elu_asymptote(self):
         assert abs(ad.elu(t64([-30.0])).data[0] - (-1.0)) <= 1e-9
@@ -125,11 +105,15 @@ class TestActivations:
         for x in (np.concatenate([grid, np.linspace(-400.0, 400.0, 8001, dtype=dtype)]),
                   rng.standard_normal((64, 64)).astype(dtype) * 20,
                   rng.standard_normal((1, 16)).astype(dtype)):
-            out = ad.sigmoid(Tensor.constant(x)).data
+            out = ad._sigmoid_values(x)
             assert out.dtype == dtype and out.shape == x.shape
             assert out.tobytes() == masked(x).tobytes()
 
-    @pytest.mark.parametrize("op", [ad.elu, ad.sigmoid, ad.tanh])
+    @pytest.mark.parametrize("op", [
+        ad.elu,
+        lambda x: _gate(x, ad._sigmoid_values, ad._sigmoid_grad),
+        lambda x: _gate(x, np.tanh, ad._tanh_grad),
+    ], ids=["elu", "sigmoid", "tanh"])
     def test_gradients_match_finite_differences(self, op):
         rng = np.random.default_rng(3)
         x = t64(rng.standard_normal(20))
@@ -275,11 +259,11 @@ class TestShapeOps:
 class TestOpProtocol:
     @pytest.mark.parametrize("op", [
         lambda c: ad.mul(c, 2.0),
-        ad.tanh,
+        ad.elu,
         lambda c: ad.transpose(c, (2, 0, 1)),
         lambda c: conv2d_same(c, Tensor.constant(np.ones((2, 3, 3, 3))),
                               Tensor.constant(np.zeros(2))),
-    ], ids=["mul", "tanh", "transpose", "conv2d_same"])
+    ], ids=["mul", "elu", "transpose", "conv2d_same"])
     def test_constant_inputs_give_a_constant(self, op):
         out = op(Tensor.constant(np.arange(60.0).reshape(3, 4, 5)))
         assert out.requires_grad is False
@@ -402,6 +386,21 @@ class TestOpProtocol:
         backward(ad.tensor_sum(out))
         for t in (x, k, b):
             assert not t.grad.any()
+
+    def test_lstm_looks_up_gate_grads_at_backward_time(self, monkeypatch):
+        rng = np.random.default_rng(24)
+        xw, u = t64(rng.standard_normal((2, 3, 8))), t64(rng.standard_normal((2, 8)))
+        out = ad.lstm(xw, u)
+        monkeypatch.setattr(ad, "_sigmoid_grad", np.zeros_like)
+        monkeypatch.setattr(ad, "_tanh_grad", np.zeros_like)
+        backward(ad.tensor_sum(out))
+        assert not xw.grad.any() and not u.grad.any()
+
+    def test_lstm_shape_mismatch_reports_both_shapes(self):
+        with pytest.raises(ValueError, match=r"lstm shape mismatch: \(2, 3, 8\).*\(2, 6\)"):
+            ad.lstm(t64(np.ones((2, 3, 8))), t64(np.ones((2, 6))))
+        with pytest.raises(ValueError, match="lstm shape mismatch"):
+            ad.lstm(t64(np.ones((2, 3, 12))), t64(np.ones((2, 8))))
 
 
 class TestDropout:

@@ -124,6 +124,24 @@ class TestPrepare:
         assert prepared.count == 108  # one 12-window recording dropped
         assert prepared.meta["skipped"] == [manifest.recordings[0].path]
 
+    def test_ratio_leaving_a_side_empty_is_usage_error(self, tmp_path, capsys):
+        # 5 classes x 4 windows: int(0.01 * 20) == 0 leaves the train side empty
+        assert cli.main(["synth", "--out", str(tmp_path), "--windows-per-class", "4"]) == 0
+        out = tmp_path / "p.eegw"
+        rc = cli.main(["prepare", "--manifest", str(tmp_path / "manifest.json"),
+                       "--out", str(out), "--ratio", "0.01"])
+        assert rc == 2
+        assert ("error: split ratio 0.01 leaves the train side of 20 windows empty"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+
+def _with_empty_side(prepared_file, dst, side):
+    """A copy of `prepared_file` whose stored split lists no `side` windows."""
+    rewrite_header(prepared_file, dst, ds.PREPARED_FORMAT,
+                   lambda h: h["split"].update({side: []}))
+    return dst
+
 
 class TestTrain:
     def test_outputs_exist_and_report_accuracy(self, trained_run, capsys):
@@ -211,6 +229,15 @@ class TestTrain:
                        "--out", str(tmp_path / "w"), "--window-size", "6",
                        *TINY_MODEL])
         assert rc == 1
+
+    @pytest.mark.parametrize("side", ["train", "test"])
+    def test_empty_split_side_is_error(self, prepared_file, tmp_path, capsys, side):
+        data = _with_empty_side(prepared_file, tmp_path / "empty.eegw", side)
+        rc = cli.main(["train", "--arch", "cascade", "--data", str(data),
+                       "--out", str(tmp_path / "run"), *TINY_MODEL])
+        assert rc == 1
+        assert f"error: {data}: the {side} split holds no windows" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
 
 class TestEvalPredict:
@@ -321,19 +348,21 @@ class TestEvalPredict:
         assert ("error: dataset window 10 does not match checkpoint window 3"
                 in capsys.readouterr().err)
 
+    # v1 stored dense weights (in, out), v2 the LSTM input weights (in, 4·hidden)
+    @pytest.mark.parametrize("version", [1, 2], ids=["v1", "v2"])
     @pytest.mark.parametrize("command, data_flag", [("eval", "--data"),
                                                     ("predict", "--windows")],
                              ids=["eval", "predict"])
-    def test_v1_checkpoint_is_error(self, trained_run, prepared_file, tmp_path, capsys,
-                                    command, data_flag):
+    def test_old_checkpoint_version_is_error(self, trained_run, prepared_file, tmp_path,
+                                             capsys, command, data_flag, version):
         blob = bytearray((trained_run / "checkpoint.eegc").read_bytes())
-        blob[4:6] = (1).to_bytes(2, "little")  # v1: dense weights stored (in, out)
-        old = tmp_path / "v1.eegc"
+        blob[4:6] = version.to_bytes(2, "little")
+        old = tmp_path / f"v{version}.eegc"
         old.write_bytes(bytes(blob))
         rc = cli.main([command, "--checkpoint", str(old), data_flag, str(prepared_file)])
         assert rc == 1
         captured = capsys.readouterr()
-        assert "error: unsupported checkpoint version 1, expected 2" in captured.err
+        assert f"error: unsupported checkpoint version {version}, expected 3" in captured.err
         assert "window 0:" not in captured.out
 
     def test_label_outside_label_names_is_error(self, trained_run, prepared_file, tmp_path,
@@ -364,6 +393,23 @@ class TestEvalPredict:
                        "--data", str(prepared_file)])
         assert rc == 2
 
+    @pytest.mark.parametrize("side", ["train", "test"])
+    def test_eval_on_empty_split_side_is_error(self, trained_run, prepared_file, tmp_path,
+                                               capsys, side):
+        data = _with_empty_side(prepared_file, tmp_path / "empty.eegw", side)
+        rc = cli.main(["eval", "--checkpoint", str(trained_run / "checkpoint.eegc"),
+                       "--data", str(data), "--split", side])
+        assert rc == 1
+        assert f"error: {data}: the {side} split holds no windows" in capsys.readouterr().err
+
+    def test_eval_on_the_other_side_of_an_empty_one_runs(self, trained_run, prepared_file,
+                                                         tmp_path, capsys):
+        data = _with_empty_side(prepared_file, tmp_path / "empty.eegw", "test")
+        rc = cli.main(["eval", "--checkpoint", str(trained_run / "checkpoint.eegc"),
+                       "--data", str(data), "--split", "train"])
+        assert rc == 0
+        assert "accuracy:" in capsys.readouterr().out
+
 
 class TestGradcheck:
     def test_single_op_passes(self, capsys):
@@ -384,9 +430,9 @@ class TestGradcheck:
     def test_injected_sign_flip_detected(self, monkeypatch, capsys):
         original = adiff._tanh_grad
         monkeypatch.setattr(adiff, "_tanh_grad", lambda out: -original(out))
-        rc = cli.main(["gradcheck", "--op", "tanh"])
+        rc = cli.main(["gradcheck", "--op", "lstm"])
         assert rc == 1
-        assert "FAIL tanh" in capsys.readouterr().out
+        assert "FAIL lstm" in capsys.readouterr().out
 
 
 def test_usage_error_exit_code_for_bad_flags(capsys):

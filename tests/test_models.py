@@ -123,8 +123,8 @@ class TestParamInit:
             if name.endswith(".kernel"):
                 recept = int(np.prod(t.data.shape[2:]))
                 bound = np.sqrt(6.0 / (t.data.shape[1] * recept + t.data.shape[0] * recept))
-            elif ".l" in name and name.endswith(".w"):
-                bound = np.sqrt(6.0 / (t.data.shape[0] + config.hidden))
+            elif ".l" in name and name.endswith(".w"):  # stored (4·hidden, in)
+                bound = np.sqrt(6.0 / (t.data.shape[1] + config.hidden))
             elif ".l" in name and name.endswith(".u"):
                 bound = np.sqrt(6.0 / (2 * config.hidden))
             else:
@@ -203,7 +203,7 @@ def lstm_reference(steps, tensors, depth, hidden):
         c = np.zeros_like(h)
         out = []
         for x in seq:
-            z = x @ w + h @ u + b
+            z = x @ w.T + h @ u + b
             i = sig(z[:, :hidden])
             f = sig(z[:, hidden:2 * hidden])
             g = np.tanh(z[:, 2 * hidden:3 * hidden])
@@ -348,15 +348,33 @@ class TestCascade:
         params = param_init(config, seed=2, dtype=np.float64)
         segment = make_segment(config, seed=7)
         monkeypatch.setattr(models, "_lstm_stack",
-                            lambda steps, tensors, depth, hidden: steps[-1])
+                            lambda seq, tensors, depth, hidden: seq[:, -1])
         got = cascade_forward(segment, params)
-        feats = conv_stack_forward(segment.meshes[0][None], params)
-        t = params.tensors
+        feats = conv_stack_forward(segment.meshes[0][None], params).data
+        t = {name: p.data for name, p in params.tensors.items()}
         # dense weights are stored (out, in)
-        w_fc, w_out = (ad.transpose(t[f"head.{n}.weight"], (1, 0)) for n in ("fc", "out"))
-        hidden = ad.elu(ad.add(ad.matmul(ad.reshape(feats, (1, -1)), w_fc), t["head.fc.bias"]))
-        expected = ad.add(ad.matmul(hidden, w_out), t["head.out.bias"])
-        np.testing.assert_allclose(got.data, expected.data.reshape(-1), atol=1e-12)
+        z = feats @ t["head.fc.weight"].T + t["head.fc.bias"]
+        hidden = np.where(z > 0, z, np.expm1(np.minimum(z, 0.0)))
+        expected = hidden @ t["head.out.weight"].T + t["head.out.bias"]
+        np.testing.assert_allclose(got.data, expected, atol=1e-12)
+
+    def test_tape_size_does_not_grow_with_window(self):
+        # each LSTM layer is two tape nodes however many steps the window has
+        def tape_nodes(window):
+            config = reduced_config("cascade", window=window)
+            params = param_init(config, seed=0)
+            segment = make_segment(config, dtype=np.float32)
+            out = models.forward_windows(params, segment.raw[None], segment.meshes[None],
+                                         mode="train", rng=np.random.default_rng(0))
+            nodes, stack = {}, [out]
+            while stack:
+                t = stack.pop()
+                if t._backward is not None and id(t) not in nodes:
+                    nodes[id(t)] = t
+                    stack.extend(t._parents)
+            return len(nodes)
+
+        assert tape_nodes(3) == tape_nodes(10)
 
 
 class TestParallel:

@@ -446,7 +446,7 @@ class TestCheckpoint:
         blob = bytearray(tiny_checkpoint.read_bytes())
         blob[4:6] = struct.pack("<H", 1)
         path.write_bytes(bytes(blob))
-        with pytest.raises(CheckpointVersionError, match="version 1, expected 2"):
+        with pytest.raises(CheckpointVersionError, match="version 1, expected 3"):
             load_checkpoint(path)
 
     def test_header_not_utf8_rejected(self, tiny_sets, tmp_path):
@@ -469,10 +469,13 @@ class TestCheckpoint:
                         epoch=1, rng=result.rng, history=result.history)
         blob = path.read_bytes()
         assert blob[:4] == b"EEGC"
-        assert struct.unpack_from("<H", blob, 4) == (2,)
+        assert struct.unpack_from("<H", blob, 4) == (3,)
         (header_len,) = struct.unpack_from("<I", blob, 6)
         header = json.loads(blob[10:10 + header_len])
         assert [e["name"] for e in header["tensors"]] == list(result.params.tensors)
+        # v3 stores the LSTM input weight (4·hidden, in), as every dense weight
+        shapes = {e["name"]: e["shape"] for e in header["tensors"]}
+        assert shapes["rnn.l0.w"] == [4 * config.hidden, config.fc_width]
         param_bytes = sum(t.data.nbytes for t in result.params.tensors.values())
         assert len(blob) == 4 + 6 + header_len + 3 * param_bytes
         last = list(result.adam_state.second_moment.values())[-1]
