@@ -1,7 +1,13 @@
 """Adam optimizer with bias correction.
 
-Updates are functional: ``adam_step`` returns fresh parameter tensors and
-mutates only the optimizer state, keeping parameter tensors immutable.
+Parameters are functional: ``adam_step`` returns fresh parameter tensors and
+never writes to the ones it is given, so a caller's parameters stay
+immutable.  The optimizer state is not: ``state.step`` advances and both
+moments are updated in place.  In-place moments cost no allocation, and the
+update walks each tensor in blocks of ``_BLOCK`` elements, so all of a
+block's passes run in cache and each element of the gradient, moments and
+parameter is read from memory once.  The result is bitwise equal to the
+whole-array formula.
 """
 
 from __future__ import annotations
@@ -11,6 +17,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import Tensor
+
+# Elements per block.  A block's seven operands (gradient, both moments, the
+# parameter, the new parameter and two scratch buffers) take 1.75 MiB at f32
+# and 3.5 MiB at f64, so they stay in a 4 MiB L2 cache across all its passes.
+_BLOCK = 1 << 16
 
 
 @dataclass
@@ -34,44 +45,95 @@ def init_adam(params: dict, learning_rate: float = 1e-4) -> AdamState:
     )
 
 
+def _check(params: dict, grads: dict, state: AdamState) -> None:
+    if set(params) != set(grads):
+        missing = set(params) ^ set(grads)
+        raise ValueError(f"parameter/gradient name mismatch: {sorted(missing)}")
+    for name, p in params.items():
+        g = grads[name]
+        m = state.first_moment.get(name)
+        v = state.second_moment.get(name)
+        if m is None or v is None:
+            raise ValueError(f"no Adam moments for '{name}'")
+        if not (p.data.shape == g.shape == m.shape == v.shape):
+            raise ValueError(
+                f"shape mismatch for '{name}': param {p.data.shape}, grad {g.shape}, "
+                f"moments {m.shape}/{v.shape}"
+            )
+        if not (p.data.dtype == g.dtype == m.dtype == v.dtype):
+            raise ValueError(
+                f"dtype mismatch for '{name}': param {p.data.dtype}, grad {g.dtype}, "
+                f"moments {m.dtype}/{v.dtype}"
+            )
+
+
+def _flat_in_place(store: dict, name: str) -> np.ndarray:
+    """A flat view of ``store[name]``; a moment that no flat view can write
+    (not C-contiguous, or read-only) is first replaced by a copy."""
+    a = store[name]
+    if not (a.flags.c_contiguous and a.flags.writeable):
+        a = store[name] = a.copy()
+    return a.reshape(-1)
+
+
 def adam_step(params: dict, grads: dict, state: AdamState):
     """One bias-corrected Adam update; returns (new params, state).
 
-    Missing gradients are rejected, as are any shape disagreements between a
-    parameter, its gradient and its moment buffers.
+    Missing gradients or moments are rejected, as are any shape or dtype
+    disagreements between a parameter, its gradient and its moment buffers.
+    Every tensor is checked before anything changes, so a rejected call
+    leaves ``state`` as it was.
+
+    The given parameter arrays are left as they are; the moments in
+    ``state`` are updated in place, block by block, in the same order of
+    operations as ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*(g*g)`` and
+    ``p - lr*(m/bias1) / (sqrt(v/bias2) + eps)``, so the results are
+    bitwise those of that whole-array formula.
 
     Zero-gradient rule: wherever an element's gradient is exactly zero, that
     element's parameter and both of its moments stay as they are, as in lazy
     (sparse) Adam; ``state.step`` still advances.  Every other element gets the
     dense update.
     """
-    if set(params) != set(grads):
-        missing = set(params) ^ set(grads)
-        raise ValueError(f"parameter/gradient name mismatch: {sorted(missing)}")
+    _check(params, grads, state)
     state.step += 1
     t = state.step
     b1, b2 = state.beta1, state.beta2
     bias1 = 1.0 - b1**t
     bias2 = 1.0 - b2**t
+    lr, eps = state.learning_rate, state.epsilon
     updated = {}
     for name, p in params.items():
-        g = grads[name]
-        m = state.first_moment[name]
-        v = state.second_moment[name]
-        if not (p.data.shape == g.shape == m.shape == v.shape):
-            raise ValueError(
-                f"shape mismatch for '{name}': param {p.data.shape}, grad {g.shape}, "
-                f"moments {m.shape}/{v.shape}"
-            )
-        m_next = b1 * m + (1.0 - b1) * g
-        v_next = b2 * v + (1.0 - b2) * (g * g)
-        step = state.learning_rate * (m_next / bias1) / (np.sqrt(v_next / bias2) + state.epsilon)
-        if not g.all():
-            idle = g == 0
-            m_next = np.where(idle, m, m_next)
-            v_next = np.where(idle, v, v_next)
-            step = np.where(idle, 0.0, step)
-        state.first_moment[name] = m_next
-        state.second_moment[name] = v_next
-        updated[name] = Tensor.parameter((p.data - step).astype(p.data.dtype, copy=False))
+        g = grads[name].reshape(-1)
+        m = _flat_in_place(state.first_moment, name)
+        v = _flat_in_place(state.second_moment, name)
+        x = p.data.reshape(-1)
+        out = np.empty(p.data.shape, dtype=p.data.dtype)
+        new = out.reshape(-1)
+        scratch_a = np.empty(min(g.size, _BLOCK), dtype=g.dtype)
+        scratch_b = np.empty_like(scratch_a)
+        for lo in range(0, g.size, _BLOCK):
+            hi = min(lo + _BLOCK, g.size)
+            gg, mm, vv = g[lo:hi], m[lo:hi], v[lo:hi]
+            a, b = scratch_a[:hi - lo], scratch_b[:hi - lo]
+            idle = None if gg.all() else np.flatnonzero(gg == 0)
+            if idle is not None:
+                idle_m, idle_v = mm[idle], vv[idle]
+            np.multiply(mm, b1, out=mm)
+            np.multiply(gg, 1.0 - b1, out=a)
+            np.add(mm, a, out=mm)
+            np.multiply(vv, b2, out=vv)
+            np.multiply(gg, gg, out=a)
+            np.multiply(a, 1.0 - b2, out=a)
+            np.add(vv, a, out=vv)
+            np.divide(mm, bias1, out=a)
+            np.multiply(a, lr, out=a)
+            np.divide(vv, bias2, out=b)
+            np.sqrt(b, out=b)
+            np.add(b, eps, out=b)
+            np.divide(a, b, out=a)
+            if idle is not None:
+                mm[idle], vv[idle], a[idle] = idle_m, idle_v, 0.0
+            np.subtract(x[lo:hi], a, out=new[lo:hi])
+        updated[name] = Tensor.parameter(out)
     return updated, state

@@ -29,7 +29,8 @@ CHECKPOINT_VERSION = 3
 
 
 class TrainingDiverged(RuntimeError):
-    """Loss became NaN/Inf; training aborts rather than continuing silently."""
+    """Loss or a gradient became NaN/Inf; training aborts rather than
+    continuing silently or poisoning the Adam moments."""
 
 
 class CheckpointError(Exception):
@@ -199,8 +200,10 @@ def train(model_config: ModelConfig, train_config: TrainConfig,
     that batch's update; it carries the dropout-mask noise, so it need not
     fall monotonically even under full-batch descent.  A parameter with no gradient (it took no part in
     the loss) gets a zero gradient, which Adam leaves in place.  Early
-    stopping (optional) watches test loss.  A NaN/Inf loss aborts with a
-    diagnostic.  Given ``params`` must be for ``model_config``.
+    stopping (optional) watches test loss.  A NaN/Inf loss, or a NaN/Inf
+    gradient (checked before Adam, which updates ``adam_state``'s moments in
+    place), aborts with a diagnostic.  Given ``params`` must be for
+    ``model_config``.
     """
     if train_set.count == 0:
         raise ValueError("training set is empty")
@@ -241,6 +244,10 @@ def train(model_config: ModelConfig, train_config: TrainConfig,
                 name: (t.grad if t.grad is not None else np.zeros_like(t.data))
                 for name, t in params.tensors.items()
             }
+            for name, g in grads.items():
+                if not np.isfinite(g).all():
+                    raise TrainingDiverged(f"gradient of {name} became non-finite at epoch "
+                                           f"{epoch + 1}, step {step + 1}")
             new_tensors, adam_state = adam_step(params.tensors, grads, adam_state)
             params = ModelParams(config=params.config, tensors=new_tensors)
             loss_sum += loss_value * len(idx)

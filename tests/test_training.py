@@ -211,6 +211,29 @@ class TestTrainLoop:
         with pytest.raises(TrainingDiverged, match="epoch 1, step 1"):
             train(tiny_config(), TrainConfig(epochs=1, batch_size=8), train_set, test_set)
 
+    def test_nan_gradient_aborts_before_adam(self, tiny_sets, monkeypatch):
+        train_set, test_set = tiny_sets
+        config = tiny_config()
+        params = param_init(config, seed=0)
+        state = init_adam(params.tensors, learning_rate=1e-3)
+        before = {k: (t.data.copy(), state.first_moment[k].copy(),
+                      state.second_moment[k].copy()) for k, t in params.tensors.items()}
+
+        def poisoned(loss):
+            real_backward(loss)
+            params.tensors["rnn.l1.u"].grad.flat[3] = np.nan
+
+        real_backward = training.backward
+        monkeypatch.setattr(training, "backward", poisoned)
+        with pytest.raises(TrainingDiverged, match="rnn.l1.u .*epoch 1, step 1"):
+            train(config, TrainConfig(epochs=1, batch_size=8), train_set, test_set,
+                  params=params, adam_state=state)
+        assert state.step == 0
+        for k, (p, m, v) in before.items():
+            assert params.tensors[k].data.tobytes() == p.tobytes()
+            assert state.first_moment[k].tobytes() == m.tobytes()
+            assert state.second_moment[k].tobytes() == v.tobytes()
+
     def test_early_stopping_respects_patience(self, tiny_sets):
         train_set, test_set = tiny_sets
         tc = TrainConfig(epochs=50, batch_size=32, learning_rate=0.0, seed=0, patience=2)
@@ -413,6 +436,27 @@ class TestCheckpoint:
         for k in straight.params.tensors:
             np.testing.assert_array_equal(straight.params.tensors[k].data,
                                           resumed.params.tensors[k].data)
+
+    def test_loaded_state_steps_in_place(self, tiny_sets, tmp_path):
+        config, tc, result = self._train_some(tiny_sets, epochs=1)
+        path = tmp_path / "step.eegc"
+        save_checkpoint(path, config, tc, result.params, result.adam_state,
+                        epoch=1, rng=result.rng, history=result.history)
+        ckpt = load_checkpoint(path)
+        state = ckpt.adam_state
+        saved_step = state.step
+        moments = {k: (state.first_moment[k], state.second_moment[k]) for k in state.first_moment}
+        rng = np.random.default_rng(5)
+        grads = {k: rng.standard_normal(t.shape).astype(t.data.dtype)
+                 for k, t in ckpt.params.tensors.items()}
+        stepped, state = adam_step(ckpt.params.tensors, grads, state)
+        expected, in_memory = adam_step(result.params.tensors, grads, result.adam_state)
+        assert state.step == in_memory.step == saved_step + 1
+        for k, (m, v) in moments.items():
+            assert state.first_moment[k] is m and state.second_moment[k] is v
+            assert m.tobytes() == in_memory.first_moment[k].tobytes()
+            assert v.tobytes() == in_memory.second_moment[k].tobytes()
+            assert stepped[k].data.tobytes() == expected[k].data.tobytes()
 
     def test_params_of_another_config_not_saved(self, tmp_path):
         params = param_init(tiny_config("cascade"), seed=0)
