@@ -4,18 +4,32 @@ All kernels have spatial extent 3 along every convolved axis, stride 1, and
 zero padding of 1 per border, so output spatial extents always equal input
 extents.  Kernels are ``(C_out, C_in, 3, ...)``.
 
-One channels-last core does the work.  Activations are ``(B, *spatial, C)``.
-The lowering (im2col, Chellapilla et al. 2006) copies the input into a
-zero-padded buffer and from there into a ``(B * P, 3**nd * C)`` matrix, P
-being the number of positions.  In the padded buffer the last spatial axis
-and the channels are contiguous, so each position's taps along that axis
-are one strip of ``3 * C`` floats; the copy moves ``3**(nd - 1)`` such
-strips per position.  The forward pass is then one matrix product whose
-output is already channels-last, and the kernel gradient is
-``g.T @ cols``.  The input gradient is never lowered: for each of the
-``3**nd`` kernel offsets, ``g @ k[:, :, offset]`` is added into the slice of
-a padded buffer that offset read from (col2im, as in the accumulating GEMM
-scheme of Anderson et al. 2017, arXiv:1709.03395).
+One channels-last core does the work.  Activations are ``(B, *spatial, C)``,
+and every one of the B frames is convolved on its own, so the core walks the
+batch in blocks of whole frames.  Each block is lowered (im2col,
+Chellapilla et al. 2006): copied into a zero-padded buffer and from there
+into an ``(n * P, 3**nd * C)`` matrix, n being the block's frames and P the
+positions per frame.  In the padded buffer the last spatial axis and the
+channels are contiguous, so each position's taps along that axis are one
+strip of ``3 * C`` floats; the copy moves ``3**(nd - 1)`` such strips per
+position.  Both buffers are allocated once per walk and reused by every
+block, which is sized so that its columns take about ``_BLOCK_BYTES``: the
+lowered matrix of the whole batch never exists, in the spirit of the
+low-memory GEMM convolution of Anderson et al. 2017 (arXiv:1709.03395).
+
+All three products go through that one lowering:
+
+- forward: one matrix product per block, then the bias and the ELU in
+  place, copied into the block's frames of the output;
+- kernel gradient: the block's input is lowered again and ``dz.T @ cols``
+  is added into the gradient.  Recomputing the lowering instead of storing
+  it trades a copy for memory, as Chen et al. 2016 (arXiv:1604.06174) do
+  for whole layers;
+- input gradient: the correlation of the zero-padded pre-activation
+  gradient with the flipped kernel, its channels swapped; the block's
+  ``dz`` is lowered like an input and multiplied by that kernel once.
+
+The node keeps only its output; its input is on the tape anyway.
 
 The public ``conv{1,2,3}d_same`` keep a channels-first contract: they take
 ``(C_in, *spatial)`` or a batch ``(B, C_in, *spatial)`` and return the same
@@ -33,83 +47,110 @@ from .autodiff import Tensor, _lift, _op
 
 KERNEL_EXTENT = 3
 
-
-def _padded(shape: tuple, dtype) -> tuple:
-    """A zero channels-last buffer one position larger on every border of
-    `shape` = (B, *spatial, C), and the index of its interior."""
-    spatial = shape[1:-1]
-    buf = np.zeros((shape[0],) + tuple(s + 2 for s in spatial) + (shape[-1],), dtype)
-    return buf, (slice(None),) + (slice(1, -1),) * len(spatial)
+# Bytes of lowered columns per block.  The canonical conv2 lowers 64 channels
+# over a 10x11 mesh, so its forward walks 16 frames at a time at f32; its
+# backward, which also lowers the 128 channels of `dz`, walks 8.  Of 1 to
+# 16 MiB, 4 MiB ran the canonical conv1 and conv2 fastest on 2 cores.
+_BLOCK_BYTES = 4 << 20
 
 
-def _lower(x: np.ndarray) -> np.ndarray:
-    """im2col: (B, *spatial, C) -> (B * P, 3**nd * C), columns ordered
-    (*offset, C).  `x` may have any strides."""
-    batch, *spatial, cin = x.shape
-    xp, interior = _padded(x.shape, x.dtype)
-    xp[interior] = x
+def _block_frames(batch: int, spatial: tuple, channels: int, itemsize: int) -> int:
+    """Frames per block of a `batch`: as many as keep the lowered columns of
+    `channels` within `_BLOCK_BYTES`, at least one and at most `batch`."""
+    frame = int(np.prod(spatial)) * KERNEL_EXTENT ** len(spatial) * channels * itemsize
+    return max(1, min(batch, _BLOCK_BYTES // frame))
+
+
+def _lowering(frames: int, spatial: tuple, channels: int, dtype):
+    """im2col for up to `frames` channels-last frames at a time: a function
+    from (n, *spatial, C), n <= `frames` and any strides, to its
+    (n * P, 3**nd * C) lowered matrix, columns ordered (*offset, C).  All
+    calls share one zero-padded buffer and one column buffer, so each result
+    is valid until the next call."""
+    positions = int(np.prod(spatial))
+    padded = np.zeros((frames,) + tuple(s + 2 for s in spatial) + (channels,), dtype)
+    interior = (slice(None),) + (slice(1, -1),) * len(spatial)
+    cols = np.empty((frames * positions, KERNEL_EXTENT ** len(spatial) * channels), dtype)
     # taps along the last spatial axis and the channels form one contiguous
     # strip of 3 * C floats in the padded buffer; a view of every position's
     # strip for every offset along the leading spatial axes
-    lead = spatial[:-1]
-    strips = as_strided(
-        xp,
-        shape=(batch, *spatial, *(KERNEL_EXTENT,) * len(lead), KERNEL_EXTENT * cin),
-        strides=xp.strides[:-1] + xp.strides[1:-2] + xp.strides[-1:],
-        writeable=False,
-    )
-    return strips.reshape(batch * int(np.prod(spatial)), -1)
+    strips = (*spatial, *(KERNEL_EXTENT,) * (len(spatial) - 1), KERNEL_EXTENT * channels)
+    strides = padded.strides[:-1] + padded.strides[1:-2] + padded.strides[-1:]
+
+    def lower(x: np.ndarray) -> np.ndarray:
+        n = x.shape[0]
+        padded[:n][interior] = x
+        view = as_strided(padded, shape=(n,) + strips, strides=strides, writeable=False)
+        out = cols[:n * positions]
+        out.reshape(view.shape)[...] = view
+        return out
+
+    return lower
 
 
-def _input_grad(g: np.ndarray, k: np.ndarray, spatial: tuple) -> np.ndarray:
-    """col2im: the channels-last input gradient (B, *spatial, C_in) from the
-    pre-activation gradient `g` (B * P, C_out), one matrix product per kernel
-    offset, each added into the padded slice that offset read."""
-    batch = g.shape[0] // int(np.prod(spatial))
-    per_offset = np.moveaxis(k, (0, 1), (-2, -1))  # (*kernel, C_out, C_in)
-    dxp, interior = _padded((batch,) + tuple(spatial) + (k.shape[1],), g.dtype)
-    part = np.empty((g.shape[0], k.shape[1]), g.dtype)
-    shaped = part.reshape(dxp[interior].shape)
-    for offset in np.ndindex(per_offset.shape[:-2]):
-        np.matmul(g, per_offset[offset], out=part)
-        dxp[(slice(None),) + tuple(slice(o, o + s) for o, s in zip(offset, spatial))] += shaped
-    return dxp[interior]
+def _input_grad(dz: np.ndarray, flipped: np.ndarray, lower) -> np.ndarray:
+    """The input gradient (n, *spatial, C_in) of a block from its
+    pre-activation gradient `dz` (n, *spatial, C_out): the correlation of the
+    zero-padded `dz` with the flipped kernel `flipped` (C_in, 3**nd * C_out),
+    one matrix product over `dz`'s lowering by `lower`."""
+    return (lower(dz) @ flipped.T).reshape(dz.shape[:-1] + flipped.shape[:1])
 
 
 def _conv(x: Tensor, k: Tensor, b: Tensor, *, elu: bool, channels_first: bool) -> Tensor:
     """The channels-last core as one tape op: ``x`` (B, *spatial, C_in) to
     ``elu(conv(x, k) + b)`` (ELU only if `elu`), channels-last or, if
     `channels_first`, as a C-contiguous (B, C_out, *spatial).  The node keeps
-    the output and the lowered input, not the pre-activation.  Its three VJPs
-    take the (B * P, C_out) pre-activation gradient from `_op`'s `upstream`."""
+    its output and nothing else.  Its backward runs as `_op`'s `upstream`,
+    one walk over the blocks that yields ``(dx, dk, db)``; ``dx`` is computed
+    only if `x` requires a gradient."""
     kd = k.data
-    batch, *spatial = x.shape[:-1]
-    cout = kd.shape[0]
-    cols = _lower(x.data)
-    # the kernel as (C_out, 3**nd * C_in), columns ordered (*offset, C_in) as in `cols`
-    z = cols @ np.moveaxis(kd, 1, -1).reshape(cout, -1).T
-    z += b.data
-    if elu:
-        ad._elu_values(z, out=z)
-    out = z.reshape(batch, *spatial, cout)
-    if channels_first:
-        out = np.ascontiguousarray(np.moveaxis(out, -1, 1))
-
-    def preactivation_grad(g):
+    batch, *spatial, cin = x.shape
+    nd, cout, dtype = len(spatial), kd.shape[0], x.dtype
+    # the kernel as (C_out, 3**nd * C_in), columns ordered (*offset, C_in) as
+    # in the lowering
+    kmat = np.moveaxis(kd, 1, -1).reshape(cout, -1)
+    out = np.empty((batch, cout, *spatial) if channels_first else (batch, *spatial, cout), dtype)
+    # the output and, in backward, its gradient seen channels-last
+    last = (lambda a: np.moveaxis(a, 1, -1)) if channels_first else (lambda a: a)
+    out_last = last(out)
+    frames = _block_frames(batch, spatial, cin, dtype.itemsize)
+    lower_x = _lowering(frames, spatial, cin, dtype)
+    for lo in range(0, batch, frames):
+        z = lower_x(x.data[lo:lo + frames]) @ kmat.T
+        z += b.data
         if elu:
-            d = ad._elu_grad(out)
-            d *= g
-            g = d
-        if channels_first:
-            g = np.moveaxis(g, 1, -1)
-        return np.ascontiguousarray(g).reshape(-1, cout)
+            ad._elu_values(z, out=z)
+        out_last[lo:lo + frames] = z.reshape(-1, *spatial, cout)
 
-    def k_vjp(dz):
-        dk = (dz.T @ cols).reshape((cout,) + (KERNEL_EXTENT,) * len(spatial) + (kd.shape[1],))
-        return np.moveaxis(dk, -1, 1)
+    def walk(g):
+        g_last = last(g)
+        frames = _block_frames(batch, spatial, max(cin, cout) if x.requires_grad else cin,
+                               dtype.itemsize)
+        lower_x = _lowering(frames, spatial, cin, dtype)
+        dk = np.zeros((cout, kd[0].size), dtype)
+        db = np.zeros(cout, dtype)
+        dx = None
+        if x.requires_grad:
+            dx = np.empty(x.shape, dtype)
+            lower_dz = _lowering(frames, spatial, cout, dtype)
+            # (C_in, 3**nd * C_out), columns ordered (*offset, C_out)
+            flipped = np.moveaxis(np.flip(kd, tuple(range(2, 2 + nd))), 0, -1).reshape(cin, -1)
+        for lo in range(0, batch, frames):
+            block = slice(lo, lo + frames)
+            dz = g_last[block]
+            if elu:
+                dz = ad._elu_grad(out_last[block]) * dz
+            dz = np.ascontiguousarray(dz)
+            rows = dz.reshape(-1, cout)
+            db += rows.sum(axis=0)
+            dk += rows.T @ lower_x(x.data[block])
+            if dx is not None:
+                dx[block] = _input_grad(dz, flipped, lower_dz)
+        dk = np.moveaxis(dk.reshape((cout,) + (KERNEL_EXTENT,) * nd + (cin,)), -1, 1)
+        return dx, dk, db
 
-    return _op(out, (x, k, b), lambda dz: _input_grad(dz, kd, spatial), k_vjp,
-               lambda dz: dz.sum(axis=0), upstream=preactivation_grad)
+    return _op(out, (x, k, b), lambda grads: grads[0], lambda grads: grads[1],
+               lambda grads: grads[2], upstream=walk)
 
 
 def _validate(x: Tensor, k: Tensor, b: Tensor, nd: int) -> bool:

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eegnet import convolution
 from eegnet.autodiff import Tensor
 from eegnet.convolution import conv1d_same, conv2d_same, conv3d_same
 
@@ -177,3 +180,77 @@ def test_time_constant_3d_kernel_reduces_to_2d():
     for s in range(steps):
         factor = 2.0 if s in (0, steps - 1) else 3.0
         np.testing.assert_allclose(out3[:, s], factor * out2, atol=1e-12)
+
+
+class TestBlockedCore:
+    """The core walks the batch in blocks of frames sized by
+    `_BLOCK_BYTES`; the blocks must change neither the results nor the
+    dtype, and the node must not keep a lowered matrix."""
+
+    SPATIAL = {1: (5,), 2: (4, 5), 3: (3, 4, 4)}
+
+    @staticmethod
+    def _run(nd, elu, channels_first, dtype, batch=7, cin=2, cout=3):
+        rng = np.random.default_rng(30 + nd)
+        spatial = TestBlockedCore.SPATIAL[nd]
+        x = Tensor(rng.standard_normal((batch, *spatial, cin)), dtype, requires_grad=True)
+        k = Tensor(rng.standard_normal((cout, cin) + (3,) * nd), dtype, requires_grad=True)
+        b = Tensor(rng.standard_normal(cout), dtype, requires_grad=True)
+        out = convolution._conv(x, k, b, elu=elu, channels_first=channels_first)
+        out._backward(rng.standard_normal(out.shape).astype(dtype))
+        return out.data, x.grad, k.grad, b.grad
+
+    @pytest.mark.parametrize("frames", [1, 3])
+    @pytest.mark.parametrize("channels_first", [False, True])
+    @pytest.mark.parametrize("elu", [False, True])
+    @pytest.mark.parametrize("nd", [1, 2, 3])
+    def test_blocks_do_not_change_results(self, monkeypatch, nd, elu, channels_first, frames):
+        monkeypatch.setattr(convolution, "_BLOCK_BYTES", 1 << 40)
+        whole = self._run(nd, elu, channels_first, np.float64)
+        # `frames` frames of the lowered 3 output channels: the backward walks
+        # blocks of `frames`, the forward, lowering 2 channels, of 1 or 4
+        frame = int(np.prod(self.SPATIAL[nd])) * 3 ** nd * 3 * 8
+        monkeypatch.setattr(convolution, "_BLOCK_BYTES", frames * frame)
+        blocked = self._run(nd, elu, channels_first, np.float64)
+        for name, got, want in zip(("out", "dx", "dk", "db"), blocked, whole):
+            assert got.shape == want.shape, name
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), name
+
+    @pytest.mark.parametrize("channels_first", [False, True])
+    def test_float32_stays_float32(self, monkeypatch, channels_first):
+        monkeypatch.setattr(convolution, "_BLOCK_BYTES", 1)
+        for array in self._run(2, True, channels_first, np.float32):
+            assert array.dtype == np.float32
+
+    @staticmethod
+    def _traced(batch):
+        """Bytes retained by a (batch, 10, 11) 32 -> 64 channel fused conv
+        after its forward, the traced peak of its forward and backward, and
+        its output's bytes."""
+        rng = np.random.default_rng(40)
+        x = Tensor.parameter(rng.standard_normal((batch, 10, 11, 32)).astype(np.float32))
+        k = Tensor.parameter((0.1 * rng.standard_normal((64, 32, 3, 3))).astype(np.float32))
+        b = Tensor.parameter(np.zeros(64, np.float32))
+        g = rng.standard_normal((batch, 10, 11, 64)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            out = convolution._conv(x, k, b, elu=True, channels_first=False)
+            retained = tracemalloc.get_traced_memory()[0]
+            out._backward(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return retained, peak, out.data.nbytes
+
+    def test_node_keeps_no_lowered_matrix(self):
+        retained, _, out_bytes = self._traced(64)
+        # the lowered input would be 4.5 times the output
+        assert retained <= out_bytes + (64 << 10)
+
+    def test_peak_grows_with_the_output_not_the_lowering(self):
+        _, small, _ = self._traced(64)
+        _, large, out_bytes = self._traced(256)
+        per_frame = (large - small) / 192
+        # what grows is the output and the input gradient, 1.5 outputs per
+        # frame; a stored lowering would add 4.5 more
+        assert per_frame <= 2 * out_bytes / 256

@@ -1,12 +1,13 @@
 import json
 import math
 import struct
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
-from eegnet import models, training
+from eegnet import dataset, models, training
 from eegnet.autodiff import Tensor, backward, softmax_cross_entropy_batch
 from eegnet.gradcheck import reduced_config
 from eegnet.models import param_init
@@ -113,6 +114,27 @@ class TestEvaluate:
         _, test_set = tiny_sets
         with pytest.raises(ValueError, match="empty"):
             evaluate(param_init(tiny_config(), seed=0), test_set.subset([]))
+
+    def test_full_batch_peak_memory(self):
+        # one full 256-window batch through conv maps 32/64/128: conv1's and
+        # conv2's outputs, live together, take 216 MB; lowering conv2's whole
+        # input at once added 649 MB
+        config = models.canonical_config("cascade", fc_width=8)
+        rng = np.random.default_rng(0)
+        windows = dataset.PreparedDataset(
+            raw=rng.standard_normal((256, 10, 64)).astype(np.float32),
+            meshes=rng.standard_normal((256, 10, 10, 11)).astype(np.float32),
+            labels=rng.integers(0, 5, 256).astype(np.uint8),
+            meta={"label_names": {str(i): f"c{i}" for i in range(5)}},
+        )
+        params = param_init(config, seed=0)
+        tracemalloc.start()
+        try:
+            evaluate(params, windows)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 450e6
 
 
 class TestTrainLoop:
