@@ -3,8 +3,11 @@
 Recordings arrive as CSV (one row per time sample, columns ch1..chN) plus a
 JSON manifest carrying subject ids, labels, the sample rate and the split
 policy.  Prepared datasets are stored in a little-endian binary container
-(magic ``EEGW``) holding the raw windows, the labels and the split; the
-loader rebuilds the meshes, a per-frame function of the raw windows.
+(magic ``EEGW``, version 3) holding each distinct raw frame once, one start
+offset per window, the labels and the split.  Windows that overlap their
+predecessor by half share its frames, so the 50%-overlapping windows of a
+recording cost about one copy of its samples.  The loader rebuilds the
+meshes, a per-frame function of the raw frames, and gathers both per window.
 """
 
 from __future__ import annotations
@@ -32,7 +35,9 @@ LABEL_NAMES = {
 }
 
 PREPARED_MAGIC = b"EEGW"
-PREPARED_VERSION = 2
+PREPARED_VERSION = 3
+# labels are stored as one byte each
+MAX_CLASSES = 256
 
 
 class DatasetError(Exception):
@@ -55,9 +60,9 @@ class DatasetTruncatedError(DatasetError):
     """Prepared-dataset container ends before its declared payload."""
 
 
-# fixed fields: window count q, window length S, channels n
+# fixed fields: window count q, window length S, channels n, stored frames F
 PREPARED_FORMAT = container.Format(
-    "prepared dataset", PREPARED_MAGIC, PREPARED_VERSION, "IHH",
+    "prepared dataset", PREPARED_MAGIC, PREPARED_VERSION, "IHHI",
     DatasetFormatError, DatasetVersionError, DatasetTruncatedError,
 )
 
@@ -101,6 +106,9 @@ class DatasetManifest:
         keys = sorted(self.label_names)
         if keys != list(range(len(keys))):
             raise DatasetError(f"label indices must be dense 0..K-1, got {keys}")
+        if len(keys) > MAX_CLASSES:
+            raise DatasetError(f"{len(keys)} label names; a prepared dataset stores labels "
+                               f"as one byte, so at most {MAX_CLASSES}")
         for entry in self.recordings:
             if entry.label not in self.label_names:
                 raise DatasetError(
@@ -356,25 +364,50 @@ def prepare_dataset(manifest: DatasetManifest, window: int = 10,
 
 
 def save_prepared(path, dataset: PreparedDataset) -> None:
-    """Write the EEGW v2 container: fixed fields (q, S, n), metadata JSON,
-    float32 raw block, uint8 labels.  The meshes are left out."""
-    blocks = ((dataset.raw, np.float32), (dataset.labels, np.uint8))
-    container.write(path, PREPARED_FORMAT, dataset.raw.shape, dataset.meta,
-                    (np.asarray(block, dtype=dtype) for block, dtype in blocks))
+    """Write the EEGW v3 container: fixed fields (q, S, n, F), metadata JSON,
+    the (F, n) float32 frames, the (q,) uint32 window starts and the (q,)
+    uint8 labels.  The meshes are left out.
+
+    Each frame is stored once per run of overlapping windows: window i
+    continues window i-1 when its first S/2 frames are bitwise equal to the
+    last S/2 frames of window i-1, and then adds only its other frames; any
+    other window adds all S.  The rule looks at content alone, so a shuffled
+    or partial `subset()` round-trips exactly.  A label that is not a key of
+    `label_names` raises DatasetError before anything is written.
+    """
+    labels = _check_labels(dataset.meta, dataset.labels, DatasetError)
+    raw = np.ascontiguousarray(dataset.raw, dtype=np.float32)
+    q, s, n = raw.shape
+    half = s // 2
+    # compare bits, not values, so that -0.0 never stands in for 0.0
+    bits = raw.view(np.uint32)
+    chained = np.zeros(q, dtype=bool)
+    chained[1:] = (bits[1:, :half] == bits[:-1, s - half:]).all(axis=(1, 2))
+    added = np.where(chained, s - half, s)
+    starts = np.cumsum(added) - s
+    frames = raw[np.arange(s) >= (s - added)[:, None]]
+    container.write(path, PREPARED_FORMAT, (q, s, n, len(frames)), dataset.meta,
+                    (frames, starts.astype(np.uint32), labels.astype(np.uint8)))
 
 
-def _check_labels(meta, labels: np.ndarray) -> None:
-    """Raise DatasetFormatError unless `label_names` is an object keyed by
-    the dense indices "0".."K-1", as a manifest's are, and every label is
-    one of its keys."""
+def _check_labels(meta, labels, error=DatasetFormatError) -> np.ndarray:
+    """Return `labels` as an array; raise `error` unless `label_names` is an
+    object keyed by the dense indices "0".."K-1", as a manifest's are, with
+    K <= 256, and every label is one of its keys."""
     names = meta.get("label_names") if isinstance(meta, dict) else None
     if not isinstance(names, dict) or set(names) != set(map(str, range(len(names)))):
-        raise DatasetFormatError(
-            f"prepared dataset label_names must be keyed 0..K-1, got {names!r}")
-    bad = np.flatnonzero(labels >= len(names))
+        raise error(f"prepared dataset label_names must be keyed 0..K-1, got {names!r}")
+    if len(names) > MAX_CLASSES:
+        raise error(f"prepared dataset has {len(names)} label_names, more than {MAX_CLASSES}")
+    labels = np.asarray(labels)
+    if labels.dtype.kind in "iu":
+        bad = np.flatnonzero((labels < 0) | (labels >= len(names)))
+    else:
+        bad = np.arange(labels.size)
     if bad.size:
-        raise DatasetFormatError(f"prepared dataset window {bad[0]} has label {labels[bad[0]]}, "
-                                 f"not a key of label_names {sorted(names, key=int)}")
+        raise error(f"prepared dataset window {bad[0]} has label {labels[bad[0]]}, "
+                    f"not a key of label_names {sorted(names, key=int)}")
+    return labels
 
 
 def _check_split(meta: dict, count: int) -> None:
@@ -400,20 +433,34 @@ def _check_split(meta: dict, count: int) -> None:
 
 
 def load_prepared(path) -> PreparedDataset:
-    """Read an EEGW v2 container and rebuild its meshes by ingest's rule.  Bad
-    magic, version (v1 included), header, truncation, a channel count other
-    than 64, NaN or Inf, a label outside `label_names` and a stored split
-    that does not index the windows raise typed errors, never a partial
-    dataset."""
+    """Read an EEGW v3 container, compute the meshes once per stored frame by
+    ingest's rule, and gather the raw frames and meshes of each window.  Bad
+    magic, version (v1 and v2 included), header, truncation, a channel count
+    other than 64, NaN or Inf, a window that runs past the stored frames,
+    fewer than half as many frames as the windows hold (a v3 writer shares
+    at most half of each window, so a small file cannot ask for a huge
+    load), a label outside `label_names` and a stored split that does not
+    index the windows raise typed errors, never a partial dataset."""
     layout = layout_default()
-    with container.read(path, PREPARED_FORMAT) as ((q, s, n), meta, read_array):
+    with container.read(path, PREPARED_FORMAT) as ((q, s, n, f), meta, read_array):
         if n != layout.n_channels:
             raise DatasetFormatError(
                 f"prepared dataset has {n} channels; meshes need {layout.n_channels}")
-        raw = read_array("f4", (q, s, n), "raw block")
+        frames = read_array("f4", (f, n), "frames")
+        starts = read_array("u4", (q,), "window starts").astype(np.intp)
         labels = read_array("u1", (q,), "labels")
     _check_labels(meta, labels)
     _check_split(meta, q)
-    if not np.all(np.isfinite(raw)):
-        raise DatasetFormatError("prepared dataset raw block holds NaN or Inf values")
-    return PreparedDataset(raw=raw, meshes=normalized_meshes(raw, layout), labels=labels, meta=meta)
+    if not np.all(np.isfinite(frames)):
+        raise DatasetFormatError("prepared dataset frames hold NaN or Inf values")
+    bad = np.flatnonzero(starts + s > f)
+    if bad.size:
+        raise DatasetFormatError(f"prepared dataset window {bad[0]} starts at frame "
+                                 f"{starts[bad[0]]}, so its {s} frames run past the {f} stored")
+    if q * s > 2 * f:
+        raise DatasetFormatError(f"prepared dataset holds {f} frames, fewer than half of its "
+                                 f"{q} windows of {s}")
+    index = starts[:, None] + np.arange(s)
+    meshes = normalized_meshes(frames, layout)
+    return PreparedDataset(raw=np.take(frames, index, axis=0),
+                           meshes=np.take(meshes, index, axis=0), labels=labels, meta=meta)

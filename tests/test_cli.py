@@ -365,6 +365,27 @@ class TestEvalPredict:
         assert f"error: unsupported checkpoint version {version}, expected 3" in captured.err
         assert "window 0:" not in captured.out
 
+    # v2 stored every window whole; re-running `prepare` writes v3
+    @pytest.mark.parametrize("command", ["train", "eval", "predict"])
+    def test_old_dataset_version_is_error(self, trained_run, prepared_file, tmp_path, capsys,
+                                          command):
+        blob = bytearray(prepared_file.read_bytes())
+        blob[4:6] = (2).to_bytes(2, "little")
+        old = tmp_path / "v2.eegw"
+        old.write_bytes(bytes(blob))
+        checkpoint = str(trained_run / "checkpoint.eegc")
+        argv = {
+            "train": ["train", "--arch", "cascade", "--data", str(old),
+                      "--out", str(tmp_path / "run"), *TINY_MODEL],
+            "eval": ["eval", "--checkpoint", checkpoint, "--data", str(old)],
+            "predict": ["predict", "--checkpoint", checkpoint, "--windows", str(old)],
+        }[command]
+        rc = cli.main(argv)
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "error: unsupported prepared dataset version 2, expected 3" in captured.err
+        assert "window 0:" not in captured.out
+
     def test_label_outside_label_names_is_error(self, trained_run, prepared_file, tmp_path,
                                                 capsys):
         blob = bytearray(prepared_file.read_bytes())

@@ -3,7 +3,8 @@ one bit flipped, or extended by 1-64 bytes.  Loading raises the format's
 typed base error, never any other exception; only a flipped file may load
 (a flip inside array data, or inside a JSON value that stays valid)."""
 
-import numpy as np
+import struct
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -39,9 +40,27 @@ def work_dir(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def tiny_dataset(small_prepared, work_dir):
+    """Windows 0..2 overlap by half and share their frames; window 7 does not
+    continue window 2 and stores all of its own, so the frames, starts and
+    labels blocks are all in reach of the flips."""
     path = work_dir / "tiny.eegw"
-    ds.save_prepared(path, small_prepared.subset(np.arange(3)))
-    return path.read_bytes()
+    ds.save_prepared(path, small_prepared.subset([0, 1, 2, 7]))
+    blob = path.read_bytes()
+    q, s, n, f = struct.unpack_from("<IHHI", blob, 6)
+    assert (q, s, f) == (4, 10, 20 + 10)
+    return blob
+
+
+@pytest.mark.parametrize("past", [1, 2**31, 2**32 - 1 - 20])
+def test_window_start_past_the_frames_rejected(tiny_dataset, work_dir, past):
+    # the last window's start is the u32 just before the labels block
+    path = work_dir / "start.eegw"
+    blob = bytearray(tiny_dataset)
+    f = struct.unpack_from("<I", blob, 14)[0]
+    struct.pack_into("<I", blob, len(blob) - 4 - 4, f - 10 + past)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ds.DatasetFormatError, match="window 3 starts at frame"):
+        ds.load_prepared(path)
 
 
 @settings(max_examples=300, derandomize=True, deadline=None, database=None)

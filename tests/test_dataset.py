@@ -4,8 +4,9 @@ import struct
 import numpy as np
 import pytest
 
+from eegnet import container
 from eegnet import dataset as ds
-from eegnet.layout import layout_default, to_mesh, zscore_mesh
+from eegnet.layout import layout_default, normalized_meshes, to_mesh, zscore_mesh
 
 from conftest import build_prepared, rewrite_header
 
@@ -158,17 +159,17 @@ class TestPreparedRoundTrip:
             ds.load_prepared(path)
 
     def test_huge_header_length_rejected_as_truncated(self, tmp_path, small_prepared):
-        path = self._damaged(tmp_path, small_prepared, 14, struct.pack("<I", 0xFFFFFFF0))
+        path = self._damaged(tmp_path, small_prepared, 18, struct.pack("<I", 0xFFFFFFF0))
         with pytest.raises(ds.DatasetTruncatedError, match="truncated"):
             ds.load_prepared(path)
 
     def test_header_not_utf8_rejected(self, tmp_path, small_prepared):
-        path = self._damaged(tmp_path, small_prepared, 30, b"\xff")
+        path = self._damaged(tmp_path, small_prepared, 34, b"\xff")
         with pytest.raises(ds.DatasetFormatError, match="header"):
             ds.load_prepared(path)
 
     def test_header_not_json_rejected(self, tmp_path, small_prepared):
-        path = self._damaged(tmp_path, small_prepared, 18, b"x")
+        path = self._damaged(tmp_path, small_prepared, 22, b"x")
         with pytest.raises(ds.DatasetFormatError, match="header"):
             ds.load_prepared(path)
 
@@ -181,32 +182,56 @@ class TestPreparedRoundTrip:
         with pytest.raises(ds.DatasetFormatError, match=f"{extra} bytes after"):
             ds.load_prepared(path)
 
-    def test_failed_write_leaves_existing_file(self, tmp_path, small_prepared):
+    def test_failed_write_leaves_existing_file(self, tmp_path, small_prepared, monkeypatch):
         path = tmp_path / "d.eegw"
         ds.save_prepared(path, small_prepared)
         before = path.read_bytes()
-        # labels that cannot become uint8 fail after the float blocks are written
-        bad = ds.PreparedDataset(small_prepared.raw, small_prepared.meshes,
-                                 np.array(["x"] * small_prepared.count), small_prepared.meta)
-        with pytest.raises(ValueError):
+        write = container.write
+
+        def fail_after_frames(path, fmt, fixed, header, arrays):
+            def blocks():
+                yield next(iter(arrays))
+                raise OSError("disk full")
+            write(path, fmt, fixed, header, blocks())
+
+        monkeypatch.setattr(container, "write", fail_after_frames)
+        with pytest.raises(OSError, match="disk full"):
+            ds.save_prepared(path, small_prepared.subset(np.arange(3)))
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["d.eegw"]
+
+    @pytest.mark.parametrize("label, names", [(5, 5), (-1, 5), ("x", 5), (300, 301)],
+                             ids=["past-the-keys", "negative", "string", "past-a-byte"])
+    def test_label_not_a_key_not_saved(self, tmp_path, small_prepared, label, names):
+        path = tmp_path / "d.eegw"
+        ds.save_prepared(path, small_prepared)
+        before = path.read_bytes()
+        labels = np.array([0, label])
+        meta = dict(small_prepared.meta, label_names={str(k): f"c{k}" for k in range(names)})
+        bad = ds.PreparedDataset(small_prepared.raw[:2], small_prepared.meshes[:2], labels, meta)
+        with pytest.raises(ds.DatasetError):
             ds.save_prepared(path, bad)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["d.eegw"]
 
     def test_layout_pinned(self, tmp_path, small_prepared):
-        # magic, u16 version, u32 q, u16 S, n, u32 header length, JSON
-        # header, float32 raw block, uint8 labels; no mesh block
+        # magic, u16 version, u32 q, u16 S, n, u32 F, u32 header length, JSON
+        # header, float32 (F, n) frames, uint32 window starts, uint8 labels;
+        # no mesh block
         path = tmp_path / "d.eegw"
         ds.save_prepared(path, small_prepared)
         blob = path.read_bytes()
         assert blob[:4] == b"EEGW"
-        assert struct.unpack_from("<H", blob, 4) == (2,)
-        q, s, n = struct.unpack_from("<IHH", blob, 6)
+        assert struct.unpack_from("<H", blob, 4) == (3,)
+        q, s, n, f = struct.unpack_from("<IHHI", blob, 6)
         assert (q, s, n) == small_prepared.raw.shape
-        (header_len,) = struct.unpack_from("<I", blob, 14)
-        assert json.loads(blob[18:18 + header_len]) == small_prepared.meta
-        assert len(blob) == 4 + 14 + header_len + q * s * n * 4 + q
-        assert blob[18 + header_len:-q] == small_prepared.raw.astype("<f4").tobytes()
+        (header_len,) = struct.unpack_from("<I", blob, 18)
+        assert json.loads(blob[22:22 + header_len]) == small_prepared.meta
+        assert len(blob) == 22 + header_len + f * n * 4 + q * 4 + q
+        frames = np.frombuffer(blob, "<f4", f * n, 22 + header_len).reshape(f, n)
+        starts = np.frombuffer(blob, "<u4", q, 22 + header_len + f * n * 4)
+        np.testing.assert_array_equal(frames[starts[:, None] + np.arange(s)],
+                                      small_prepared.raw)
         assert blob[-q:] == small_prepared.labels.tobytes()
 
     def test_v1_file_rejected_naming_version(self, tmp_path, small_prepared):
@@ -214,12 +239,59 @@ class TestPreparedRoundTrip:
         with pytest.raises(ds.DatasetVersionError, match="version 1"):
             ds.load_prepared(path)
 
+    def test_v2_file_rejected_naming_version(self, tmp_path, small_prepared):
+        path = self._damaged(tmp_path, small_prepared, 4, struct.pack("<H", 2))
+        with pytest.raises(ds.DatasetVersionError, match="version 2, expected 3"):
+            ds.load_prepared(path)
+
     def test_raw_nan_rejected(self, tmp_path, small_prepared):
-        (header_len,) = struct.unpack_from("<I", self._saved(tmp_path, small_prepared), 14)
+        (header_len,) = struct.unpack_from("<I", self._saved(tmp_path, small_prepared), 18)
         nan = np.array([np.nan], dtype="<f4").tobytes()
-        path = self._damaged(tmp_path, small_prepared, 18 + header_len + 4 * 37, nan)
+        path = self._damaged(tmp_path, small_prepared, 22 + header_len + 4 * 37, nan)
         with pytest.raises(ds.DatasetFormatError, match="NaN"):
             ds.load_prepared(path)
+
+    def test_too_few_frames_for_windows_rejected(self, tmp_path, small_prepared):
+        # three windows of 10 that all start at frame 0 of 10: a writer that
+        # shares at most half of each window never stores fewer than 15
+        path = tmp_path / "d.eegw"
+        three = small_prepared.subset([0, 1, 2])
+        blocks = (three.raw[0], np.zeros(3, np.uint32), three.labels)
+        container.write(path, ds.PREPARED_FORMAT, (3, 10, 64, 10), three.meta, blocks)
+        with pytest.raises(ds.DatasetFormatError, match="10 frames, fewer than half"):
+            ds.load_prepared(path)
+
+    @staticmethod
+    def _round_trip(tmp_path, dataset):
+        path = tmp_path / "r.eegw"
+        ds.save_prepared(path, dataset)
+        loaded = ds.load_prepared(path)
+        assert loaded.raw.shape == dataset.raw.shape
+        assert loaded.raw.tobytes() == dataset.raw.tobytes()
+        assert loaded.meshes.tobytes() == dataset.meshes.tobytes()
+        np.testing.assert_array_equal(loaded.labels, dataset.labels)
+        return struct.unpack_from("<I", path.read_bytes(), 14)[0]
+
+    def test_shuffled_subset_round_trips(self, tmp_path, small_prepared):
+        order = np.random.default_rng(0).permutation(small_prepared.count)
+        self._round_trip(tmp_path, small_prepared.subset(order))
+
+    def test_empty_subset_round_trips(self, tmp_path, small_prepared):
+        assert self._round_trip(tmp_path, small_prepared.subset([])) == 0
+
+    def test_chained_windows_share_frames(self, tmp_path, small_prepared):
+        # windows 0..2 overlap by half; window 0 again starts a new run
+        assert self._round_trip(tmp_path, small_prepared.subset([0, 1, 2, 0])) == 20 + 10
+
+    def test_negative_zero_is_not_shared_with_zero(self, tmp_path, small_prepared):
+        pair = small_prepared.subset([0, 1])
+        pair.raw[0, 5, 0] = 0.0
+        pair.raw[1, 0, 0] = -0.0
+        pair.meshes = normalized_meshes(pair.raw)
+        assert self._round_trip(tmp_path, pair) == 20
+        pair.raw[1, 0, 0] = 0.0
+        pair.meshes = normalized_meshes(pair.raw)
+        assert self._round_trip(tmp_path, pair) == 15
 
     def test_channel_count_other_than_64_rejected(self, tmp_path, small_prepared):
         path = self._damaged(tmp_path, small_prepared, 12, struct.pack("<H", 63))
@@ -367,6 +439,11 @@ class TestManifest:
         assert [e.path for e in loaded.recordings] == ["recordings/a.csv", "recordings/b.csv"]
         assert loaded.base_dir == tmp_path
 
+    def test_more_than_256_label_names_rejected(self):
+        ds.DatasetManifest(recordings=[], label_names={k: str(k) for k in range(256)})
+        with pytest.raises(ds.DatasetError, match="257 label names"):
+            ds.DatasetManifest(recordings=[], label_names={k: str(k) for k in range(257)})
+
     def test_sparse_labels_rejected(self):
         with pytest.raises(ds.DatasetError, match="dense"):
             ds.DatasetManifest(recordings=[], label_names={0: "a", 2: "b"})
@@ -423,6 +500,27 @@ class TestPrepareDataset:
         )
         with pytest.raises(ds.DatasetError, match="no usable windows"):
             ds.prepare_dataset(manifest, window=10)
+
+    def test_stores_each_frame_once(self, tmp_path):
+        # 20 samples give 3 windows and 27 give 4; a recording of q_r
+        # windows stores its 5·(q_r + 1) frames once
+        rng = np.random.default_rng(2)
+        (tmp_path / "recordings").mkdir()
+        entries = []
+        for i, n_samples in enumerate((20, 27)):
+            name = f"recordings/r{i}.csv"
+            ds.save_recording_csv(tmp_path / name, rng.standard_normal((n_samples, 64)))
+            entries.append(ds.ManifestEntry(name, f"s{i}", i))
+        manifest = ds.DatasetManifest(recordings=entries, label_names={0: "a", 1: "b"},
+                                      base_dir=tmp_path)
+        prepared = ds.prepare_dataset(manifest, window=10)
+        assert prepared.count == 3 + 4
+        path = tmp_path / "d.eegw"
+        ds.save_prepared(path, prepared)
+        assert struct.unpack_from("<I", path.read_bytes(), 14) == (5 * (3 + 1) + 5 * (4 + 1),)
+        loaded = ds.load_prepared(path)
+        assert loaded.raw.tobytes() == prepared.raw.tobytes()
+        assert loaded.meshes.tobytes() == prepared.meshes.tobytes()
 
     def test_threaded_matches_serial(self, tmp_path):
         rng = np.random.default_rng(1)
