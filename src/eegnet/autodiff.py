@@ -322,6 +322,29 @@ def getitem(x: Tensor, idx) -> Tensor:
     return _op(x.data[idx], (x,), vjp)
 
 
+def gather(x: Tensor, index: np.ndarray) -> Tensor:
+    """Rows of `x` picked by an int array `index` along axis 0, which may
+    repeat a row or leave one out.  The VJP sums the upstream rows of each
+    picked row in one fixed order, that of their positions in `index`, so
+    the gradient is the same bits on every call: the first of each row's
+    occurrences is copied, then the r-th, for r = 1, 2, ..., added as one
+    scatter over the rows picked more than r times."""
+    x = _lift(x)
+    index = np.asarray(index)
+
+    def vjp(g):
+        order = np.argsort(index, kind="stable")
+        picked, starts, counts = np.unique(index[order], return_index=True, return_counts=True)
+        grad = np.zeros(x.data.shape, g.dtype)
+        grad[picked] = np.take(g, order[starts], axis=0)
+        for r in range(1, counts.max(initial=0)):
+            more = counts > r
+            grad[picked[more]] += np.take(g, order[starts[more] + r], axis=0)
+        return grad
+
+    return _op(np.take(x.data, index, axis=0), (x,), vjp)
+
+
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     tensors = tuple(_lift(t) for t in tensors)
     out = np.concatenate([t.data for t in tensors], axis=axis)

@@ -99,13 +99,16 @@ def _input_grad(dz: np.ndarray, flipped: np.ndarray, lower) -> np.ndarray:
 def _conv(x: Tensor, k: Tensor, b: Tensor, *, elu: bool, channels_first: bool) -> Tensor:
     """The channels-last core as one tape op: ``x`` (B, *spatial, C_in) to
     ``elu(conv(x, k) + b)`` (ELU only if `elu`), channels-last or, if
-    `channels_first`, as a C-contiguous (B, C_out, *spatial).  The node keeps
-    its output and nothing else.  Its backward runs as `_op`'s `upstream`,
-    one walk over the blocks that yields ``(dx, dk, db)``; ``dx`` is computed
-    only if `x` requires a gradient."""
+    `channels_first`, as a C-contiguous (B, C_out, *spatial), computed in the
+    promoted dtype of `x`, `k` and `b`.  The node keeps its output and
+    nothing else.  Its backward runs as `_op`'s `upstream`, one walk over the
+    blocks that yields ``(dx, dk, db)``; ``dx`` is computed only if `x`
+    requires a gradient."""
     kd = k.data
     batch, *spatial, cin = x.shape
-    nd, cout, dtype = len(spatial), kd.shape[0], x.dtype
+    nd, cout = len(spatial), kd.shape[0]
+    # as `autodiff.linear`'s product
+    dtype = np.result_type(x.dtype, kd.dtype, b.dtype)
     # the kernel as (C_out, 3**nd * C_in), columns ordered (*offset, C_in) as
     # in the lowering
     kmat = np.moveaxis(kd, 1, -1).reshape(cout, -1)

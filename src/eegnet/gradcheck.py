@@ -87,6 +87,14 @@ def _check_linear(rng):
     return finite_diff_check(lambda x, w, b: _weighted_sum(ad.linear(x, w, b), c), [x, w, b])
 
 
+def _check_gather(rng):
+    # row 1 picked three times, row 3 never
+    x = _t(rng, 4, 3)
+    index = np.array([1, 0, 1, 2, 1])
+    c = rng.standard_normal((5, 3))
+    return finite_diff_check(lambda x: _weighted_sum(ad.gather(x, index), c), [x])
+
+
 def _check_conv(nd):
     conv = {1: conv1d_same, 2: conv2d_same, 3: conv3d_same}[nd]
     spatial = {1: (7,), 2: (4, 5), 3: (3, 4, 4)}[nd]
@@ -186,9 +194,27 @@ def _check_model(arch: str, **overrides):
     return run
 
 
+def _check_cascade_overlap(rng):
+    # two windows sharing frames, as overlapping windows do: the conv stack
+    # runs each distinct frame once and its gather's VJP sums the shared rows
+    config = reduced_config("cascade")
+    params = param_init(config, seed=11, dtype=np.float64)
+    steps = config.window
+    frames = rng.standard_normal((steps + 1, config.mesh_h, config.mesh_w))
+    meshes = np.stack([frames[:steps], frames[1:]])
+    raw = rng.standard_normal((2, steps, config.channels))
+
+    def fn(*_):
+        logits = models.forward_windows(params, raw, meshes, mode="eval")
+        return ad.softmax_cross_entropy_batch(logits, np.array([1, 2]))[0]
+
+    return finite_diff_check(fn, list(params.tensors.values()))
+
+
 # name -> (runner, tolerance); model checks get the architecture-level bound
 CHECKS = {
     "linear": (_check_linear, 1e-6),
+    "gather": (_check_gather, 1e-6),
     "conv1d": (_check_conv(1), 1e-6),
     "conv2d": (_check_conv(2), 1e-6),
     "conv3d": (_check_conv(3), 1e-6),
@@ -199,6 +225,7 @@ CHECKS = {
     "lstm_sequence": (_check_lstm_sequence, 1e-5),
     "conv_stack": (_check_conv_stack, 1e-4),
     "cascade": (_check_model("cascade"), 1e-4),
+    "cascade_overlap": (_check_cascade_overlap, 1e-4),
     "parallel_cat": (_check_model("parallel", fusion="cat"), 1e-4),
     "parallel_add": (_check_model("parallel", fusion="add"), 1e-4),
     "parallel_cat_fc": (_check_model("parallel", fusion="cat-fc"), 1e-4),

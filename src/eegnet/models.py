@@ -13,7 +13,10 @@ Dropout placement: after the fully connected layer inside the per-step conv
 stack and after the final-stage fully connected layers (the cascade head FC
 and the parallel post-LSTM FC).  The parallel pre-LSTM FC and recurrent
 connections carry no dropout.  Per-step conv weights are shared across the
-window's time steps.  Every dense layer stores its weight (out, in) and runs
+window's time steps, and overlapping windows share frames, so the conv
+stack computes its features (conv layers and ``elu(cnn.fc)``) once per
+distinct frame of a batch and gathers them back to every step; its dropout
+comes after that gather, one mask entry per step.  Every dense layer stores its weight (out, in) and runs
 as one :func:`autodiff.linear` node.  Each LSTM layer is two nodes whatever
 the window length: its input projection over all steps as one
 :func:`autodiff.linear`, with `rnn.l{j}.w` stored (4·hidden, in), and its
@@ -321,14 +324,42 @@ def _dense(x: Tensor, tensors: dict, name: str) -> Tensor:
     return ad.linear(x, tensors[f"{name}.weight"], tensors[f"{name}.bias"])
 
 
+def _dropout(x: Tensor, config: ModelConfig, rng) -> Tensor:
+    return x if rng is None else ad.dropout(x, config.keep_prob, rng)
+
+
 def _dense_elu_dropout(x: Tensor, config: ModelConfig, tensors: dict, name: str, rng) -> Tensor:
-    out = ad.elu(_dense(x, tensors, name))
-    return out if rng is None else ad.dropout(out, config.keep_prob, rng)
+    return _dropout(ad.elu(_dense(x, tensors, name)), config, rng)
+
+
+def _distinct_rows(x: np.ndarray):
+    """``(keep, index)`` such that ``x[keep][index]`` is `x`: `keep` picks the
+    first of each set of bitwise-equal rows (leading axis), in order of first
+    appearance, so -0.0 and 0.0 stay apart.  None when no two rows are equal."""
+    rows = np.ascontiguousarray(x).reshape(len(x), -1)
+    keys = rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    if len(first) == len(x):
+        return None
+    rank = np.argsort(first)
+    position = np.empty_like(rank)
+    position[rank] = np.arange(len(rank))
+    return first[rank], position[inverse]
 
 
 def _conv_stack(config: ModelConfig, tensors: dict, x: Tensor, rng) -> Tensor:
     """Conv layers, each one fused conv + bias + ELU node, over a channels-first
-    (N, 1, *spatial) batch; the flattened last layer, then `cnn.fc` if the model has one."""
+    (N, 1, *spatial) batch; the flattened last layer, then ``elu(cnn.fc)``
+    and dropout if the model has `cnn.fc`.
+
+    A constant `x` (model input) runs the conv layers, the flatten and
+    ``elu(cnn.fc)`` once per distinct frame, rows compared bitwise: windows
+    that overlap share frames.  One :func:`autodiff.gather` then puts the
+    rows back in batch order before dropout, whose mask keeps its (N, F)
+    shape.  An `x` that requires a gradient runs every row."""
+    distinct = None if x.requires_grad else _distinct_rows(x.data)
+    if distinct is not None:
+        x = Tensor.constant(np.take(x.data, distinct[0], axis=0))
     # The layers run channels-last, (N, *spatial, C), so each output is the
     # next layer's lowering input as it stands.  Only the last layer emits
     # channels-first and C-contiguous: the flatten is then a view, and the
@@ -338,9 +369,13 @@ def _conv_stack(config: ModelConfig, tensors: dict, x: Tensor, rng) -> Tensor:
     for i in range(config.conv_depth):
         h = convolution._conv(h, tensors[f"cnn.conv{i}.kernel"], tensors[f"cnn.conv{i}.bias"],
                               elu=True, channels_first=i == last)
-    flat = ad.reshape(h, (x.shape[0], -1))
+    feats = ad.reshape(h, (x.shape[0], -1))
     with_fc = "cnn.fc.weight" in tensors
-    return _dense_elu_dropout(flat, config, tensors, "cnn.fc", rng) if with_fc else flat
+    if with_fc:
+        feats = ad.elu(_dense(feats, tensors, "cnn.fc"))
+    if distinct is not None:
+        feats = ad.gather(feats, distinct[1])
+    return _dropout(feats, config, rng) if with_fc else feats
 
 
 def _lstm_stack(seq: Tensor, tensors: dict, depth: int, hidden: int) -> Tensor:

@@ -138,8 +138,8 @@ def _require_config(params: ModelParams, model_config: ModelConfig) -> None:
                          f"{', '.join(differ)}")
 
 
-def _as_dtype(dataset: PreparedDataset, dtype):
-    return dataset.raw.astype(dtype, copy=False), dataset.meshes.astype(dtype, copy=False)
+def _as_dtype(raw, meshes, dtype):
+    return np.asarray(raw).astype(dtype, copy=False), np.asarray(meshes).astype(dtype, copy=False)
 
 
 def _batches(count: int, batch_size: int, order: np.ndarray):
@@ -154,7 +154,7 @@ def evaluate(params: ModelParams, dataset: PreparedDataset) -> Metrics:
         raise ValueError("cannot evaluate an empty dataset")
     params = params.frozen()
     k = params.config.classes
-    raw, meshes = _as_dtype(dataset, params.tensors["head.out.bias"].dtype)
+    raw, meshes = _as_dtype(dataset.raw, dataset.meshes, params.tensors["head.out.bias"].dtype)
     labels = dataset.labels.astype(np.int64)
     confusion = np.zeros((k, k), dtype=np.int64)
     loss_sum = 0.0
@@ -169,9 +169,10 @@ def evaluate(params: ModelParams, dataset: PreparedDataset) -> Metrics:
 
 def predict(params: ModelParams, raw: np.ndarray, meshes: np.ndarray):
     """Class probabilities and argmax class (ties -> lowest index) for one
-    window, from a forward on frozen parameters (no tape)."""
-    logits = models.forward_windows(params.frozen(), np.asarray(raw)[None],
-                                    np.asarray(meshes)[None], mode="eval")
+    window, from a forward on frozen parameters (no tape), the window cast
+    to the parameters' dtype as in :func:`evaluate`."""
+    raw, meshes = _as_dtype(raw, meshes, params.tensors["head.out.bias"].dtype)
+    logits = models.forward_windows(params.frozen(), raw[None], meshes[None], mode="eval")
     probs = _softmax_rows(logits.data)[0]
     return probs, int(probs.argmax())
 
@@ -219,7 +220,7 @@ def train(model_config: ModelConfig, train_config: TrainConfig,
         rng = np.random.default_rng(train_config.seed)
     history = list(history) if history else []
 
-    raw, meshes = _as_dtype(train_set, dtype)
+    raw, meshes = _as_dtype(train_set.raw, train_set.meshes, dtype)
     labels = train_set.labels.astype(np.int64)
     count = train_set.count
     best_loss = min((h.test_loss for h in history), default=np.inf)

@@ -255,6 +255,26 @@ class TestShapeOps:
         )
         assert err <= 1e-8
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gather_sums_repeats_in_position_order(self, dtype):
+        # row 2 picked four times, row 1 never; np.add.at adds the upstream
+        # rows one by one in their order in `index`, the VJP's fixed order
+        rng = np.random.default_rng(12)
+        x = Tensor.parameter(rng.standard_normal((5, 3)).astype(dtype))
+        index = np.array([2, 0, 4, 2, 3, 2, 0, 2])
+        g = (rng.standard_normal((8, 3)) * 10.0 ** rng.integers(-6, 6, (8, 1))).astype(dtype)
+        out = ad.gather(x, index)
+        np.testing.assert_array_equal(out.data, x.data[index])
+        out._backward(g)
+        want = np.zeros_like(x.data)
+        np.add.at(want, index, g)
+        np.testing.assert_array_equal(x.grad, want)
+        assert x.grad.dtype == dtype
+
+    def test_gather_of_constant_is_constant(self):
+        out = ad.gather(Tensor.constant(np.ones((3, 2))), np.array([0, 0]))
+        assert not out.requires_grad and out._backward is None
+
 
 class TestOpProtocol:
     @pytest.mark.parametrize("op", [

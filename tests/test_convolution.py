@@ -222,6 +222,22 @@ class TestBlockedCore:
         for array in self._run(2, True, channels_first, np.float32):
             assert array.dtype == np.float32
 
+    def test_float32_input_with_float64_kernel_runs_in_float64(self):
+        # the promoted dtype, as autodiff.linear's product: an f32 window
+        # through an f64 model is computed, not only returned, in f64
+        rng = np.random.default_rng(50)
+        x64 = rng.standard_normal((2, 4, 5, 2))
+        x = Tensor.constant(x64.astype(np.float32))
+        k = Tensor.parameter(rng.standard_normal((3, 2, 3, 3)))
+        b = Tensor.parameter(rng.standard_normal(3))
+        out = convolution._conv(x, k, b, elu=True, channels_first=True)
+        assert out.dtype == np.float64
+        want = convolution._conv(Tensor.constant(x64.astype(np.float32).astype(np.float64)),
+                                 k, b, elu=True, channels_first=True)
+        np.testing.assert_array_equal(out.data, want.data)
+        out._backward(np.ones(out.shape))
+        assert k.grad.dtype == b.grad.dtype == np.float64
+
     @staticmethod
     def _traced(batch):
         """Bytes retained by a (batch, 10, 11) 32 -> 64 channel fused conv

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from eegnet import autodiff as ad
-from eegnet import models
+from eegnet import convolution, models
 from eegnet.autodiff import Tensor, backward
 from eegnet.convolution import conv1d_same, conv2d_same, conv3d_same
 from eegnet.dataset import WindowSegment
@@ -360,21 +360,139 @@ class TestCascade:
 
     def test_tape_size_does_not_grow_with_window(self):
         # each LSTM layer is two tape nodes however many steps the window has
-        def tape_nodes(window):
+        def nodes(window):
             config = reduced_config("cascade", window=window)
             params = param_init(config, seed=0)
             segment = make_segment(config, dtype=np.float32)
-            out = models.forward_windows(params, segment.raw[None], segment.meshes[None],
-                                         mode="train", rng=np.random.default_rng(0))
-            nodes, stack = {}, [out]
-            while stack:
-                t = stack.pop()
-                if t._backward is not None and id(t) not in nodes:
-                    nodes[id(t)] = t
-                    stack.extend(t._parents)
-            return len(nodes)
+            return tape_nodes(models.forward_windows(params, segment.raw[None],
+                                                     segment.meshes[None], mode="train",
+                                                     rng=np.random.default_rng(0)))
 
-        assert tape_nodes(3) == tape_nodes(10)
+        assert nodes(3) == nodes(10)
+
+
+def tape_nodes(out):
+    """The number of tape nodes `out` is built from, itself included."""
+    nodes, stack = {}, [out]
+    while stack:
+        t = stack.pop()
+        if t._backward is not None and id(t) not in nodes:
+            nodes[id(t)] = t
+            stack.extend(t._parents)
+    return len(nodes)
+
+
+def every_frame_conv_stack(config, tensors, x, rng):
+    """The conv stack run on every row of `x`, distinct or not: the conv
+    layers, the flatten, ``elu(cnn.fc)`` and dropout (reference)."""
+    h = convolution._channels_last(x, x.ndim - 2)
+    for i in range(config.conv_depth):
+        h = convolution._conv(h, tensors[f"cnn.conv{i}.kernel"], tensors[f"cnn.conv{i}.bias"],
+                              elu=True, channels_first=i == config.conv_depth - 1)
+    feats = ad.elu(ad.linear(ad.reshape(h, (x.shape[0], -1)), tensors["cnn.fc.weight"],
+                             tensors["cnn.fc.bias"]))
+    return feats if rng is None else ad.dropout(feats, config.keep_prob, rng)
+
+
+def shared_frame_windows(config, starts, dtype, seed=0):
+    """Windows cut from one run of frames at `starts`: raw and meshes
+    (len(starts), S, ...), so overlapping starts share frames."""
+    rng = np.random.default_rng(seed)
+    span = max(starts) + config.window
+    raw = rng.standard_normal((span, config.channels)).astype(dtype)
+    meshes = rng.standard_normal((span, config.mesh_h, config.mesh_w)).astype(dtype)
+    index = np.asarray(starts)[:, None] + np.arange(config.window)
+    return raw[index], meshes[index]
+
+
+class TestDistinctFrames:
+    """The conv stack runs each distinct frame of a constant input once and
+    gathers the rows back; results equal running every frame."""
+
+    @staticmethod
+    def _count_conv_frames(monkeypatch):
+        seen = []
+        conv = convolution._conv
+
+        def counted(x, *args, **kwargs):
+            seen.append(x.shape[0])
+            return conv(x, *args, **kwargs)
+
+        monkeypatch.setattr(convolution, "_conv", counted)
+        return seen
+
+    @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-5)],
+                             ids=["f64", "f32"])
+    @pytest.mark.parametrize("mode", ["eval", "train"])
+    @pytest.mark.parametrize("arch", ["cascade", "parallel", "cnn2d"])
+    def test_matches_every_frame_reference(self, monkeypatch, arch, mode, dtype, tol):
+        config = reduced_config(arch, window=10)
+        params = param_init(config, seed=4, dtype=dtype)
+        # 60 frames in six windows, 30 of them distinct; window 5 repeats window 1
+        raw, meshes = shared_frame_windows(config, [0, 5, 10, 20, 15, 5], dtype)
+        labels = np.arange(6) % config.classes
+
+        def run(params, raw, meshes):
+            logits = models.forward_windows(params, raw, meshes, mode,
+                                            np.random.default_rng(9) if mode == "train" else None)
+            backward(ad.softmax_cross_entropy_batch(logits, labels)[0])
+            return [logits.data] + [t.grad for t in params.tensors.values()]
+
+        seen = self._count_conv_frames(monkeypatch)
+        got = run(params, raw, meshes)
+        assert seen[0] == 30
+        monkeypatch.setattr(models, "_conv_stack", every_frame_conv_stack)
+        want = run(params, raw, meshes)
+        # the reference on the same values in f64: in f32 a conv bias
+        # gradient that sums cancelling terms is only as close to it as f32
+        # rounding allows, for the reference as for the deduplicated stack
+        exact = run(models.ModelParams(config, {name: Tensor.parameter(t.data.astype(np.float64))
+                                                for name, t in params.tensors.items()}),
+                    raw.astype(np.float64), meshes.astype(np.float64))
+        for name, a, b, e in zip(["logits", *params.tensors], got, want, exact):
+            assert a.dtype == b.dtype == dtype, name
+            rounding = np.abs(b - e).max()
+            assert np.abs(a - b).max() <= tol * np.abs(b).max() + 2 * rounding, name
+
+    def test_conv_sees_only_distinct_frames(self, monkeypatch):
+        # three chained windows of 4 frames, each sharing half with the last
+        config = reduced_config("cascade", window=4)
+        params = param_init(config, seed=0)
+        raw, meshes = shared_frame_windows(config, [0, 2, 4], np.float32)
+        seen = self._count_conv_frames(monkeypatch)
+        models.forward_windows(params, raw, meshes)
+        assert seen == [8] * config.conv_depth
+
+    def test_input_requiring_gradient_runs_every_row(self, monkeypatch):
+        # merging rows would leave the merged rows without their own x.grad
+        config = reduced_config("cnn2d")
+        tensors = param_init(config, seed=0, dtype=np.float64).tensors
+        x = Tensor.parameter(np.ones((4, 1, config.mesh_h, config.mesh_w)))
+        seen = self._count_conv_frames(monkeypatch)
+        backward(ad.tensor_sum(models._conv_stack(config, tensors, x, None)))
+        assert seen[0] == 4
+        assert x.grad.shape == x.shape
+        np.testing.assert_array_equal(x.grad, np.broadcast_to(x.grad[:1], x.shape))
+
+    def test_negative_zero_frame_not_merged_with_zero(self, monkeypatch):
+        config = reduced_config("cnn2d", window=3)
+        params = param_init(config, seed=0)
+        meshes = np.zeros((1, 3, config.mesh_h, config.mesh_w), np.float32)
+        meshes[0, 1, 2, 3] = -0.0
+        seen = self._count_conv_frames(monkeypatch)
+        models.forward_windows(params, meshes, meshes)
+        assert seen[0] == 2
+
+    def test_shared_frames_add_one_tape_node(self):
+        config = reduced_config("cascade", window=4)
+        params = param_init(config, seed=0)
+
+        def nodes(starts):
+            raw, meshes = shared_frame_windows(config, starts, np.float32)
+            return tape_nodes(models.forward_windows(params, raw, meshes, mode="train",
+                                                     rng=np.random.default_rng(0)))
+
+        assert nodes([0, 2, 4]) == nodes([0, 4, 8]) + 1
 
 
 class TestParallel:

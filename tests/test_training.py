@@ -351,6 +351,20 @@ class TestPredict:
         m = evaluate(params, test_set)
         np.testing.assert_array_equal(confusion, m.confusion)
 
+    def test_float64_params_match_evaluate(self, tiny_sets):
+        # the f32 stored window is cast to the parameters' dtype, as evaluate
+        # casts it: the mean -log p(label) over predict's probabilities is
+        # evaluate's loss, where an f32 conv stack differed by about 2e-9
+        _, test_set = tiny_sets
+        params = param_init(tiny_config(), seed=3, dtype=np.float64)
+        nll = []
+        for i in range(test_set.count):
+            probs, _ = predict(params, test_set.raw[i], test_set.meshes[i])
+            assert probs.dtype == np.float64
+            nll.append(-np.log(probs[test_set.labels[i]]))
+        assert test_set.raw.dtype == np.float32
+        assert abs(np.mean(nll) - evaluate(params, test_set).mean_loss) <= 1e-12
+
 
 class TestTapeFreeInference:
     """`predict` and `evaluate` run on frozen parameters: their forwards
