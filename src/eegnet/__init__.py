@@ -17,20 +17,14 @@ from .dataset import (
     prepare_dataset,
     save_prepared,
     segment_windows,
-    split_dataset,
 )
 from .gradcheck import finite_diff_check, run_checks
 from .layout import ElectrodeLayout, from_mesh, layout_default, to_mesh, zscore_mesh
 from .models import (
     ModelConfig,
     ModelParams,
-    baseline_forward,
     canonical_config,
-    cascade_forward,
-    conv_stack_forward,
     fuse,
-    lstm_sequence,
-    parallel_forward,
     param_init,
 )
 from .optim import AdamState, adam_step, init_adam
@@ -54,10 +48,7 @@ __all__ = [
     "WindowSegment",
     "adam_step",
     "backward",
-    "baseline_forward",
     "canonical_config",
-    "cascade_forward",
-    "conv_stack_forward",
     "default_spec",
     "evaluate",
     "finite_diff_check",
@@ -67,8 +58,6 @@ __all__ = [
     "layout_default",
     "load_checkpoint",
     "load_prepared",
-    "lstm_sequence",
-    "parallel_forward",
     "param_init",
     "predict",
     "prepare_dataset",
@@ -77,7 +66,6 @@ __all__ = [
     "save_prepared",
     "segment_windows",
     "softmax_cross_entropy",
-    "split_dataset",
     "synth_dataset",
     "to_mesh",
     "train",

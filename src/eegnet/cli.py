@@ -208,17 +208,18 @@ def _load_checkpoint(path):
 
 def _check_fits(config: ModelConfig, source: str, prepared: ds.PreparedDataset) -> None:
     """The model of `config`, which came from `source` (the run config or a
-    checkpoint), reads windows of the dataset's length and scores the
-    dataset's classes."""
-    if prepared.window != config.window:
-        raise ConfigMismatch(
-            f"dataset window {prepared.window} does not match {source} window {config.window}"
-        )
-    if prepared.n_classes != config.classes:
-        raise ConfigMismatch(
-            f"dataset classes {prepared.n_classes} does not match {source} classes "
-            f"{config.classes}"
-        )
+    checkpoint), reads windows of the dataset's length, channel count and
+    mesh and scores the dataset's classes.  The models do not check the
+    shapes of what they are given, so this is where a mismatch is caught."""
+    rows, cols = prepared.meshes.shape[2:]
+    for what, have, want in (
+        ("window", prepared.window, config.window),
+        ("classes", prepared.n_classes, config.classes),
+        ("channels", prepared.raw.shape[2], config.channels),
+        ("mesh", f"{rows}x{cols}", f"{config.mesh_h}x{config.mesh_w}"),
+    ):
+        if have != want:
+            raise ConfigMismatch(f"dataset {what} {have} does not match {source} {what} {want}")
 
 
 def _require_windows(subset: ds.PreparedDataset, data, side: str) -> None:

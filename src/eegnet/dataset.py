@@ -241,12 +241,6 @@ def split_indices(count: int, ratio: float, seed: int):
     return np.sort(perm[:n_train]), np.sort(perm[n_train:])
 
 
-def split_dataset(segments, ratio: float = 0.75, seed: int = 0):
-    """Partition segments into disjoint, exhaustive (train, test) lists."""
-    train_idx, test_idx = split_indices(len(segments), ratio, seed)
-    return [segments[i] for i in train_idx], [segments[i] for i in test_idx]
-
-
 # ---------------------------------------------------------------------------
 # prepared datasets
 

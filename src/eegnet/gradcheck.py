@@ -160,13 +160,13 @@ def _check_lstm_sequence(rng):
 def _check_conv_stack(rng):
     config = reduced_config("cascade")
     params = param_init(config, seed=3, dtype=np.float64)
-    mesh = rng.standard_normal((1, config.mesh_h, config.mesh_w))
-    c = rng.standard_normal(config.fc_width)
+    # one frame, channels-first (1, 1, h, w)
+    frame = Tensor.constant(rng.standard_normal((1, config.mesh_h, config.mesh_w))[None])
+    c = rng.standard_normal((1, config.fc_width))
     stack = [params.tensors[k] for k in params.tensors if k.startswith("cnn.")]
 
     def fn(*_):
-        out = models.conv_stack_forward(mesh, params, mode="eval")
-        return _weighted_sum(out, c)
+        return _weighted_sum(models._conv_stack(config, params.tensors, frame, None), c)
 
     return finite_diff_check(fn, stack)
 

@@ -1,13 +1,13 @@
 """Cascade and parallel convolutional-recurrent architectures plus baselines.
 
-Every architecture maps one labeled window (raw vectors and/or normalized
-meshes) to K class logits; softmax lives in the loss during training and in
-prediction at inference.  Forward passes are pure functions of the input,
-the parameters, the mode and the dropout mask source, and accept either one
-window (spec-level entry points) or a batch (training paths).  A forward's
-mode is its dropout source: each public entry point turns "train" into its
-rng and "eval" into None, and the private blocks drop out exactly when they
-are handed an rng.
+Every architecture maps a batch of labeled windows (raw vectors and/or
+normalized meshes) to K class logits per window through one entry point,
+:func:`forward_windows`; one window is a batch of one.  Softmax lives in the
+loss during training and in prediction at inference.  A forward is a pure
+function of the input, the parameters, the mode and the dropout mask source.
+Its mode is its dropout source: :func:`forward_windows` turns "train" into
+its rng and "eval" into None, and the private blocks drop out exactly when
+they are handed an rng.
 
 Dropout placement: after the fully connected layer inside the per-step conv
 stack and after the final-stage fully connected layers (the cascade head FC
@@ -16,11 +16,11 @@ connections carry no dropout.  Per-step conv weights are shared across the
 window's time steps, and overlapping windows share frames, so the conv
 stack computes its features (conv layers and ``elu(cnn.fc)``) once per
 distinct frame of a batch and gathers them back to every step; its dropout
-comes after that gather, one mask entry per step.  Every dense layer stores its weight (out, in) and runs
-as one :func:`autodiff.linear` node.  Each LSTM layer is two nodes whatever
-the window length: its input projection over all steps as one
-:func:`autodiff.linear`, with `rnn.l{j}.w` stored (4·hidden, in), and its
-recurrence as one :func:`autodiff.lstm`.
+comes after that gather, one mask entry per step.  Every dense layer stores
+its weight (out, in) and runs as one :func:`autodiff.linear` node.  Each
+LSTM layer is two nodes whatever the window length: its input projection
+over all steps as one :func:`autodiff.linear`, with `rnn.l{j}.w` stored
+(4·hidden, in), and its recurrence as one :func:`autodiff.lstm`.
 """
 
 from __future__ import annotations
@@ -315,11 +315,6 @@ def _dropout_rng(mode: str, rng):
     return rng if mode == "train" else None
 
 
-def _require_arch(params: ModelParams, arch: str) -> None:
-    if params.config.arch != arch:
-        raise ValueError(f"params are for {params.config.arch!r}, not {arch!r}")
-
-
 def _dense(x: Tensor, tensors: dict, name: str) -> Tensor:
     return ad.linear(x, tensors[f"{name}.weight"], tensors[f"{name}.bias"])
 
@@ -393,31 +388,8 @@ def _lstm_stack(seq: Tensor, tensors: dict, depth: int, hidden: int) -> Tensor:
     return seq[:, -1]
 
 
-def lstm_sequence(inputs, params: ModelParams) -> Tensor:
-    """Stacked-LSTM readout of a step sequence, each step (B, in) or (in,):
-    only the final time step's top-layer hidden state is returned."""
-    steps = [x if isinstance(x, Tensor) else Tensor.constant(np.asarray(x)) for x in inputs]
-    if not steps:
-        raise ValueError("LSTM sequence must contain at least one step")
-    single = steps[0].ndim == 1
-    seq = ad.concat([ad.reshape(x, (-1, 1, x.shape[-1])) for x in steps], axis=1)
-    out = _lstm_stack(seq, params.tensors, params.config.lstm_depth, params.config.hidden)
-    return ad.reshape(out, (-1,)) if single else out
-
-
-def conv_stack_forward(mesh, params: ModelParams, mode: str = "eval", rng=None) -> Tensor:
-    """Per-step spatial feature vector of one (h, w) or (1, h, w) mesh."""
-    rng = _dropout_rng(mode, rng)
-    config = params.config
-    mesh = np.asarray(mesh)
-    if mesh.shape not in ((config.mesh_h, config.mesh_w), (1, config.mesh_h, config.mesh_w)):
-        raise ValueError(f"mesh must be (1, {config.mesh_h}, {config.mesh_w}), got {mesh.shape}")
-    meshes = mesh.reshape(1, 1, config.mesh_h, config.mesh_w)
-    return ad.reshape(_step_features(params, meshes, rng), (-1,))
-
-
-def fuse(spatial, temporal, kind: str, params: ModelParams | None = None) -> Tensor:
-    """Combine spatial and temporal feature vectors (single or batched).
+def fuse(spatial: Tensor, temporal: Tensor, kind: str, params: ModelParams | None = None) -> Tensor:
+    """Combine (B, F) spatial and temporal feature batches.
 
     cat: concatenation, spatial first.  add: elementwise sum.  cat-fc:
     concatenation through a dense layer with ELU.  cat-conv: a two-channel
@@ -425,24 +397,18 @@ def fuse(spatial, temporal, kind: str, params: ModelParams | None = None) -> Ten
     """
     if kind not in FUSIONS:
         raise ValueError(f"unknown fusion {kind!r}, expected one of {FUSIONS}")
-    a = spatial if isinstance(spatial, Tensor) else Tensor.constant(np.asarray(spatial))
-    b = temporal if isinstance(temporal, Tensor) else Tensor.constant(np.asarray(temporal))
-    single = a.ndim == 1
-    if single:
-        a, b = ad.reshape(a, (1, -1)), ad.reshape(b, (1, -1))
-    if kind in ("add", "cat-conv") and a.shape != b.shape:
-        raise ValueError(f"{kind} fusion needs equal sizes, got {a.shape} and {b.shape}")
+    if kind in ("add", "cat-conv") and spatial.shape != temporal.shape:
+        raise ValueError(f"{kind} fusion needs equal sizes, "
+                         f"got {spatial.shape} and {temporal.shape}")
     if kind == "cat":
-        out = ad.concat([a, b], axis=1)
-    elif kind == "add":
-        out = ad.add(a, b)
-    elif kind == "cat-fc":
-        out = ad.elu(_dense(ad.concat([a, b], axis=1), params.tensors, "fuse"))
-    else:  # cat-conv
-        w = params.tensors["fuse.weight"]
-        bias = params.tensors["fuse.bias"]
-        out = ad.add(ad.add(ad.mul(a, w[0:1]), ad.mul(b, w[1:2])), bias)
-    return ad.reshape(out, (-1,)) if single else out
+        return ad.concat([spatial, temporal], axis=1)
+    if kind == "add":
+        return ad.add(spatial, temporal)
+    if kind == "cat-fc":
+        return ad.elu(_dense(ad.concat([spatial, temporal], axis=1), params.tensors, "fuse"))
+    w = params.tensors["fuse.weight"]  # cat-conv
+    weighted = ad.add(ad.mul(spatial, w[0:1]), ad.mul(temporal, w[1:2]))
+    return ad.add(weighted, params.tensors["fuse.bias"])
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +455,7 @@ def forward_windows(params: ModelParams, raw: np.ndarray, meshes: np.ndarray,
     raw windows, cascade, cnn2d and cnn3d the meshes, parallel both.  The
     per-sample baselines (cnn1d, cnn2d) classify a window by averaging the
     per-step logits; the average is order-invariant, so these models see no
-    temporal structure, matching their single-sample contracts.
+    temporal structure.
     """
     rng = _dropout_rng(mode, rng)
     config = params.config
@@ -516,47 +482,3 @@ def forward_windows(params: ModelParams, raw: np.ndarray, meshes: np.ndarray,
         per_step = ad.reshape(_dense(feats, tensors, "head.out"), (batch, steps, config.classes))
         return ad.mul(ad.tensor_sum(per_step, axis=1), 1.0 / steps)
     return _dense(feats, tensors, "head.out")
-
-
-# ---------------------------------------------------------------------------
-# spec-level single-window entry points
-
-def _single(params: ModelParams, arch: str, segment, mode: str, rng) -> Tensor:
-    _require_arch(params, arch)
-    raw, meshes = np.asarray(segment.raw), np.asarray(segment.meshes)
-    return ad.reshape(forward_windows(params, raw[None], meshes[None], mode, rng), (-1,))
-
-
-def cascade_forward(segment, params: ModelParams, mode: str = "eval", rng=None) -> Tensor:
-    return _single(params, "cascade", segment, mode, rng)
-
-
-def parallel_forward(segment, params: ModelParams, mode: str = "eval", rng=None) -> Tensor:
-    return _single(params, "parallel", segment, mode, rng)
-
-
-def parallel_features(segment, params: ModelParams, mode: str = "eval", rng=None):
-    """The two pre-fusion feature vectors of the parallel model: the summed
-    per-step spatial features and the RNN-path temporal features."""
-    _require_arch(params, "parallel")
-    spatial, temporal = _parallel_paths(params, np.asarray(segment.raw)[None],
-                                        np.asarray(segment.meshes)[None], _dropout_rng(mode, rng))
-    return ad.reshape(spatial, (-1,)), ad.reshape(temporal, (-1,))
-
-
-def baseline_forward(x, params: ModelParams, kind: str, mode: str = "eval", rng=None) -> Tensor:
-    """Single-input baseline contract: cnn1d takes one raw sample (n,),
-    cnn2d one mesh (h, w), cnn3d a mesh window (S, h, w), rnn a raw window
-    (S, n)."""
-    _require_arch(params, kind)
-    config = params.config
-    if kind not in ("cnn1d", "cnn2d", "cnn3d", "rnn"):
-        raise ValueError(f"unknown baseline kind {kind!r}")
-    x = np.asarray(x)
-    expected = (config.window, config.channels) if kind == "rnn" else _conv_spatial(config, kind)
-    if x.shape != expected:
-        raise ValueError(f"{kind} input must have shape {expected}, got {x.shape}")
-    # a one-window batch; a single cnn1d/cnn2d sample is a one-step window.
-    # The architecture reads only its own input, so x serves as raw and mesh.
-    window = x[None] if kind in ("cnn3d", "rnn") else x[None, None]
-    return ad.reshape(forward_windows(params, window, window, mode, rng), (-1,))

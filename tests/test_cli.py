@@ -230,6 +230,24 @@ class TestTrain:
                        *TINY_MODEL])
         assert rc == 1
 
+    # the dataset has 64 channels on a 10x11 mesh; a model of another shape
+    # must be refused before anything is written
+    @pytest.mark.parametrize("arch, field, value, message", [
+        ("cascade", "channels", 32, "dataset channels 64 does not match config channels 32"),
+        ("rnn64", "channels", 32, "dataset channels 64 does not match config channels 32"),
+        ("cascade", "mesh_h", 9, "dataset mesh 10x11 does not match config mesh 9x11"),
+    ], ids=["cascade-channels", "rnn64-channels", "cascade-mesh"])
+    def test_input_shape_mismatch_is_descriptive_failure(self, prepared_file, tmp_path, capsys,
+                                                         arch, field, value, message):
+        cfg_path = tmp_path / "shape.json"
+        cfg_path.write_text(json.dumps({"conv_maps": [2, 3, 4], field: value}))
+        out = tmp_path / "run"
+        rc = cli.main(["train", "--arch", arch, "--data", str(prepared_file),
+                       "--out", str(out), "--config", str(cfg_path), *TINY_MODEL])
+        assert rc == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (out / "checkpoint.eegc").exists()
+
     @pytest.mark.parametrize("side", ["train", "test"])
     def test_empty_split_side_is_error(self, prepared_file, tmp_path, capsys, side):
         data = _with_empty_side(prepared_file, tmp_path / "empty.eegw", side)
@@ -339,6 +357,23 @@ class TestEvalPredict:
         assert rc == 1
         captured = capsys.readouterr()
         assert "error: dataset classes 5 does not match checkpoint classes 3" in captured.err
+        assert "window 0:" not in captured.out
+
+    @pytest.mark.parametrize("command, data_flag", [("eval", "--data"),
+                                                    ("predict", "--windows")],
+                             ids=["eval", "predict"])
+    def test_mesh_mismatch_is_error(self, prepared_file, tmp_path, capsys, command, data_flag):
+        config = models.ModelConfig("cascade", mesh_h=9, fc_width=16, hidden=8,
+                                    conv_maps=(2, 3, 4))
+        params = models.param_init(config, seed=0)
+        path = tmp_path / "mesh9.eegc"
+        training.save_checkpoint(path, config, training.TrainConfig(), params,
+                                 optim.init_adam(params.tensors, learning_rate=1e-3),
+                                 epoch=0, rng=np.random.default_rng(0), history=[])
+        rc = cli.main([command, "--checkpoint", str(path), data_flag, str(prepared_file)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "error: dataset mesh 10x11 does not match checkpoint mesh 9x11" in captured.err
         assert "window 0:" not in captured.out
 
     def test_eval_window_mismatch_is_error(self, tiny_checkpoint, prepared_file, capsys):

@@ -73,27 +73,28 @@ class TestSegmentWindows:
 
 class TestSplit:
     def test_75_25(self):
-        train, test = ds.split_dataset(list(range(100)), ratio=0.75, seed=0)
+        train, test = ds.split_indices(100, 0.75, 0)
         assert len(train) == 75 and len(test) == 25
 
     def test_deterministic_for_seed(self):
-        a = ds.split_dataset(list(range(50)), ratio=0.6, seed=9)
-        b = ds.split_dataset(list(range(50)), ratio=0.6, seed=9)
-        assert a == b
+        a = ds.split_indices(50, 0.6, 9)
+        b = ds.split_indices(50, 0.6, 9)
+        np.testing.assert_array_equal(a[0], b[0])
+        np.testing.assert_array_equal(a[1], b[1])
 
     def test_odd_count_half_split(self):
-        train, test = ds.split_dataset(list(range(101)), ratio=0.5, seed=1)
+        train, test = ds.split_indices(101, 0.5, 1)
         assert sorted((len(train), len(test))) == [50, 51]
-        assert sorted(train + test) == list(range(101))
+        assert sorted([*train, *test]) == list(range(101))
 
     def test_partition_is_disjoint_and_exhaustive(self):
-        train, test = ds.split_dataset(list(range(37)), ratio=0.7, seed=2)
+        train, test = ds.split_indices(37, 0.7, 2)
         assert set(train) | set(test) == set(range(37))
         assert set(train) & set(test) == set()
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            ds.split_dataset([], ratio=0.75, seed=0)
+            ds.split_indices(0, 0.75, 0)
 
     def test_bad_ratio_rejected(self):
         with pytest.raises(ValueError, match="ratio"):

@@ -5,29 +5,22 @@ from eegnet import autodiff as ad
 from eegnet import convolution, models
 from eegnet.autodiff import Tensor, backward
 from eegnet.convolution import conv1d_same, conv2d_same, conv3d_same
-from eegnet.dataset import WindowSegment
 from eegnet.gradcheck import reduced_config
-from eegnet.models import (
-    ModelConfig,
-    baseline_forward,
-    canonical_config,
-    cascade_forward,
-    conv_stack_forward,
-    fuse,
-    lstm_sequence,
-    parallel_features,
-    parallel_forward,
-    param_init,
-)
+from eegnet.models import ModelConfig, canonical_config, fuse, param_init
 
 
 def make_segment(config, seed=0, dtype=np.float64):
+    """One window's (raw, meshes) arrays, (S, n) and (S, h, w)."""
     rng = np.random.default_rng(seed)
-    return WindowSegment(
-        raw=rng.standard_normal((config.window, config.channels)).astype(dtype),
-        meshes=rng.standard_normal((config.window, config.mesh_h, config.mesh_w)).astype(dtype),
-        label=0,
-    )
+    raw = rng.standard_normal((config.window, config.channels)).astype(dtype)
+    meshes = rng.standard_normal((config.window, config.mesh_h, config.mesh_w)).astype(dtype)
+    return raw, meshes
+
+
+def frame_features(params, frame):
+    """The conv stack's (F,) features of one (h, w) frame, in eval mode."""
+    x = Tensor.constant(np.asarray(frame)[None, None])
+    return models._conv_stack(params.config, params.tensors, x, None).data[0]
 
 
 def zero_biases(params):
@@ -141,14 +134,15 @@ class TestConvStack:
     def test_zero_mesh_zero_biases_gives_zero_features(self):
         config = reduced_config("cascade")
         params = zero_biases(param_init(config, seed=0))
-        out = conv_stack_forward(np.zeros((1, config.mesh_h, config.mesh_w)), params)
-        np.testing.assert_array_equal(out.data, np.zeros(config.fc_width))
+        out = models._step_features(params, np.zeros((1, 1, config.mesh_h, config.mesh_w)), None)
+        np.testing.assert_array_equal(out.data, np.zeros((1, 1, config.fc_width)))
 
     def test_output_length_is_fc_width(self):
         params = param_init(canonical_config("cascade"), seed=0)
         rng = np.random.default_rng(0)
-        out = conv_stack_forward(rng.standard_normal((1, 10, 11)).astype(np.float32), params)
-        assert out.shape == (1024,)
+        meshes = rng.standard_normal((1, 1, 10, 11)).astype(np.float32)
+        out = models._step_features(params, meshes, None)
+        assert out.shape == (1, 1, 1024)
 
     @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-5)],
                              ids=["f64", "f32"])
@@ -181,11 +175,6 @@ class TestConvStack:
             assert fused.data.dtype == fused_grads[0].dtype == dtype
             for a, b in zip([fused.data] + fused_grads, [composed.data] + grads(composed)):
                 assert np.abs(a - b).max() <= tol * np.abs(b).max()
-
-    def test_wrong_mesh_shape_rejected(self):
-        params = param_init(reduced_config("cascade"), seed=0)
-        with pytest.raises(ValueError, match="mesh"):
-            conv_stack_forward(np.zeros((1, 9, 9)), params)
 
 
 def lstm_reference(steps, tensors, depth, hidden):
@@ -220,18 +209,25 @@ class TestLstm:
         config = reduced_config("rnn", mid_fc=False, final_fc=False)
         return config, param_init(config, seed=seed, dtype=np.float64)
 
+    @staticmethod
+    def _run(steps, params):
+        """The stacked LSTM over a list of (B, in) steps."""
+        seq = Tensor.constant(np.stack(steps, axis=1))
+        return models._lstm_stack(seq, params.tensors, params.config.lstm_depth,
+                                  params.config.hidden)
+
     def test_zero_inputs_zero_biases_fixed_point(self):
         config, params = self._params()
         zero_biases(params)
         steps = [np.zeros((2, config.channels)) for _ in range(4)]
-        out = lstm_sequence(steps, params)
+        out = self._run(steps, params)
         np.testing.assert_array_equal(out.data, np.zeros((2, config.hidden)))
 
     def test_single_step_degenerates_to_one_cell_update(self):
         config, params = self._params(seed=2)
         rng = np.random.default_rng(1)
         x = rng.standard_normal((3, config.channels))
-        seq_out = lstm_sequence([x], params)
+        seq_out = self._run([x], params)
         ref = lstm_reference([x], params.tensors, config.lstm_depth, config.hidden)
         np.testing.assert_allclose(seq_out.data, ref, atol=1e-12)
 
@@ -239,24 +235,20 @@ class TestLstm:
         config, params = self._params(seed=3)
         rng = np.random.default_rng(2)
         steps = [rng.standard_normal((2, config.channels)) for _ in range(3)]
-        out = lstm_sequence(steps, params)
+        out = self._run(steps, params)
         ref = lstm_reference(steps, params.tensors, config.lstm_depth, config.hidden)
         assert np.abs(out.data - ref).max() <= 1e-10
 
-    def test_single_vector_inputs_supported(self):
-        config, params = self._params(seed=4)
-        rng = np.random.default_rng(3)
-        steps = [rng.standard_normal(config.channels) for _ in range(3)]
-        out = lstm_sequence(steps, params)
-        assert out.shape == (config.hidden,)
-        ref = lstm_reference([s[None] for s in steps], params.tensors,
-                             config.lstm_depth, config.hidden)
-        np.testing.assert_allclose(out.data, ref[0], atol=1e-10)
-
     def test_empty_sequence_rejected(self):
-        _, params = self._params()
+        config, params = self._params()
+        seq = Tensor.constant(np.zeros((2, 0, config.channels)))
         with pytest.raises(ValueError, match="at least one step"):
-            lstm_sequence([], params)
+            models._lstm_stack(seq, params.tensors, config.lstm_depth, config.hidden)
+
+
+def rows(*vectors):
+    """Each vector as a one-row (1, F) constant batch."""
+    return [Tensor.constant(np.asarray(v, dtype=np.float64)[None]) for v in vectors]
 
 
 class TestFuse:
@@ -266,24 +258,24 @@ class TestFuse:
 
     def test_add_of_opposites_is_zero(self):
         x = np.arange(4.0)
-        out = fuse(x, -x, "add")
-        np.testing.assert_array_equal(out.data, np.zeros(4))
+        out = fuse(*rows(x, -x), "add")
+        np.testing.assert_array_equal(out.data, np.zeros((1, 4)))
 
     def test_add_identity(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal(6)
-        out = fuse(x, np.zeros(6), "add")
-        np.testing.assert_array_equal(out.data, x)
+        out = fuse(*rows(x, np.zeros(6)), "add")
+        np.testing.assert_array_equal(out.data[0], x)
 
     def test_concatenate_preserves_inputs_in_order(self):
         a, b = np.arange(3.0), np.arange(10.0, 14.0)
-        out = fuse(a, b, "cat")
-        np.testing.assert_array_equal(out.data[:3], a)
-        np.testing.assert_array_equal(out.data[3:], b)
+        out = fuse(*rows(a, b), "cat")
+        np.testing.assert_array_equal(out.data[0, :3], a)
+        np.testing.assert_array_equal(out.data[0, 3:], b)
 
     def test_concatenate_doubles_size(self):
-        out = fuse(np.ones(8), np.ones(8), "cat")
-        assert out.shape == (16,)
+        out = fuse(*rows(np.ones(8), np.ones(8)), "cat")
+        assert out.shape == (1, 16)
 
     def test_pointwise_conv_with_unit_weights_is_sum(self):
         params = self._params("cat-conv")
@@ -291,82 +283,75 @@ class TestFuse:
         params.tensors["fuse.bias"] = Tensor.parameter(np.zeros(1))
         rng = np.random.default_rng(1)
         a, b = rng.standard_normal(8), rng.standard_normal(8)
-        out = fuse(a, b, "cat-conv", params)
-        np.testing.assert_allclose(out.data, a + b, atol=1e-12)
+        out = fuse(*rows(a, b), "cat-conv", params)
+        np.testing.assert_allclose(out.data[0], a + b, atol=1e-12)
 
     def test_cat_fc_shape_and_elu(self):
         params = self._params("cat-fc")
         size = 8
         a = np.zeros(size)
-        out = fuse(a, a, "cat-fc", params)
-        assert out.shape == (params.config.fc_width,)
+        out = fuse(*rows(a, a), "cat-fc", params)
+        assert out.shape == (1, params.config.fc_width)
 
     def test_size_violation_rejected(self):
         with pytest.raises(ValueError, match="equal sizes"):
-            fuse(np.ones(3), np.ones(4), "add")
+            fuse(*rows(np.ones(3), np.ones(4)), "add")
         with pytest.raises(ValueError, match="equal sizes"):
-            fuse(np.ones(3), np.ones(4), "cat-conv")
+            fuse(*rows(np.ones(3), np.ones(4)), "cat-conv")
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="fusion"):
-            fuse(np.ones(3), np.ones(3), "mean")
+            fuse(*rows(np.ones(3), np.ones(3)), "mean")
 
 
 class TestCascade:
     def test_logit_count_canonical(self):
         config = canonical_config("cascade", window=3)  # short window to keep it fast
         params = param_init(config, seed=0)
-        segment = make_segment(config, dtype=np.float32)
-        out = cascade_forward(segment, params)
-        assert out.shape == (5,)
+        raw, meshes = make_segment(config, dtype=np.float32)
+        out = models.forward_windows(params, raw[None], meshes[None])
+        assert out.shape == (1, 5)
 
     def test_eval_mode_deterministic_bitwise(self):
         config = reduced_config("cascade")
         params = param_init(config, seed=1, dtype=np.float64)
-        segment = make_segment(config, seed=5)
-        a = cascade_forward(segment, params)
-        b = cascade_forward(segment, params)
+        raw, meshes = make_segment(config, seed=5)
+        a = models.forward_windows(params, raw[None], meshes[None])
+        b = models.forward_windows(params, raw[None], meshes[None])
         np.testing.assert_array_equal(a.data, b.data)
 
     def test_train_mode_requires_rng(self):
         config = reduced_config("cascade")
         params = param_init(config, seed=1)
-        segment = make_segment(config, dtype=np.float32)
+        raw, meshes = make_segment(config, dtype=np.float32)
         with pytest.raises(ValueError, match="rng"):
-            cascade_forward(segment, params, mode="train")
-
-    def test_wrong_arch_params_rejected(self):
-        config = reduced_config("parallel")
-        params = param_init(config, seed=0)
-        with pytest.raises(ValueError, match="cascade"):
-            cascade_forward(make_segment(config), params)
+            models.forward_windows(params, raw[None], meshes[None], mode="train")
 
     def test_degenerates_to_conv_fc_pipeline_when_lstm_is_passthrough(self, monkeypatch):
         # window of 1 with the recurrent stage replaced by identity: the
         # cascade must equal conv stack -> head FC -> logits
         config = reduced_config("cascade", window=1, hidden=8)  # hidden == fc_width
         params = param_init(config, seed=2, dtype=np.float64)
-        segment = make_segment(config, seed=7)
+        raw, meshes = make_segment(config, seed=7)
         monkeypatch.setattr(models, "_lstm_stack",
                             lambda seq, tensors, depth, hidden: seq[:, -1])
-        got = cascade_forward(segment, params)
-        feats = conv_stack_forward(segment.meshes[0][None], params).data
+        got = models.forward_windows(params, raw[None], meshes[None])
+        feats = frame_features(params, meshes[0])
         t = {name: p.data for name, p in params.tensors.items()}
         # dense weights are stored (out, in)
         z = feats @ t["head.fc.weight"].T + t["head.fc.bias"]
         hidden = np.where(z > 0, z, np.expm1(np.minimum(z, 0.0)))
         expected = hidden @ t["head.out.weight"].T + t["head.out.bias"]
-        np.testing.assert_allclose(got.data, expected, atol=1e-12)
+        np.testing.assert_allclose(got.data[0], expected, atol=1e-12)
 
     def test_tape_size_does_not_grow_with_window(self):
         # each LSTM layer is two tape nodes however many steps the window has
         def nodes(window):
             config = reduced_config("cascade", window=window)
             params = param_init(config, seed=0)
-            segment = make_segment(config, dtype=np.float32)
-            return tape_nodes(models.forward_windows(params, segment.raw[None],
-                                                     segment.meshes[None], mode="train",
-                                                     rng=np.random.default_rng(0)))
+            raw, meshes = make_segment(config, dtype=np.float32)
+            return tape_nodes(models.forward_windows(params, raw[None], meshes[None],
+                                                     mode="train", rng=np.random.default_rng(0)))
 
         assert nodes(3) == nodes(10)
 
@@ -499,46 +484,40 @@ class TestParallel:
     def test_concatenate_feature_length_doubles(self):
         config = reduced_config("parallel", fusion="cat")
         params = param_init(config, seed=0, dtype=np.float64)
-        segment = make_segment(config)
-        spatial, temporal = parallel_features(segment, params)
+        raw, meshes = make_segment(config)
+        spatial, temporal = models._parallel_paths(params, raw[None], meshes[None], None)
         fused = fuse(spatial, temporal, "cat", params)
-        assert fused.shape == (2 * config.fc_width,)
+        assert fused.shape == (1, 2 * config.fc_width)
         assert params.tensors["head.out.weight"].shape == (config.classes, 2 * config.fc_width)
 
     def test_spatial_features_equal_per_step_sum(self):
         config = reduced_config("parallel")
         params = param_init(config, seed=3, dtype=np.float64)
-        segment = make_segment(config, seed=11)
-        spatial, _ = parallel_features(segment, params)
+        raw, meshes = make_segment(config, seed=11)
+        spatial, _ = models._parallel_paths(params, raw[None], meshes[None], None)
         total = np.zeros(config.fc_width)
         for k in range(config.window):
-            total += conv_stack_forward(segment.meshes[k][None], params).data
-        np.testing.assert_allclose(spatial.data, total, atol=1e-10)
+            total += frame_features(params, meshes[k])
+        np.testing.assert_allclose(spatial.data[0], total, atol=1e-10)
 
     def test_frame_shuffle_keeps_spatial_changes_temporal(self):
         config = reduced_config("parallel")
         params = param_init(config, seed=4, dtype=np.float64)
-        segment = make_segment(config, seed=13)
-        spatial, temporal = parallel_features(segment, params)
+        raw, meshes = make_segment(config, seed=13)
+        spatial, temporal = models._parallel_paths(params, raw[None], meshes[None], None)
         perm = np.array([2, 0, 1])
-        shuffled = WindowSegment(raw=segment.raw[perm], meshes=segment.meshes[perm],
-                                 label=segment.label)
-        spatial2, temporal2 = parallel_features(shuffled, params)
+        spatial2, temporal2 = models._parallel_paths(params, raw[perm][None],
+                                                     meshes[perm][None], None)
         np.testing.assert_allclose(spatial2.data, spatial.data, atol=1e-10)
         assert not np.allclose(temporal2.data, temporal.data)
-
-    def test_features_of_other_arch_params_rejected(self):
-        config = reduced_config("cascade")
-        params = param_init(config, seed=0)
-        with pytest.raises(ValueError, match="'cascade', not 'parallel'"):
-            parallel_features(make_segment(config), params)
 
     @pytest.mark.parametrize("fusion", ["cat", "add", "cat-fc", "cat-conv"])
     def test_all_fusions_emit_k_logits(self, fusion):
         config = reduced_config("parallel", fusion=fusion)
         params = param_init(config, seed=0, dtype=np.float64)
-        out = parallel_forward(make_segment(config), params)
-        assert out.shape == (config.classes,)
+        raw, meshes = make_segment(config)
+        out = models.forward_windows(params, raw[None], meshes[None])
+        assert out.shape == (1, config.classes)
 
 
 class TestBaselines:
@@ -547,34 +526,27 @@ class TestBaselines:
         config = reduced_config(kind)
         params = param_init(config, seed=0, dtype=np.float64)
         rng = np.random.default_rng(0)
+        # one input of each kind as a one-window batch: a single cnn1d sample
+        # or cnn2d mesh is a one-step window.  Each kind reads only its own
+        # input, so x serves as raw and meshes.
         shapes = {
-            "cnn1d": (config.channels,),
-            "cnn2d": (config.mesh_h, config.mesh_w),
-            "cnn3d": (config.window, config.mesh_h, config.mesh_w),
-            "rnn": (config.window, config.channels),
+            "cnn1d": (1, 1, config.channels),
+            "cnn2d": (1, 1, config.mesh_h, config.mesh_w),
+            "cnn3d": (1, config.window, config.mesh_h, config.mesh_w),
+            "rnn": (1, config.window, config.channels),
         }
-        out = baseline_forward(rng.standard_normal(shapes[kind]), params, kind)
-        assert out.shape == (config.classes,)
-
-    def test_kind_params_mismatch_rejected(self):
-        params = param_init(reduced_config("cnn2d"), seed=0)
-        with pytest.raises(ValueError, match="cnn1d"):
-            baseline_forward(np.zeros(6), params, "cnn1d")
-
-    def test_wrong_input_shape_rejected(self):
-        params = param_init(reduced_config("cnn1d"), seed=0)
-        with pytest.raises(ValueError, match="shape"):
-            baseline_forward(np.zeros(7), params, "cnn1d")
+        x = rng.standard_normal(shapes[kind])
+        out = models.forward_windows(params, x, x)
+        assert out.shape == (1, config.classes)
 
     def test_window_adapter_is_order_invariant_for_per_sample_kinds(self):
         # mean-logit pooling: shuffling frames cannot change 1D/2D decisions
         config = reduced_config("cnn1d")
         params = param_init(config, seed=1, dtype=np.float64)
-        segment = make_segment(config, seed=3)
-        logits = models.forward_windows(params, segment.raw[None], segment.meshes[None])
+        raw, meshes = make_segment(config, seed=3)
+        logits = models.forward_windows(params, raw[None], meshes[None])
         perm = np.array([1, 2, 0])
-        shuffled = models.forward_windows(params, segment.raw[perm][None],
-                                          segment.meshes[perm][None])
+        shuffled = models.forward_windows(params, raw[perm][None], meshes[perm][None])
         np.testing.assert_allclose(logits.data, shuffled.data, atol=1e-12)
 
 
@@ -597,30 +569,32 @@ class TestShapeContract:
     def test_cascade_variants(self, variant, window):
         config = reduced_config("cascade", window=window, **variant)
         params = param_init(config, seed=0, dtype=np.float64)
-        out = cascade_forward(make_segment(config), params)
-        assert out.shape == (config.classes,)
+        raw, meshes = make_segment(config)
+        out = models.forward_windows(params, raw[None], meshes[None])
+        assert out.shape == (1, config.classes)
 
     @pytest.mark.parametrize("window", [1, 4])
     @pytest.mark.parametrize("variant", PARALLEL_VARIANTS)
     def test_parallel_variants(self, variant, window):
         config = reduced_config("parallel", window=window, **variant)
         params = param_init(config, seed=0, dtype=np.float64)
-        out = parallel_forward(make_segment(config), params)
-        assert out.shape == (config.classes,)
+        raw, meshes = make_segment(config)
+        out = models.forward_windows(params, raw[None], meshes[None])
+        assert out.shape == (1, config.classes)
 
     @pytest.mark.parametrize("arch", ["cnn1d", "cnn2d", "cnn3d", "rnn"])
     @pytest.mark.parametrize("window", [1, 4])
     def test_baseline_windows(self, arch, window):
         config = reduced_config(arch, window=window)
         params = param_init(config, seed=0, dtype=np.float64)
-        segment = make_segment(config)
-        out = models.forward_windows(params, segment.raw[None], segment.meshes[None])
+        raw, meshes = make_segment(config)
+        out = models.forward_windows(params, raw[None], meshes[None])
         assert out.shape == (1, config.classes)
 
     def test_train_mode_matches_eval_shape(self):
         config = reduced_config("cascade")
         params = param_init(config, seed=0, dtype=np.float64)
-        segment = make_segment(config)
+        raw, meshes = make_segment(config)
         rng = np.random.default_rng(0)
-        out = cascade_forward(segment, params, mode="train", rng=rng)
-        assert out.shape == (config.classes,)
+        out = models.forward_windows(params, raw[None], meshes[None], mode="train", rng=rng)
+        assert out.shape == (1, config.classes)
