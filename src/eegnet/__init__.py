@@ -12,11 +12,9 @@ from .dataset import (
     DatasetManifest,
     PreparedDataset,
     Recording,
-    WindowSegment,
     load_prepared,
     prepare_dataset,
     save_prepared,
-    segment_windows,
 )
 from .gradcheck import finite_diff_check, run_checks
 from .layout import ElectrodeLayout, from_mesh, layout_default, to_mesh, zscore_mesh
@@ -45,7 +43,6 @@ __all__ = [
     "SynthSpec",
     "Tensor",
     "TrainConfig",
-    "WindowSegment",
     "adam_step",
     "backward",
     "canonical_config",
@@ -64,7 +61,6 @@ __all__ = [
     "run_checks",
     "save_checkpoint",
     "save_prepared",
-    "segment_windows",
     "softmax_cross_entropy",
     "synth_dataset",
     "to_mesh",

@@ -211,11 +211,11 @@ def _check_fits(config: ModelConfig, source: str, prepared: ds.PreparedDataset) 
     checkpoint), reads windows of the dataset's length, channel count and
     mesh and scores the dataset's classes.  The models do not check the
     shapes of what they are given, so this is where a mismatch is caught."""
-    rows, cols = prepared.meshes.shape[2:]
+    rows, cols = prepared.frame_meshes.shape[1:]
     for what, have, want in (
         ("window", prepared.window, config.window),
         ("classes", prepared.n_classes, config.classes),
-        ("channels", prepared.raw.shape[2], config.channels),
+        ("channels", prepared.frames.shape[1], config.channels),
         ("mesh", f"{rows}x{cols}", f"{config.mesh_h}x{config.mesh_w}"),
     ):
         if have != want:
@@ -272,8 +272,9 @@ def cmd_predict(args) -> int:
     prepared = ds.load_prepared(args.windows)
     _check_fits(ckpt.model_config, "checkpoint", prepared)
     names = prepared.label_names
-    for i in range(prepared.count):
-        probs, cls = training.predict(ckpt.params, prepared.raw[i], prepared.meshes[i])
+    for i, frames in enumerate(prepared.index):
+        probs, cls = training.predict(ckpt.params, prepared.frames[frames],
+                                      prepared.frame_meshes[frames])
         rendered = " ".join(repr(float(p)) for p in probs)
         print(f"window {i}: class={cls} ({names.get(cls, cls)}) probs=[{rendered}]")
     return 0

@@ -3,11 +3,11 @@
 Recordings arrive as CSV (one row per time sample, columns ch1..chN) plus a
 JSON manifest carrying subject ids, labels, the sample rate and the split
 policy.  Prepared datasets are stored in a little-endian binary container
-(magic ``EEGW``, version 3) holding each distinct raw frame once, one start
-offset per window, the labels and the split.  Windows that overlap their
-predecessor by half share its frames, so the 50%-overlapping windows of a
-recording cost about one copy of its samples.  The loader rebuilds the
-meshes, a per-frame function of the raw frames, and gathers both per window.
+(magic ``EEGW``, version 3) holding each raw frame once, one start offset
+per window, the labels and the split.  In memory too a dataset holds each
+frame once, with its mesh, and each window as a start offset, so the
+50%-overlapping windows of a recording cost about one copy of its samples.
+The loader rebuilds the meshes, a per-frame function of the raw frames.
 """
 
 from __future__ import annotations
@@ -16,7 +16,8 @@ import json
 import logging
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -75,15 +76,6 @@ class Recording:
     label: int
     samples: np.ndarray  # (N, n) float32
     sample_rate: int = 160
-
-
-@dataclass
-class WindowSegment:
-    """S consecutive samples in raw and normalized-mesh form, one label."""
-
-    raw: np.ndarray     # (S, n)
-    meshes: np.ndarray  # (S, rows, cols), per-frame z-scored
-    label: int
 
 
 @dataclass
@@ -197,37 +189,9 @@ def load_recording_csv(path, entry: ManifestEntry, sample_rate: int = 160,
 # ---------------------------------------------------------------------------
 # windowing and splitting
 
-def segment_windows(recording: Recording, window: int = 10) -> list:
-    """Slice a recording into 50%-overlapping windows of `window` samples.
-
-    Starts form the arithmetic progression 0, S/2, S, ...; each window
-    carries the recording's label and never crosses into another recording.
-    All-zero (missing) samples are kept.  Meshes use the default 64-channel,
-    10x11 montage (``layout_default``).  Returns [] when the recording is
-    shorter than one window.
-    """
+def _check_window(window: int) -> None:
     if window < 2 or window % 2:
         raise ValueError(f"window size must be even and >= 2, got {window}")
-    samples = recording.samples
-    n = samples.shape[0]
-    if n < window:
-        log.warning(
-            "recording %s has %d samples, shorter than window %d; produced 0 windows",
-            recording.subject, n, window,
-        )
-        return []
-    step = window // 2
-    meshes = normalized_meshes(samples).astype(np.float32, copy=False)
-    segments = []
-    for start in range(0, n - window + 1, step):
-        segments.append(
-            WindowSegment(
-                raw=samples[start:start + window].copy(),
-                meshes=meshes[start:start + window].copy(),
-                label=recording.label,
-            )
-        )
-    return segments
 
 
 def split_indices(count: int, ratio: float, seed: int):
@@ -246,20 +210,35 @@ def split_indices(count: int, ratio: float, seed: int):
 
 @dataclass
 class PreparedDataset:
-    """Dense window arrays plus manifest metadata, ready for training."""
+    """Windows held frame-major, plus manifest metadata, ready for training.
 
-    raw: np.ndarray      # (q, S, n) float32
-    meshes: np.ndarray   # (q, S, rows, cols) float32
-    labels: np.ndarray   # (q,) uint8
+    Window i is the `window` consecutive frames from ``starts[i]``, so
+    windows that overlap share their frames.  `raw` and `meshes` give the
+    dense (q, S, ...) windows, gathered on first use and kept."""
+
+    frames: np.ndarray        # (F, n) float32 raw frames
+    frame_meshes: np.ndarray  # (F, rows, cols) float32, each frame z-scored
+    starts: np.ndarray        # (q,) intp, each window's first frame
+    labels: np.ndarray        # (q,) uint8
+    window: int               # S, the frames per window
     meta: dict
 
     @property
     def count(self) -> int:
-        return self.raw.shape[0]
+        return len(self.starts)
 
     @property
-    def window(self) -> int:
-        return self.raw.shape[1]
+    def index(self) -> np.ndarray:
+        """(q, S) frame index of every window step."""
+        return self.starts[:, None] + np.arange(self.window)
+
+    @cached_property
+    def raw(self) -> np.ndarray:
+        return np.take(self.frames, self.index, axis=0)
+
+    @cached_property
+    def meshes(self) -> np.ndarray:
+        return np.take(self.frame_meshes, self.index, axis=0)
 
     @property
     def n_classes(self) -> int:
@@ -270,7 +249,8 @@ class PreparedDataset:
         return {int(k): v for k, v in self.meta["label_names"].items()}
 
     def subset(self, indices) -> "PreparedDataset":
-        """The windows at the given integer indices, without the stored split.
+        """The windows at the given integer indices, without the stored split;
+        the frames stay the parent's arrays.
 
         An empty sequence is allowed and gives an empty dataset with the
         parent's trailing shapes and dtypes.
@@ -281,10 +261,7 @@ class PreparedDataset:
             indices = indices.astype(np.intp)
         meta = dict(self.meta)
         meta.pop("split", None)
-        return PreparedDataset(
-            raw=self.raw[indices], meshes=self.meshes[indices],
-            labels=self.labels[indices], meta=meta,
-        )
+        return replace(self, starts=self.starts[indices], labels=self.labels[indices], meta=meta)
 
     def train_test(self):
         split = self.meta.get("split")
@@ -292,14 +269,33 @@ class PreparedDataset:
             raise DatasetError("dataset carries no stored split")
         return self.subset(split["train"]), self.subset(split["test"])
 
-def from_segments(segments, meta: dict) -> PreparedDataset:
-    if not segments:
-        raise DatasetError("no window segments to assemble")
+
+def window_recordings(recordings, window: int = 10) -> PreparedDataset:
+    """The 50%-overlapping windows of `window` samples of each recording, with
+    empty `meta`.
+
+    Window starts form the progression 0, S/2, S, ... within a recording;
+    each window carries its recording's label and never crosses into another
+    recording.  Each recording's samples are held once, all-zero (missing)
+    samples kept, with their meshes (default 64-channel 10x11 montage,
+    ``layout_default``) computed once per frame.  A recording shorter than
+    one window adds nothing; DatasetError if no recording is that long.
+    """
+    _check_window(window)
+    recordings = [rec for rec in recordings if len(rec.samples) >= window]
+    if not recordings:
+        raise DatasetError("no usable windows: every recording was skipped or too short")
+    frames = [rec.samples.astype(np.float32, copy=False) for rec in recordings]
+    offsets = np.cumsum([0] + [len(f) for f in frames])
+    starts = [offset + np.arange(0, len(f) - window + 1, window // 2)
+              for offset, f in zip(offsets, frames)]
     return PreparedDataset(
-        raw=np.stack([s.raw for s in segments]).astype(np.float32),
-        meshes=np.stack([s.meshes for s in segments]).astype(np.float32),
-        labels=np.array([s.label for s in segments], dtype=np.uint8),
-        meta=meta,
+        frames=np.concatenate(frames),
+        frame_meshes=np.concatenate([normalized_meshes(f) for f in frames]),
+        starts=np.concatenate(starts),
+        labels=np.repeat(np.array([rec.label for rec in recordings], np.uint8),
+                         [len(s) for s in starts]),
+        window=window, meta={},
     )
 
 
@@ -310,9 +306,12 @@ def prepare_dataset(manifest: DatasetManifest, window: int = 10,
 
     Recordings have the 64 channels of the default 10x11 montage
     (``layout_default``), which places every sample on the mesh.  Damaged
-    recordings are skipped with a warning; the remainder is processed in
-    manifest order so output is deterministic for any thread count.
+    recordings are skipped with a warning, and so, with another, are
+    recordings shorter than one window; the remainder is processed in
+    manifest order so output is deterministic for any thread count.  An
+    invalid window size raises ValueError before any recording is read.
     """
+    _check_window(window)
     layout = layout_default()
     ratio = manifest.split_ratio if ratio is None else ratio
     seed = manifest.split_seed if seed is None else seed
@@ -331,18 +330,16 @@ def prepare_dataset(manifest: DatasetManifest, window: int = 10,
     else:
         loaded = [load_one(e) for e in manifest.recordings]
 
-    segments = []
     skipped = []
     for entry, rec in zip(manifest.recordings, loaded):
         if rec is None:
             skipped.append(entry.path)
-            continue
-        segments.extend(segment_windows(rec, window=window))
-    if not segments:
-        raise DatasetError("no usable windows: every recording was skipped or too short")
-
-    train_idx, test_idx = split_indices(len(segments), ratio, seed)
-    meta = {
+        elif len(rec.samples) < window:
+            log.warning("recording %s has %d samples, shorter than window %d; "
+                        "produced 0 windows", entry.path, len(rec.samples), window)
+    prepared = window_recordings([rec for rec in loaded if rec is not None], window)
+    train_idx, test_idx = split_indices(prepared.count, ratio, seed)
+    prepared.meta = {
         "window": window,
         "channels": layout.n_channels,
         "mesh": [layout.rows, layout.cols],
@@ -354,7 +351,7 @@ def prepare_dataset(manifest: DatasetManifest, window: int = 10,
         },
         "skipped": skipped,
     }
-    return from_segments(segments, meta)
+    return prepared
 
 
 def save_prepared(path, dataset: PreparedDataset) -> None:
@@ -362,25 +359,20 @@ def save_prepared(path, dataset: PreparedDataset) -> None:
     the (F, n) float32 frames, the (q,) uint32 window starts and the (q,)
     uint8 labels.  The meshes are left out.
 
-    Each frame is stored once per run of overlapping windows: window i
-    continues window i-1 when its first S/2 frames are bitwise equal to the
-    last S/2 frames of window i-1, and then adds only its other frames; any
-    other window adds all S.  The rule looks at content alone, so a shuffled
-    or partial `subset()` round-trips exactly.  A label that is not a key of
-    `label_names` raises DatasetError before anything is written.
+    The file stores each frame that some window uses once, in the dataset's
+    frame order, and the starts renumbered to match; frames no window uses
+    are dropped.  Sharing goes by frame index, never by content, so a
+    shuffled, partial or repeating `subset()` round-trips exactly.  A label
+    that is not a key of `label_names` raises DatasetError before anything
+    is written.
     """
     labels = _check_labels(dataset.meta, dataset.labels, DatasetError)
-    raw = np.ascontiguousarray(dataset.raw, dtype=np.float32)
-    q, s, n = raw.shape
-    half = s // 2
-    # compare bits, not values, so that -0.0 never stands in for 0.0
-    bits = raw.view(np.uint32)
-    chained = np.zeros(q, dtype=bool)
-    chained[1:] = (bits[1:, :half] == bits[:-1, s - half:]).all(axis=(1, 2))
-    added = np.where(chained, s - half, s)
-    starts = np.cumsum(added) - s
-    frames = raw[np.arange(s) >= (s - added)[:, None]]
-    container.write(path, PREPARED_FORMAT, (q, s, n, len(frames)), dataset.meta,
+    used = np.zeros(len(dataset.frames), dtype=bool)
+    used[dataset.index] = True
+    starts = (np.cumsum(used) - 1)[dataset.starts]
+    frames = np.asarray(dataset.frames[used], dtype=np.float32)
+    container.write(path, PREPARED_FORMAT,
+                    (dataset.count, dataset.window, frames.shape[1], len(frames)), dataset.meta,
                     (frames, starts.astype(np.uint32), labels.astype(np.uint8)))
 
 
@@ -427,14 +419,12 @@ def _check_split(meta: dict, count: int) -> None:
 
 
 def load_prepared(path) -> PreparedDataset:
-    """Read an EEGW v3 container, compute the meshes once per stored frame by
-    ingest's rule, and gather the raw frames and meshes of each window.  Bad
-    magic, version (v1 and v2 included), header, truncation, a channel count
-    other than 64, NaN or Inf, a window that runs past the stored frames,
-    fewer than half as many frames as the windows hold (a v3 writer shares
-    at most half of each window, so a small file cannot ask for a huge
-    load), a label outside `label_names` and a stored split that does not
-    index the windows raise typed errors, never a partial dataset."""
+    """Read an EEGW v3 container and compute the meshes once per stored
+    frame by ingest's rule; no window is gathered.  Bad magic, version (v1
+    and v2 included), header, truncation, a channel count other than 64, NaN
+    or Inf, a window that runs past the stored frames, a label outside
+    `label_names` and a stored split that does not index the windows raise
+    typed errors, never a partial dataset."""
     layout = layout_default()
     with container.read(path, PREPARED_FORMAT) as ((q, s, n, f), meta, read_array):
         if n != layout.n_channels:
@@ -451,10 +441,5 @@ def load_prepared(path) -> PreparedDataset:
     if bad.size:
         raise DatasetFormatError(f"prepared dataset window {bad[0]} starts at frame "
                                  f"{starts[bad[0]]}, so its {s} frames run past the {f} stored")
-    if q * s > 2 * f:
-        raise DatasetFormatError(f"prepared dataset holds {f} frames, fewer than half of its "
-                                 f"{q} windows of {s}")
-    index = starts[:, None] + np.arange(s)
-    meshes = normalized_meshes(frames, layout)
-    return PreparedDataset(raw=np.take(frames, index, axis=0),
-                           meshes=np.take(meshes, index, axis=0), labels=labels, meta=meta)
+    return PreparedDataset(frames=frames, frame_meshes=normalized_meshes(frames, layout),
+                           starts=starts, labels=labels, window=s, meta=meta)

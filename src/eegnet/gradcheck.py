@@ -200,12 +200,12 @@ def _check_cascade_overlap(rng):
     config = reduced_config("cascade")
     params = param_init(config, seed=11, dtype=np.float64)
     steps = config.window
-    frames = rng.standard_normal((steps + 1, config.mesh_h, config.mesh_w))
-    meshes = np.stack([frames[:steps], frames[1:]])
-    raw = rng.standard_normal((2, steps, config.channels))
+    meshes = rng.standard_normal((steps + 1, config.mesh_h, config.mesh_w))
+    raw = rng.standard_normal((steps + 1, config.channels))
+    index = np.arange(steps) + np.arange(2)[:, None]
 
     def fn(*_):
-        logits = models.forward_windows(params, raw, meshes, mode="eval")
+        logits = models.forward_windows(params, raw, meshes, mode="eval", index=index)
         return ad.softmax_cross_entropy_batch(logits, np.array([1, 2]))[0]
 
     return finite_diff_check(fn, list(params.tensors.values()))

@@ -15,12 +15,13 @@ and the parallel post-LSTM FC).  The parallel pre-LSTM FC and recurrent
 connections carry no dropout.  Per-step conv weights are shared across the
 window's time steps, and overlapping windows share frames, so the conv
 stack computes its features (conv layers and ``elu(cnn.fc)``) once per
-distinct frame of a batch and gathers them back to every step; its dropout
-comes after that gather, one mask entry per step.  Every dense layer stores
-its weight (out, in) and runs as one :func:`autodiff.linear` node.  Each
-LSTM layer is two nodes whatever the window length: its input projection
-over all steps as one :func:`autodiff.linear`, with `rnn.l{j}.w` stored
-(4·hidden, in), and its recurrence as one :func:`autodiff.lstm`.
+distinct frame index of a batch and gathers them back to every step; its
+dropout comes after that gather, one mask entry per step.  Every dense
+layer stores its weight (out, in) and runs as one :func:`autodiff.linear`
+node.  Each LSTM layer is two nodes whatever the window length: its input
+projection over all steps as one :func:`autodiff.linear`, with
+`rnn.l{j}.w` stored (4·hidden, in), and its recurrence as one
+:func:`autodiff.lstm`.
 """
 
 from __future__ import annotations
@@ -327,34 +328,24 @@ def _dense_elu_dropout(x: Tensor, config: ModelConfig, tensors: dict, name: str,
     return _dropout(ad.elu(_dense(x, tensors, name)), config, rng)
 
 
-def _distinct_rows(x: np.ndarray):
-    """``(keep, index)`` such that ``x[keep][index]`` is `x`: `keep` picks the
-    first of each set of bitwise-equal rows (leading axis), in order of first
-    appearance, so -0.0 and 0.0 stay apart.  None when no two rows are equal."""
-    rows = np.ascontiguousarray(x).reshape(len(x), -1)
-    keys = rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    if len(first) == len(x):
-        return None
+def _first_appearance(ids: np.ndarray):
+    """``(keep, rows)`` such that ``keep[rows]`` is the 1-D `ids`: `keep`
+    holds each distinct id once, in order of first appearance."""
+    _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
     rank = np.argsort(first)
-    position = np.empty_like(rank)
-    position[rank] = np.arange(len(rank))
-    return first[rank], position[inverse]
+    rows = np.empty_like(rank)
+    rows[rank] = np.arange(len(rank))
+    return ids[first[rank]], rows[inverse]
 
 
-def _conv_stack(config: ModelConfig, tensors: dict, x: Tensor, rng) -> Tensor:
+def _conv_stack(config: ModelConfig, tensors: dict, x: Tensor, rng, rows=None) -> Tensor:
     """Conv layers, each one fused conv + bias + ELU node, over a channels-first
     (N, 1, *spatial) batch; the flattened last layer, then ``elu(cnn.fc)``
     and dropout if the model has `cnn.fc`.
 
-    A constant `x` (model input) runs the conv layers, the flatten and
-    ``elu(cnn.fc)`` once per distinct frame, rows compared bitwise: windows
-    that overlap share frames.  One :func:`autodiff.gather` then puts the
-    rows back in batch order before dropout, whose mask keeps its (N, F)
-    shape.  An `x` that requires a gradient runs every row."""
-    distinct = None if x.requires_grad else _distinct_rows(x.data)
-    if distinct is not None:
-        x = Tensor.constant(np.take(x.data, distinct[0], axis=0))
+    Given `rows`, one :func:`autodiff.gather` puts the features of those
+    rows of `x`, in that order, in place of the N before dropout, whose mask
+    then has one row per entry of `rows`."""
     # The layers run channels-last, (N, *spatial, C), so each output is the
     # next layer's lowering input as it stands.  Only the last layer emits
     # channels-first and C-contiguous: the flatten is then a view, and the
@@ -368,9 +359,19 @@ def _conv_stack(config: ModelConfig, tensors: dict, x: Tensor, rng) -> Tensor:
     with_fc = "cnn.fc.weight" in tensors
     if with_fc:
         feats = ad.elu(_dense(feats, tensors, "cnn.fc"))
-    if distinct is not None:
-        feats = ad.gather(feats, distinct[1])
+    if rows is not None:
+        feats = ad.gather(feats, rows)
     return _dropout(feats, config, rng) if with_fc else feats
+
+
+def _frame_features(config: ModelConfig, tensors: dict, frames: np.ndarray,
+                    index: np.ndarray, rng) -> Tensor:
+    """(B·S, F) conv-stack features of the frames a (B, S) `index` picks, in
+    index order.  Each distinct frame index runs through the conv layers
+    and ``elu(cnn.fc)`` once, and the rows are gathered back before dropout."""
+    keep, rows = _first_appearance(index.ravel())
+    x = Tensor.constant(np.take(frames, keep, axis=0)[:, None])
+    return _conv_stack(config, tensors, x, rng, rows if len(keep) < index.size else None)
 
 
 def _lstm_stack(seq: Tensor, tensors: dict, depth: int, hidden: int) -> Tensor:
@@ -414,71 +415,72 @@ def fuse(spatial: Tensor, temporal: Tensor, kind: str, params: ModelParams | Non
 # ---------------------------------------------------------------------------
 # batched architecture forwards
 
-def _step_features(params: ModelParams, meshes: np.ndarray, rng) -> Tensor:
-    """(B, S, F) per-step conv features of a mesh window batch; the conv
-    weights are shared across steps (cascade and parallel)."""
-    config = params.config
-    batch, steps = meshes.shape[:2]
-    x = Tensor.constant(meshes.reshape(batch * steps, 1, config.mesh_h, config.mesh_w))
-    feats = _conv_stack(config, params.tensors, x, rng)
-    return ad.reshape(feats, (batch, steps, feats.shape[1]))
+def _step_features(params: ModelParams, meshes: np.ndarray, index: np.ndarray, rng) -> Tensor:
+    """(B, S, F) per-step conv features of the mesh frames `index` picks; the
+    conv weights are shared across steps (cascade and parallel)."""
+    feats = _frame_features(params.config, params.tensors, meshes, index, rng)
+    return ad.reshape(feats, index.shape + (feats.shape[1],))
 
 
-def _temporal_path(params: ModelParams, raw: np.ndarray, rng) -> Tensor:
-    """Raw window batch through fc_in, the stacked LSTM and fc_out with
-    dropout (the parallel model's RNN path and the rnn baseline)."""
+def _temporal_path(params: ModelParams, raw: np.ndarray, index: np.ndarray, rng) -> Tensor:
+    """The raw frames `index` picks through fc_in, the stacked LSTM and
+    fc_out with dropout (the parallel model's RNN path and the rnn baseline)."""
     config = params.config
     tensors = params.tensors
-    batch, steps = raw.shape[:2]
-    xr = Tensor.constant(raw.reshape(batch * steps, config.channels))
+    xr = Tensor.constant(np.take(raw, index.ravel(), axis=0))
     if config.mid_fc:
         xr = ad.elu(_dense(xr, tensors, "rnn.fc_in"))
-    rseq = ad.reshape(xr, (batch, steps, xr.shape[1]))
+    rseq = ad.reshape(xr, index.shape + (xr.shape[1],))
     h_last = _lstm_stack(rseq, tensors, config.lstm_depth, config.hidden)
     if config.final_fc:
         h_last = _dense_elu_dropout(h_last, config, tensors, "rnn.fc_out", rng)
     return h_last
 
 
-def _parallel_paths(params: ModelParams, raw: np.ndarray, meshes: np.ndarray, rng):
+def _parallel_paths(params: ModelParams, raw: np.ndarray, meshes: np.ndarray,
+                    index: np.ndarray, rng):
     """The parallel model's two pre-fusion feature batches: the per-step
     spatial features summed over the window, and the temporal features."""
-    spatial = ad.tensor_sum(_step_features(params, meshes, rng), axis=1)
-    return spatial, _temporal_path(params, raw, rng)
+    spatial = ad.tensor_sum(_step_features(params, meshes, index, rng), axis=1)
+    return spatial, _temporal_path(params, raw, index, rng)
 
 
 def forward_windows(params: ModelParams, raw: np.ndarray, meshes: np.ndarray,
-                    mode: str = "eval", rng=None) -> Tensor:
-    """Batched window classification: (B, S, ...) arrays -> logits (B, K).
+                    mode: str = "eval", rng=None, index: np.ndarray | None = None) -> Tensor:
+    """Batched window classification: a batch of B windows -> logits (B, K).
 
-    Each architecture reads only the input it uses: cnn1d and rnn read the
-    raw windows, cascade, cnn2d and cnn3d the meshes, parallel both.  The
-    per-sample baselines (cnn1d, cnn2d) classify a window by averaging the
-    per-step logits; the average is order-invariant, so these models see no
-    temporal structure.
+    Without `index`, `raw` (B, S, channels) and `meshes` (B, S, mesh_h,
+    mesh_w) are the windows.  With a (B, S) integer `index`, they are
+    frames, (F, channels) and (F, mesh_h, mesh_w), and step t of window b
+    is frame ``index[b, t]``; the conv stack runs each distinct frame index
+    of the batch once.  Each architecture reads only the input it uses:
+    cnn1d and rnn the raw frames, cascade, cnn2d and cnn3d the meshes,
+    parallel both.  The per-sample baselines (cnn1d, cnn2d) classify a
+    window by averaging the per-step logits; the average is order-invariant,
+    so these models see no temporal structure.
     """
     rng = _dropout_rng(mode, rng)
+    if index is None:  # dense windows: every step its own frame
+        index = np.arange(raw.shape[0] * raw.shape[1]).reshape(raw.shape[:2])
+        raw = raw.reshape((-1,) + raw.shape[2:])
+        meshes = meshes.reshape((-1,) + meshes.shape[2:])
     config = params.config
     arch = config.arch
     tensors = params.tensors
     if arch == "cascade":
-        feats = _lstm_stack(_step_features(params, meshes, rng), tensors,
+        feats = _lstm_stack(_step_features(params, meshes, index, rng), tensors,
                             config.lstm_depth, config.hidden)
         if config.final_fc:
             feats = _dense_elu_dropout(feats, config, tensors, "head.fc", rng)
     elif arch == "parallel":
-        feats = fuse(*_parallel_paths(params, raw, meshes, rng), config.fusion, params)
+        feats = fuse(*_parallel_paths(params, raw, meshes, index, rng), config.fusion, params)
     elif arch == "rnn":
-        feats = _temporal_path(params, raw, rng)
-    elif arch == "cnn3d":
-        batch, steps = meshes.shape[:2]
-        x = meshes.reshape(batch, 1, steps, config.mesh_h, config.mesh_w)
-        feats = _conv_stack(config, tensors, Tensor.constant(x), rng)
-    else:  # cnn1d, cnn2d: one conv pass per step, then the mean of the step logits
-        samples = raw if arch == "cnn1d" else meshes
-        batch, steps = samples.shape[:2]
-        x = Tensor.constant(samples.reshape((batch * steps, 1) + _conv_spatial(config, arch)))
+        feats = _temporal_path(params, raw, index, rng)
+    elif arch == "cnn3d":  # the conv reads whole windows, one (S, h, w) volume each
+        x = Tensor.constant(np.take(meshes, index, axis=0)[:, None])
         feats = _conv_stack(config, tensors, x, rng)
-        per_step = ad.reshape(_dense(feats, tensors, "head.out"), (batch, steps, config.classes))
-        return ad.mul(ad.tensor_sum(per_step, axis=1), 1.0 / steps)
+    else:  # cnn1d, cnn2d: one conv pass per step, then the mean of the step logits
+        feats = _frame_features(config, tensors, raw if arch == "cnn1d" else meshes, index, rng)
+        per_step = ad.reshape(_dense(feats, tensors, "head.out"), index.shape + (config.classes,))
+        return ad.mul(ad.tensor_sum(per_step, axis=1), 1.0 / index.shape[1])
     return _dense(feats, tensors, "head.out")

@@ -142,6 +142,18 @@ def _as_dtype(raw, meshes, dtype):
     return np.asarray(raw).astype(dtype, copy=False), np.asarray(meshes).astype(dtype, copy=False)
 
 
+def _frames_as(dataset: PreparedDataset, dtype):
+    """The dataset's raw frames and meshes in `dtype`, and its (q, S) frame
+    index into them.  A cast copies only the frames that its windows use,
+    renumbered in frame order, so a small subset of a large set stays small."""
+    index = dataset.index
+    if dataset.frames.dtype == dtype and dataset.frame_meshes.dtype == dtype:
+        return dataset.frames, dataset.frame_meshes, index
+    used, inverse = np.unique(index, return_inverse=True)
+    raw, meshes = _as_dtype(dataset.frames[used], dataset.frame_meshes[used], dtype)
+    return raw, meshes, inverse.reshape(index.shape)
+
+
 def _batches(count: int, batch_size: int, order: np.ndarray):
     for start in range(0, count, batch_size):
         yield order[start:start + batch_size]
@@ -154,12 +166,12 @@ def evaluate(params: ModelParams, dataset: PreparedDataset) -> Metrics:
         raise ValueError("cannot evaluate an empty dataset")
     params = params.frozen()
     k = params.config.classes
-    raw, meshes = _as_dtype(dataset.raw, dataset.meshes, params.tensors["head.out.bias"].dtype)
+    raw, meshes, index = _frames_as(dataset, params.tensors["head.out.bias"].dtype)
     labels = dataset.labels.astype(np.int64)
     confusion = np.zeros((k, k), dtype=np.int64)
     loss_sum = 0.0
     for idx in _batches(dataset.count, 256, np.arange(dataset.count)):
-        logits = models.forward_windows(params, raw[idx], meshes[idx], mode="eval")
+        logits = models.forward_windows(params, raw, meshes, mode="eval", index=index[idx])
         loss, probs = softmax_cross_entropy_batch(logits, labels[idx])
         loss_sum += float(loss.data) * len(idx)
         predicted = probs.argmax(axis=1)
@@ -220,7 +232,7 @@ def train(model_config: ModelConfig, train_config: TrainConfig,
         rng = np.random.default_rng(train_config.seed)
     history = list(history) if history else []
 
-    raw, meshes = _as_dtype(train_set.raw, train_set.meshes, dtype)
+    raw, meshes, index = _frames_as(train_set, dtype)
     labels = train_set.labels.astype(np.int64)
     count = train_set.count
     best_loss = min((h.test_loss for h in history), default=np.inf)
@@ -232,7 +244,8 @@ def train(model_config: ModelConfig, train_config: TrainConfig,
         loss_sum = 0.0
         correct = 0
         for step, idx in enumerate(_batches(count, train_config.batch_size, order)):
-            logits = models.forward_windows(params, raw[idx], meshes[idx], mode="train", rng=rng)
+            logits = models.forward_windows(params, raw, meshes, mode="train", rng=rng,
+                                            index=index[idx])
             loss, probs = softmax_cross_entropy_batch(logits, labels[idx])
             loss_value = float(loss.data)
             if not np.isfinite(loss_value):

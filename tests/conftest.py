@@ -16,16 +16,12 @@ def build_prepared(windows_per_class=20, noise=0.25, seed=0, split_seed=0,
     spec = synth.default_spec(windows_per_class=windows_per_class, noise=noise,
                               seed=seed, window=window)
     _, recordings = synth.synth_dataset(spec)
-    segments = []
-    for rec in recordings:
-        segments.extend(ds.segment_windows(rec, window=window))
+    prepared = ds.window_recordings(recordings, window=window)
     if shuffle_labels:
         rng = np.random.default_rng(split_seed + 1)
-        labels = rng.permutation([s.label for s in segments])
-        for seg, label in zip(segments, labels):
-            seg.label = int(label)
-    train_idx, test_idx = ds.split_indices(len(segments), ratio, split_seed)
-    meta = {
+        prepared.labels = rng.permutation(prepared.labels)
+    train_idx, test_idx = ds.split_indices(prepared.count, ratio, split_seed)
+    prepared.meta = {
         "window": window,
         "channels": 64,
         "mesh": [10, 11],
@@ -35,7 +31,7 @@ def build_prepared(windows_per_class=20, noise=0.25, seed=0, split_seed=0,
                   "train": train_idx.tolist(), "test": test_idx.tolist()},
         "skipped": [],
     }
-    return ds.from_segments(segments, meta)
+    return prepared
 
 
 @pytest.fixture(scope="session")

@@ -135,6 +135,22 @@ class TestPrepare:
                 in capsys.readouterr().err)
         assert not out.exists()
 
+    def test_odd_window_with_every_recording_skipped_is_usage_error(self, tmp_path, capsys,
+                                                                     caplog):
+        # the window size is checked before any recording is read
+        (tmp_path / "x.csv").write_text("broken")
+        ds.save_manifest(tmp_path / "manifest.json", ds.DatasetManifest(
+            recordings=[ds.ManifestEntry("x.csv", "s", 0)], label_names={0: "a"}))
+        out = tmp_path / "p.eegw"
+        with caplog.at_level("WARNING"):
+            rc = cli.main(["prepare", "--manifest", str(tmp_path / "manifest.json"),
+                           "--out", str(out), "--window-size", "9"])
+        assert rc == 2
+        assert ("error: window size must be even and >= 2, got 9"
+                in capsys.readouterr().err)
+        assert "skipping recording" not in caplog.text
+        assert not out.exists()
+
 
 def _with_empty_side(prepared_file, dst, side):
     """A copy of `prepared_file` whose stored split lists no `side` windows."""
@@ -256,6 +272,22 @@ class TestTrain:
         assert rc == 1
         assert f"error: {data}: the {side} split holds no windows" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
+
+    def test_train_and_eval_never_build_dense_windows(self, prepared_file, tmp_path,
+                                                      monkeypatch):
+        # both run on the dataset's frames and each batch's frame index
+        def dense(_self):
+            raise AssertionError("dense (q, S, ...) windows built")
+
+        monkeypatch.setattr(ds.PreparedDataset, "raw", property(dense))
+        monkeypatch.setattr(ds.PreparedDataset, "meshes", property(dense))
+        out = tmp_path / "frames"
+        config = tmp_path / "maps.json"
+        config.write_text(json.dumps({"conv_maps": [2, 3, 4]}))
+        assert cli.main(["train", "--arch", "parallel", "--data", str(prepared_file),
+                         "--out", str(out), "--config", str(config), *TINY_MODEL]) == 0
+        assert cli.main(["eval", "--checkpoint", str(out / "checkpoint.eegc"),
+                         "--data", str(prepared_file), "--split", "all"]) == 0
 
 
 class TestEvalPredict:

@@ -1,12 +1,13 @@
 import json
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from eegnet import container
 from eegnet import dataset as ds
-from eegnet.layout import layout_default, normalized_meshes, to_mesh, zscore_mesh
+from eegnet.layout import layout_default, to_mesh, zscore_mesh
 
 from conftest import build_prepared, rewrite_header
 
@@ -17,58 +18,94 @@ def make_recording(n_samples, label=2, seed=0):
                         samples=rng.standard_normal((n_samples, 64)).astype(np.float32))
 
 
-class TestSegmentWindows:
-    def test_exact_window_count_formula(self):
-        assert len(ds.segment_windows(make_recording(10))) == 1
-        assert len(ds.segment_windows(make_recording(160))) == 31
-        assert len(ds.segment_windows(make_recording(9))) == 0
+def windows_of(*recordings, window=10):
+    return ds.window_recordings(list(recordings), window=window)
 
-    def test_short_recording_logs_warning(self, caplog):
+
+class TestSegmentWindows:
+    """Windowing of in-memory recordings; every window is checked against a
+    slice of its recording's samples."""
+
+    def test_exact_window_count_formula(self):
+        assert windows_of(make_recording(10)).count == 1
+        assert windows_of(make_recording(160)).count == 31
+        assert windows_of(make_recording(9), make_recording(10)).count == 1
+        with pytest.raises(ds.DatasetError, match="no usable windows"):
+            windows_of(make_recording(9))
+
+    def test_short_recording_logs_warning(self, tmp_path, caplog):
+        # a manifest entry need not name a subject; the warning names its path
+        rng = np.random.default_rng(0)
+        (tmp_path / "recordings").mkdir()
+        for name, n_samples in (("short", 9), ("long", 20)):
+            ds.save_recording_csv(tmp_path / f"recordings/{name}.csv",
+                                  rng.standard_normal((n_samples, 64)))
+        manifest = ds.DatasetManifest(
+            recordings=[ds.ManifestEntry("recordings/short.csv", "", 0),
+                        ds.ManifestEntry("recordings/long.csv", "", 0)],
+            label_names={0: "a"}, base_dir=tmp_path)
         with caplog.at_level("WARNING"):
-            out = ds.segment_windows(make_recording(9))
-        assert out == []
-        assert "shorter than window" in caplog.text
+            prepared = ds.prepare_dataset(manifest, window=10, ratio=0.5)
+        assert prepared.count == 3
+        assert ("recording recordings/short.csv has 9 samples, shorter than window 10"
+                in caplog.text)
 
     def test_odd_window_rejected(self):
         with pytest.raises(ValueError, match="even"):
-            ds.segment_windows(make_recording(20), window=9)
+            windows_of(make_recording(20), window=9)
 
     def test_starts_form_arithmetic_progression(self):
         rec = make_recording(40)
-        segments = ds.segment_windows(rec, window=10)
-        for i, seg in enumerate(segments):
-            np.testing.assert_array_equal(seg.raw, rec.samples[i * 5: i * 5 + 10])
+        prepared = windows_of(rec)
+        assert prepared.count == 7
+        for i, window in enumerate(prepared.raw):
+            np.testing.assert_array_equal(window, rec.samples[i * 5: i * 5 + 10])
+
+    def test_windows_never_cross_recordings(self):
+        first, second = make_recording(20, seed=1), make_recording(27, label=4, seed=2)
+        prepared = windows_of(first, second)
+        expected = ([first.samples[s:s + 10] for s in (0, 5, 10)]
+                    + [second.samples[s:s + 10] for s in (0, 5, 10, 15)])
+        assert prepared.count == len(expected)
+        for got, want in zip(prepared.raw, expected):
+            np.testing.assert_array_equal(got, want)
+        assert prepared.labels.tolist() == [2] * 3 + [4] * 4
 
     def test_adjacent_windows_share_half(self):
-        segments = ds.segment_windows(make_recording(40), window=10)
-        for a, b in zip(segments, segments[1:]):
-            np.testing.assert_array_equal(a.raw[5:], b.raw[:5])
-            np.testing.assert_array_equal(a.meshes[5:], b.meshes[:5])
+        prepared = windows_of(make_recording(40))
+        # the same frames, held once, not equal copies
+        np.testing.assert_array_equal(prepared.index[1:, :5], prepared.index[:-1, 5:])
+        assert len(prepared.frames) == 40
+        for a, b in zip(prepared.raw, prepared.raw[1:]):
+            np.testing.assert_array_equal(a[5:], b[:5])
+        for a, b in zip(prepared.meshes, prepared.meshes[1:]):
+            np.testing.assert_array_equal(a[5:], b[:5])
 
     def test_label_inherited_by_every_window(self):
-        segments = ds.segment_windows(make_recording(60, label=3))
-        assert all(s.label == 3 for s in segments)
+        prepared = windows_of(make_recording(60, label=3))
+        assert prepared.labels.dtype == np.uint8
+        assert prepared.labels.tolist() == [3] * 11
 
     def test_meshes_are_normalized_transform_of_raw(self):
-        segments = ds.segment_windows(make_recording(20), window=10)
-        for seg in segments:
+        rec = make_recording(20)
+        prepared = windows_of(rec)
+        for i, window in enumerate(prepared.meshes):
             for k in range(10):
-                expected = zscore_mesh(to_mesh(seg.raw[k].astype(np.float64)))
-                np.testing.assert_allclose(seg.meshes[k], expected, atol=1e-5)
+                expected = zscore_mesh(to_mesh(rec.samples[5 * i + k].astype(np.float64)))
+                np.testing.assert_allclose(window[k], expected, atol=1e-5)
 
     def test_null_cells_zero_through_pipeline(self):
         layout = layout_default()
-        segments = ds.segment_windows(make_recording(30), window=10)
-        for seg in segments:
-            assert np.all(seg.meshes[:, ~layout.mask] == 0)
+        prepared = windows_of(make_recording(30))
+        assert np.all(prepared.meshes[:, :, ~layout.mask] == 0)
 
     def test_all_zero_missing_samples_preserved(self):
         rec = make_recording(20)
         rec.samples[7] = 0.0  # a missing reading
-        segments = ds.segment_windows(rec, window=10)
-        assert len(segments) == 3
-        np.testing.assert_array_equal(segments[0].raw[7], np.zeros(64))
-        np.testing.assert_array_equal(segments[0].meshes[7], np.zeros((10, 11)))
+        prepared = windows_of(rec)
+        assert prepared.count == 3
+        np.testing.assert_array_equal(prepared.raw[0, 7], np.zeros(64))
+        np.testing.assert_array_equal(prepared.meshes[0, 7], np.zeros((10, 11)))
 
 
 class TestSplit:
@@ -209,7 +246,7 @@ class TestPreparedRoundTrip:
         before = path.read_bytes()
         labels = np.array([0, label])
         meta = dict(small_prepared.meta, label_names={str(k): f"c{k}" for k in range(names)})
-        bad = ds.PreparedDataset(small_prepared.raw[:2], small_prepared.meshes[:2], labels, meta)
+        bad = replace(small_prepared.subset([0, 1]), labels=labels, meta=meta)
         with pytest.raises(ds.DatasetError):
             ds.save_prepared(path, bad)
         assert path.read_bytes() == before
@@ -252,16 +289,6 @@ class TestPreparedRoundTrip:
         with pytest.raises(ds.DatasetFormatError, match="NaN"):
             ds.load_prepared(path)
 
-    def test_too_few_frames_for_windows_rejected(self, tmp_path, small_prepared):
-        # three windows of 10 that all start at frame 0 of 10: a writer that
-        # shares at most half of each window never stores fewer than 15
-        path = tmp_path / "d.eegw"
-        three = small_prepared.subset([0, 1, 2])
-        blocks = (three.raw[0], np.zeros(3, np.uint32), three.labels)
-        container.write(path, ds.PREPARED_FORMAT, (3, 10, 64, 10), three.meta, blocks)
-        with pytest.raises(ds.DatasetFormatError, match="10 frames, fewer than half"):
-            ds.load_prepared(path)
-
     @staticmethod
     def _round_trip(tmp_path, dataset):
         path = tmp_path / "r.eegw"
@@ -281,18 +308,55 @@ class TestPreparedRoundTrip:
         assert self._round_trip(tmp_path, small_prepared.subset([])) == 0
 
     def test_chained_windows_share_frames(self, tmp_path, small_prepared):
-        # windows 0..2 overlap by half; window 0 again starts a new run
-        assert self._round_trip(tmp_path, small_prepared.subset([0, 1, 2, 0])) == 20 + 10
+        # windows 0..2 overlap by half; window 0 again reuses its frames
+        assert self._round_trip(tmp_path, small_prepared.subset([0, 1, 2, 0])) == 20
 
-    def test_negative_zero_is_not_shared_with_zero(self, tmp_path, small_prepared):
-        pair = small_prepared.subset([0, 1])
-        pair.raw[0, 5, 0] = 0.0
-        pair.raw[1, 0, 0] = -0.0
-        pair.meshes = normalized_meshes(pair.raw)
-        assert self._round_trip(tmp_path, pair) == 20
-        pair.raw[1, 0, 0] = 0.0
-        pair.meshes = normalized_meshes(pair.raw)
-        assert self._round_trip(tmp_path, pair) == 15
+    def test_negative_zero_is_not_shared_with_zero(self, tmp_path):
+        # frames are shared by index, never by content: the second
+        # recording's first five samples equal the first's last five, but
+        # for one 0.0 that reads -0.0, and each window stores all ten
+        first = make_recording(10, seed=1)
+        first.samples[5, 0] = 0.0
+        second = ds.Recording("s2", 1, np.concatenate([first.samples[5:],
+                                                       make_recording(5, seed=2).samples]))
+        for value in (-0.0, 0.0):
+            second.samples[0, 0] = value
+            pair = windows_of(first, second)
+            pair.meta = {"label_names": {"0": "a", "1": "b", "2": "c"}}
+            assert self._round_trip(tmp_path, pair) == 20
+            loaded = ds.load_prepared(tmp_path / "r.eegw")
+            assert np.signbit(loaded.raw[:, :, 0]).tolist() == np.signbit(
+                np.stack([first.samples, second.samples])[:, :, 0]).tolist()
+
+    def test_shuffled_non_adjacent_subset_stores_each_frame_once(self, tmp_path):
+        rec = make_recording(60)
+        order = [8, 1, 3, 9, 6]  # windows 8 and 9 share frames 45..49
+        subset = self._eleven_windows(rec).subset(order)
+        frames = set().union(*(range(5 * i, 5 * i + 10) for i in order))
+        assert self._round_trip(tmp_path, subset) == len(frames) == 45
+        loaded = ds.load_prepared(tmp_path / "r.eegw")
+        for i, raw, meshes in zip(order, loaded.raw, loaded.meshes):
+            np.testing.assert_array_equal(raw, rec.samples[5 * i: 5 * i + 10])
+            for k in range(10):
+                expected = zscore_mesh(to_mesh(rec.samples[5 * i + k].astype(np.float64)))
+                np.testing.assert_allclose(meshes[k], expected, atol=1e-5)
+
+    def test_repeated_window_round_trips(self, tmp_path):
+        # three windows on the same ten frames: more than twice as many
+        # window steps as stored frames, which the loader accepts
+        rec = make_recording(60)
+        repeated = self._eleven_windows(rec).subset([0, 0, 0])
+        assert self._round_trip(tmp_path, repeated) == 10
+        loaded = ds.load_prepared(tmp_path / "r.eegw")
+        assert loaded.count == 3
+        for raw in loaded.raw:
+            np.testing.assert_array_equal(raw, rec.samples[:10])
+
+    @staticmethod
+    def _eleven_windows(rec):
+        prepared = windows_of(rec)
+        prepared.meta = {"label_names": {str(k): f"c{k}" for k in range(3)}}
+        return prepared
 
     def test_channel_count_other_than_64_rejected(self, tmp_path, small_prepared):
         path = self._damaged(tmp_path, small_prepared, 12, struct.pack("<H", 63))
@@ -319,8 +383,7 @@ class TestPreparedRoundTrip:
                     split={"seed": 0, "ratio": ratio,
                            "train": train_idx.tolist(), "test": test_idx.tolist()})
         path = tmp_path / "d.eegw"
-        ds.save_prepared(path, ds.PreparedDataset(small_prepared.raw, small_prepared.meshes,
-                                                  small_prepared.labels, meta))
+        ds.save_prepared(path, replace(small_prepared, meta=meta))
         train, test = ds.load_prepared(path).train_test()
         assert train.count == 0 and train.raw.shape[1:] == small_prepared.raw.shape[1:]
         assert test.count == small_prepared.count
@@ -501,6 +564,20 @@ class TestPrepareDataset:
         )
         with pytest.raises(ds.DatasetError, match="no usable windows"):
             ds.prepare_dataset(manifest, window=10)
+
+    @pytest.mark.parametrize("window", [9, 0])
+    def test_invalid_window_rejected_before_any_recording_is_read(self, tmp_path, caplog,
+                                                                  window):
+        # every recording is damaged, so a late check would report no windows
+        (tmp_path / "x.csv").write_text("broken")
+        manifest = ds.DatasetManifest(
+            recordings=[ds.ManifestEntry("x.csv", "s", 0)],
+            label_names={0: "a"},
+            base_dir=tmp_path,
+        )
+        with caplog.at_level("WARNING"), pytest.raises(ValueError, match="even and >= 2"):
+            ds.prepare_dataset(manifest, window=window)
+        assert "skipping recording" not in caplog.text
 
     def test_stores_each_frame_once(self, tmp_path):
         # 20 samples give 3 windows and 27 give 4; a recording of q_r

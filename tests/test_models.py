@@ -17,6 +17,11 @@ def make_segment(config, seed=0, dtype=np.float64):
     return raw, meshes
 
 
+def one_window(config):
+    """The (1, S) frame index of a batch that is one window's S frames."""
+    return np.arange(config.window)[None]
+
+
 def frame_features(params, frame):
     """The conv stack's (F,) features of one (h, w) frame, in eval mode."""
     x = Tensor.constant(np.asarray(frame)[None, None])
@@ -134,14 +139,15 @@ class TestConvStack:
     def test_zero_mesh_zero_biases_gives_zero_features(self):
         config = reduced_config("cascade")
         params = zero_biases(param_init(config, seed=0))
-        out = models._step_features(params, np.zeros((1, 1, config.mesh_h, config.mesh_w)), None)
+        out = models._step_features(params, np.zeros((1, config.mesh_h, config.mesh_w)),
+                                    np.zeros((1, 1), np.intp), None)
         np.testing.assert_array_equal(out.data, np.zeros((1, 1, config.fc_width)))
 
     def test_output_length_is_fc_width(self):
         params = param_init(canonical_config("cascade"), seed=0)
         rng = np.random.default_rng(0)
-        meshes = rng.standard_normal((1, 1, 10, 11)).astype(np.float32)
-        out = models._step_features(params, meshes, None)
+        meshes = rng.standard_normal((1, 10, 11)).astype(np.float32)
+        out = models._step_features(params, meshes, np.zeros((1, 1), np.intp), None)
         assert out.shape == (1, 1, 1024)
 
     @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-5)],
@@ -367,9 +373,12 @@ def tape_nodes(out):
     return len(nodes)
 
 
-def every_frame_conv_stack(config, tensors, x, rng):
-    """The conv stack run on every row of `x`, distinct or not: the conv
-    layers, the flatten, ``elu(cnn.fc)`` and dropout (reference)."""
+def every_frame_conv_stack(config, tensors, x, rng, rows=None):
+    """The conv stack run on every window step, shared frames or not: the
+    rows of `x` are copied out to the steps first, then the conv layers, the
+    flatten, ``elu(cnn.fc)`` and dropout (reference)."""
+    if rows is not None:
+        x = Tensor.constant(x.data[rows])
     h = convolution._channels_last(x, x.ndim - 2)
     for i in range(config.conv_depth):
         h = convolution._conv(h, tensors[f"cnn.conv{i}.kernel"], tensors[f"cnn.conv{i}.bias"],
@@ -380,19 +389,20 @@ def every_frame_conv_stack(config, tensors, x, rng):
 
 
 def shared_frame_windows(config, starts, dtype, seed=0):
-    """Windows cut from one run of frames at `starts`: raw and meshes
-    (len(starts), S, ...), so overlapping starts share frames."""
+    """One run of raw and mesh frames, (F, ...), and the (len(starts), S)
+    index of the windows cut from it at `starts`, so overlapping starts
+    share frames."""
     rng = np.random.default_rng(seed)
     span = max(starts) + config.window
     raw = rng.standard_normal((span, config.channels)).astype(dtype)
     meshes = rng.standard_normal((span, config.mesh_h, config.mesh_w)).astype(dtype)
-    index = np.asarray(starts)[:, None] + np.arange(config.window)
-    return raw[index], meshes[index]
+    return raw, meshes, np.asarray(starts)[:, None] + np.arange(config.window)
 
 
 class TestDistinctFrames:
-    """The conv stack runs each distinct frame of a constant input once and
-    gathers the rows back; results equal running every frame."""
+    """Given a frame index, the conv stack runs each distinct frame index of
+    the batch once and gathers the rows back; results equal running every
+    step's frame."""
 
     @staticmethod
     def _count_conv_frames(monkeypatch):
@@ -413,13 +423,14 @@ class TestDistinctFrames:
     def test_matches_every_frame_reference(self, monkeypatch, arch, mode, dtype, tol):
         config = reduced_config(arch, window=10)
         params = param_init(config, seed=4, dtype=dtype)
-        # 60 frames in six windows, 30 of them distinct; window 5 repeats window 1
-        raw, meshes = shared_frame_windows(config, [0, 5, 10, 20, 15, 5], dtype)
+        # 60 steps in six windows, 30 distinct frames; window 5 repeats window 1
+        raw, meshes, index = shared_frame_windows(config, [0, 5, 10, 20, 15, 5], dtype)
         labels = np.arange(6) % config.classes
 
         def run(params, raw, meshes):
             logits = models.forward_windows(params, raw, meshes, mode,
-                                            np.random.default_rng(9) if mode == "train" else None)
+                                            np.random.default_rng(9) if mode == "train" else None,
+                                            index=index)
             backward(ad.softmax_cross_entropy_batch(logits, labels)[0])
             return [logits.data] + [t.grad for t in params.tensors.values()]
 
@@ -428,6 +439,7 @@ class TestDistinctFrames:
         assert seen[0] == 30
         monkeypatch.setattr(models, "_conv_stack", every_frame_conv_stack)
         want = run(params, raw, meshes)
+        assert seen[config.conv_depth] == 60
         # the reference on the same values in f64: in f32 a conv bias
         # gradient that sums cancelling terms is only as close to it as f32
         # rounding allows, for the reference as for the deduplicated stack
@@ -439,13 +451,23 @@ class TestDistinctFrames:
             rounding = np.abs(b - e).max()
             assert np.abs(a - b).max() <= tol * np.abs(b).max() + 2 * rounding, name
 
+    @pytest.mark.parametrize("arch", ["cascade", "parallel", "cnn1d", "cnn2d", "cnn3d", "rnn"])
+    def test_index_matches_dense_windows(self, arch):
+        # the windows as (B, S, ...) arrays, copied out of the frames
+        config = reduced_config(arch, window=4)
+        params = param_init(config, seed=5, dtype=np.float64)
+        raw, meshes, index = shared_frame_windows(config, [2, 0, 4, 2], np.float64)
+        dense = models.forward_windows(params, raw[index], meshes[index])
+        got = models.forward_windows(params, raw, meshes, index=index)
+        np.testing.assert_allclose(got.data, dense.data, rtol=1e-12, atol=1e-12)
+
     def test_conv_sees_only_distinct_frames(self, monkeypatch):
         # three chained windows of 4 frames, each sharing half with the last
         config = reduced_config("cascade", window=4)
         params = param_init(config, seed=0)
-        raw, meshes = shared_frame_windows(config, [0, 2, 4], np.float32)
+        raw, meshes, index = shared_frame_windows(config, [0, 2, 4], np.float32)
         seen = self._count_conv_frames(monkeypatch)
-        models.forward_windows(params, raw, meshes)
+        models.forward_windows(params, raw, meshes, index=index)
         assert seen == [8] * config.conv_depth
 
     def test_input_requiring_gradient_runs_every_row(self, monkeypatch):
@@ -460,22 +482,26 @@ class TestDistinctFrames:
         np.testing.assert_array_equal(x.grad, np.broadcast_to(x.grad[:1], x.shape))
 
     def test_negative_zero_frame_not_merged_with_zero(self, monkeypatch):
+        # frames merge by index only: equal frames, and a -0.0 frame next to
+        # a 0.0 one, at three indices run three times
         config = reduced_config("cnn2d", window=3)
         params = param_init(config, seed=0)
-        meshes = np.zeros((1, 3, config.mesh_h, config.mesh_w), np.float32)
-        meshes[0, 1, 2, 3] = -0.0
+        meshes = np.zeros((3, config.mesh_h, config.mesh_w), np.float32)
+        meshes[1, 2, 3] = -0.0
         seen = self._count_conv_frames(monkeypatch)
-        models.forward_windows(params, meshes, meshes)
-        assert seen[0] == 2
+        models.forward_windows(params, meshes, meshes, index=np.array([[0, 1, 2]]))
+        models.forward_windows(params, meshes[None], meshes[None])
+        models.forward_windows(params, meshes, meshes, index=np.array([[0, 0, 2]]))
+        assert seen[::config.conv_depth] == [3, 3, 2]
 
     def test_shared_frames_add_one_tape_node(self):
         config = reduced_config("cascade", window=4)
         params = param_init(config, seed=0)
 
         def nodes(starts):
-            raw, meshes = shared_frame_windows(config, starts, np.float32)
+            raw, meshes, index = shared_frame_windows(config, starts, np.float32)
             return tape_nodes(models.forward_windows(params, raw, meshes, mode="train",
-                                                     rng=np.random.default_rng(0)))
+                                                     rng=np.random.default_rng(0), index=index))
 
         assert nodes([0, 2, 4]) == nodes([0, 4, 8]) + 1
 
@@ -485,7 +511,7 @@ class TestParallel:
         config = reduced_config("parallel", fusion="cat")
         params = param_init(config, seed=0, dtype=np.float64)
         raw, meshes = make_segment(config)
-        spatial, temporal = models._parallel_paths(params, raw[None], meshes[None], None)
+        spatial, temporal = models._parallel_paths(params, raw, meshes, one_window(config), None)
         fused = fuse(spatial, temporal, "cat", params)
         assert fused.shape == (1, 2 * config.fc_width)
         assert params.tensors["head.out.weight"].shape == (config.classes, 2 * config.fc_width)
@@ -494,7 +520,7 @@ class TestParallel:
         config = reduced_config("parallel")
         params = param_init(config, seed=3, dtype=np.float64)
         raw, meshes = make_segment(config, seed=11)
-        spatial, _ = models._parallel_paths(params, raw[None], meshes[None], None)
+        spatial, _ = models._parallel_paths(params, raw, meshes, one_window(config), None)
         total = np.zeros(config.fc_width)
         for k in range(config.window):
             total += frame_features(params, meshes[k])
@@ -504,10 +530,10 @@ class TestParallel:
         config = reduced_config("parallel")
         params = param_init(config, seed=4, dtype=np.float64)
         raw, meshes = make_segment(config, seed=13)
-        spatial, temporal = models._parallel_paths(params, raw[None], meshes[None], None)
+        spatial, temporal = models._parallel_paths(params, raw, meshes, one_window(config), None)
         perm = np.array([2, 0, 1])
-        spatial2, temporal2 = models._parallel_paths(params, raw[perm][None],
-                                                     meshes[perm][None], None)
+        spatial2, temporal2 = models._parallel_paths(params, raw[perm], meshes[perm],
+                                                     one_window(config), None)
         np.testing.assert_allclose(spatial2.data, spatial.data, atol=1e-10)
         assert not np.allclose(temporal2.data, temporal.data)
 

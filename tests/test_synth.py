@@ -87,8 +87,8 @@ class TestGeneration:
         _, recordings = synth.synth_dataset(spec)
         early = [r for r in recordings if r.label == 1][0]
         late = [r for r in recordings if r.label == 2][0]
-        w_early = ds.segment_windows(early, window=10)[0].raw
-        w_late = ds.segment_windows(late, window=10)[0].raw
+        w_early = early.samples[:10]
+        w_late = late.samples[:10]
         ch = spec.classes[1].channels[0] - 1
         assert sorted(np.round(w_early[:, ch], 5)) == sorted(np.round(w_late[:, ch], 5))
         assert not np.allclose(w_early[:, ch], w_late[:, ch])
@@ -99,10 +99,11 @@ class TestGeneration:
         spec = synth.default_spec(windows_per_class=6, noise=0.0, seed=0)
         _, recordings = synth.synth_dataset(spec)
         rec = [r for r in recordings if r.label == 3][0]
-        windows = ds.segment_windows(rec, window=10)
+        windows = ds.window_recordings([rec], window=10).raw
+        assert len(windows) > 1
         ch = spec.classes[3].channels[0] - 1
         for w in windows[1:]:
-            np.testing.assert_allclose(w.raw[:, ch], windows[0].raw[:, ch], atol=1e-5)
+            np.testing.assert_allclose(w[:, ch], windows[0][:, ch], atol=1e-5)
 
 
 def _tiny(arch, hidden=8):
@@ -120,16 +121,13 @@ class TestSeparability:
             noise=0.0, windows_per_class=30, seed=1,
         )
         _, recordings = synth.synth_dataset(spec)
-        segments = []
-        for rec in recordings:
-            segments.extend(ds.segment_windows(rec, window=10))
-        train_idx, test_idx = ds.split_indices(len(segments), 0.75, 0)
-        meta = {"window": 10, "channels": 64, "mesh": [10, 11], "sample_rate": 160,
+        prepared = ds.window_recordings(recordings, window=10)
+        train_idx, test_idx = ds.split_indices(prepared.count, 0.75, 0)
+        prepared.meta = {"window": 10, "channels": 64, "mesh": [10, 11], "sample_rate": 160,
                 "label_names": {"0": "a", "1": "b"},
                 "split": {"seed": 0, "ratio": 0.75,
                           "train": train_idx.tolist(), "test": test_idx.tolist()},
                 "skipped": []}
-        prepared = ds.from_segments(segments, meta)
         train_set, test_set = prepared.train_test()
         config = models.ModelConfig(arch="cnn1d", classes=2, window=10, fc_width=16,
                                     hidden=8, conv_maps=(2, 3, 4))

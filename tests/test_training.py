@@ -115,6 +115,54 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="empty"):
             evaluate(param_init(tiny_config(), seed=0), test_set.subset([]))
 
+    def test_loaded_dataset_holds_each_frame_once(self, tmp_path):
+        # 50%-overlapping windows: the loaded set holds about half the size
+        # of its dense (q, S, ...) raw and mesh windows, and its split sides
+        # and an evaluation of each keep nothing more
+        prepared = build_prepared(windows_per_class=40, noise=0.25, seed=3)
+        path = tmp_path / "d.eegw"
+        dataset.save_prepared(path, prepared)
+        q, s = prepared.count, prepared.window
+        dense = q * s * (64 + 10 * 11) * 4
+        params = param_init(tiny_config(), seed=0)
+        tracemalloc.start()
+        try:
+            loaded = dataset.load_prepared(path)
+            held, _ = tracemalloc.get_traced_memory()
+            train_set, test_set = loaded.train_test()
+            evaluate(params, train_set)
+            evaluate(params, test_set)
+            current, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(loaded.frames) < 0.6 * q * s
+        assert train_set.frames is loaded.frames and test_set.frames is loaded.frames
+        assert held < 0.6 * dense
+        assert current - held < 0.05 * dense
+
+    def test_cast_copies_only_the_frames_a_subset_uses(self):
+        # float64 metrics of four windows of a 1,000-window float32 set: the
+        # same as for the four windows on their own, without a float64 copy
+        # of every frame of the set
+        prepared = build_prepared(windows_per_class=200, seed=4)
+        subset = prepared.subset([7, 900, 8, 3])
+        steps = [slice(s, s + 10) for s in subset.starts]
+        alone = dataset.PreparedDataset(
+            frames=np.concatenate([prepared.frames[s] for s in steps]),
+            frame_meshes=np.concatenate([prepared.frame_meshes[s] for s in steps]),
+            starts=np.arange(0, 40, 10), labels=subset.labels, window=10, meta=subset.meta)
+        params = param_init(tiny_config(), seed=0, dtype=np.float64)
+        tracemalloc.start()
+        try:
+            got = evaluate(params, subset)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        want = evaluate(params, alone)
+        assert got.mean_loss == pytest.approx(want.mean_loss, rel=1e-12)
+        np.testing.assert_array_equal(got.confusion, want.confusion)
+        assert peak < len(prepared.frames) * (64 + 10 * 11) * 8 / 4
+
     def test_full_batch_peak_memory(self):
         # one full 256-window batch through conv maps 32/64/128: conv1's and
         # conv2's outputs, live together, take 216 MB; lowering conv2's whole
@@ -122,9 +170,11 @@ class TestEvaluate:
         config = models.canonical_config("cascade", fc_width=8)
         rng = np.random.default_rng(0)
         windows = dataset.PreparedDataset(
-            raw=rng.standard_normal((256, 10, 64)).astype(np.float32),
-            meshes=rng.standard_normal((256, 10, 10, 11)).astype(np.float32),
+            frames=rng.standard_normal((2560, 64)).astype(np.float32),
+            frame_meshes=rng.standard_normal((2560, 10, 11)).astype(np.float32),
+            starts=np.arange(0, 2560, 10),
             labels=rng.integers(0, 5, 256).astype(np.uint8),
+            window=10,
             meta={"label_names": {str(i): f"c{i}" for i in range(5)}},
         )
         params = param_init(config, seed=0)
