@@ -86,35 +86,8 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.dtype})"
 
-    # Operator sugar; constants are lifted automatically.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return add(self, mul(other, -1.0))
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
     def __getitem__(self, idx):
         return getitem(self, idx)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def sum(self, axis=None, keepdims=False):
-        return tensor_sum(self, axis=axis, keepdims=keepdims)
 
 
 def _lift(x, dtype=None) -> Tensor:
@@ -302,12 +275,6 @@ def lstm(xw: Tensor, u: Tensor) -> Tensor:
 def reshape(x: Tensor, shape) -> Tensor:
     x = _lift(x)
     return _op(x.data.reshape(shape), (x,), lambda g: g.reshape(x.data.shape))
-
-
-def transpose(x: Tensor, axes) -> Tensor:
-    x = _lift(x)
-    axes = tuple(axes)
-    return _op(x.data.transpose(axes), (x,), lambda g: g.transpose(tuple(np.argsort(axes))))
 
 
 def getitem(x: Tensor, idx) -> Tensor:

@@ -51,13 +51,11 @@ class ConfigMismatch(Exception):
     """Config/dataset mismatch: descriptive failure, exit code 1."""
 
 
-def _threads() -> int:
-    value = os.environ.get("EEGNET_THREADS", "1")
-    try:
-        return max(1, int(value))
-    except ValueError:
-        log.warning("ignoring invalid EEGNET_THREADS=%r", value)
-        return 1
+def _loader_threads(recordings: int) -> int:
+    """One loader thread per CPU this process may run on, at most one per
+    recording."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(cpus or 1, recordings)
 
 
 def _read_json(path, what: str) -> dict:
@@ -149,7 +147,8 @@ def cmd_prepare(args) -> int:
     try:
         prepared = ds.prepare_dataset(
             manifest, window=args.window_size,
-            ratio=args.ratio, seed=args.seed, threads=_threads(),
+            ratio=args.ratio, seed=args.seed,
+            threads=_loader_threads(len(manifest.recordings)),
         )
     except ValueError as exc:  # an odd window size or a ratio outside (0, 1)
         raise UsageError(str(exc)) from exc

@@ -1,11 +1,18 @@
-"""Same-padding convolutions in 1, 2 and 3 dimensions.
+"""Same-padding convolution + bias + ELU in 1, 2 and 3 dimensions.
 
-All kernels have spatial extent 3 along every convolved axis, stride 1, and
-zero padding of 1 per border, so output spatial extents always equal input
-extents.  Kernels are ``(C_out, C_in, 3, ...)``.
+One op, :func:`_conv`, does all of it, as one tape node: every conv layer of
+the models is a convolution followed by its ELU, so the ELU is always
+applied and there is no bare convolution.  All kernels have spatial extent
+3 along every convolved axis, stride 1, and zero padding of 1 per border, so
+output spatial extents always equal input extents.  Kernels are
+``(C_out, C_in, 3, ...)``.
 
-One channels-last core does the work.  Activations are ``(B, *spatial, C)``,
-and every one of the B frames is convolved on its own, so the core walks the
+The input is channels-last, ``(B, *spatial, C)``.  The output is
+channels-last too or, on request, channels-first and C-contiguous: the
+models' last conv layer asks for that, so that its flatten keeps
+``cnn.fc.weight``'s (C, *spatial) column order.
+
+Every one of the B frames is convolved on its own, so the op walks the
 batch in blocks of whole frames.  Each block is lowered (im2col,
 Chellapilla et al. 2006): copied into a zero-padded buffer and from there
 into an ``(n * P, 3**nd * C)`` matrix, n being the block's frames and P the
@@ -30,11 +37,6 @@ All three products go through that one lowering:
   ``dz`` is lowered like an input and multiplied by that kernel once.
 
 The node keeps only its output; its input is on the tape anyway.
-
-The public ``conv{1,2,3}d_same`` keep a channels-first contract: they take
-``(C_in, *spatial)`` or a batch ``(B, C_in, *spatial)`` and return the same
-layout, C-contiguous.  The models call the core directly, fused with the
-ELU that follows each of their conv layers.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from . import autodiff as ad
-from .autodiff import Tensor, _lift, _op
+from .autodiff import Tensor, _op
 
 KERNEL_EXTENT = 3
 
@@ -96,14 +98,13 @@ def _input_grad(dz: np.ndarray, flipped: np.ndarray, lower) -> np.ndarray:
     return (lower(dz) @ flipped.T).reshape(dz.shape[:-1] + flipped.shape[:1])
 
 
-def _conv(x: Tensor, k: Tensor, b: Tensor, *, elu: bool, channels_first: bool) -> Tensor:
-    """The channels-last core as one tape op: ``x`` (B, *spatial, C_in) to
-    ``elu(conv(x, k) + b)`` (ELU only if `elu`), channels-last or, if
-    `channels_first`, as a C-contiguous (B, C_out, *spatial), computed in the
-    promoted dtype of `x`, `k` and `b`.  The node keeps its output and
-    nothing else.  Its backward runs as `_op`'s `upstream`, one walk over the
-    blocks that yields ``(dx, dk, db)``; ``dx`` is computed only if `x`
-    requires a gradient."""
+def _conv(x: Tensor, k: Tensor, b: Tensor, *, channels_first: bool) -> Tensor:
+    """``x`` (B, *spatial, C_in) to ``elu(conv(x, k) + b)`` as one tape node,
+    channels-last or, if `channels_first`, as a C-contiguous
+    (B, C_out, *spatial), computed in the promoted dtype of `x`, `k` and
+    `b`.  The node keeps its output and nothing else.  Its backward runs as
+    `_op`'s `upstream`, one walk over the blocks that yields
+    ``(dx, dk, db)``; ``dx`` is computed only if `x` requires a gradient."""
     kd = k.data
     batch, *spatial, cin = x.shape
     nd, cout = len(spatial), kd.shape[0]
@@ -121,8 +122,7 @@ def _conv(x: Tensor, k: Tensor, b: Tensor, *, elu: bool, channels_first: bool) -
     for lo in range(0, batch, frames):
         z = lower_x(x.data[lo:lo + frames]) @ kmat.T
         z += b.data
-        if elu:
-            ad._elu_values(z, out=z)
+        ad._elu_values(z, out=z)
         out_last[lo:lo + frames] = z.reshape(-1, *spatial, cout)
 
     def walk(g):
@@ -140,10 +140,7 @@ def _conv(x: Tensor, k: Tensor, b: Tensor, *, elu: bool, channels_first: bool) -
             flipped = np.moveaxis(np.flip(kd, tuple(range(2, 2 + nd))), 0, -1).reshape(cin, -1)
         for lo in range(0, batch, frames):
             block = slice(lo, lo + frames)
-            dz = g_last[block]
-            if elu:
-                dz = ad._elu_grad(out_last[block]) * dz
-            dz = np.ascontiguousarray(dz)
+            dz = np.ascontiguousarray(ad._elu_grad(out_last[block]) * g_last[block])
             rows = dz.reshape(-1, cout)
             db += rows.sum(axis=0)
             dk += rows.T @ lower_x(x.data[block])
@@ -154,49 +151,3 @@ def _conv(x: Tensor, k: Tensor, b: Tensor, *, elu: bool, channels_first: bool) -
 
     return _op(out, (x, k, b), lambda grads: grads[0], lambda grads: grads[1],
                lambda grads: grads[2], upstream=walk)
-
-
-def _validate(x: Tensor, k: Tensor, b: Tensor, nd: int) -> bool:
-    if k.ndim != 2 + nd or any(e != KERNEL_EXTENT for e in k.shape[2:]):
-        raise ValueError(
-            f"conv{nd}d kernel must be (C_out, C_in{', 3' * nd}), got {k.shape}"
-        )
-    batched = x.ndim == 2 + nd
-    if not batched and x.ndim != 1 + nd:
-        raise ValueError(f"conv{nd}d input must have {1 + nd} or {2 + nd} dims, got {x.ndim}")
-    cin = x.shape[1] if batched else x.shape[0]
-    if cin != k.shape[1]:
-        raise ValueError(
-            f"conv{nd}d channel mismatch: input has {cin} channels, kernel expects {k.shape[1]}"
-        )
-    if b.shape != (k.shape[0],):
-        raise ValueError(f"conv{nd}d bias must have shape ({k.shape[0]},), got {b.shape}")
-    return batched
-
-
-def _channels_last(x: Tensor, nd: int) -> Tensor:
-    """(B, C, *spatial) -> (B, *spatial, C), as a view."""
-    return ad.transpose(x, (0,) + tuple(range(2, 2 + nd)) + (1,))
-
-
-def _conv_same(x, k, b, nd: int) -> Tensor:
-    x, k, b = _lift(x), _lift(k), _lift(b)
-    batched = _validate(x, k, b, nd)
-    xb = x if batched else ad.reshape(x, (1,) + x.shape)
-    out = _conv(_channels_last(xb, nd), k, b, elu=False, channels_first=True)
-    return out if batched else ad.reshape(out, out.shape[1:])
-
-
-def conv1d_same(x, kernels, bias) -> Tensor:
-    """(C_in, L) * (C_out, C_in, 3) -> (C_out, L); batched with a leading axis."""
-    return _conv_same(x, kernels, bias, 1)
-
-
-def conv2d_same(x, kernels, bias) -> Tensor:
-    """(C_in, H, W) * (C_out, C_in, 3, 3) -> (C_out, H, W); batched with a leading axis."""
-    return _conv_same(x, kernels, bias, 2)
-
-
-def conv3d_same(x, kernels, bias) -> Tensor:
-    """(C_in, D, H, W) * (C_out, C_in, 3, 3, 3) -> (C_out, D, H, W); batched with a leading axis."""
-    return _conv_same(x, kernels, bias, 3)

@@ -305,11 +305,12 @@ def prepare_dataset(manifest: DatasetManifest, window: int = 10,
     """Full ingestion pipeline: load -> normalize -> mesh -> window -> split.
 
     Recordings have the 64 channels of the default 10x11 montage
-    (``layout_default``), which places every sample on the mesh.  Damaged
-    recordings are skipped with a warning, and so, with another, are
-    recordings shorter than one window; the remainder is processed in
-    manifest order so output is deterministic for any thread count.  An
-    invalid window size raises ValueError before any recording is read.
+    (``layout_default``), which places every sample on the mesh.  `threads`
+    loader threads read the recordings.  Damaged recordings are skipped with
+    a warning, and so, with another, are recordings shorter than one window;
+    the warnings and the remainder follow manifest order, so output and log
+    are deterministic for any thread count.  An invalid window size raises
+    ValueError before any recording is read.
     """
     _check_window(window)
     layout = layout_default()
@@ -321,8 +322,7 @@ def prepare_dataset(manifest: DatasetManifest, window: int = 10,
         try:
             return load_recording_csv(path, entry, manifest.sample_rate, layout.n_channels)
         except RecordingError as exc:
-            log.warning("skipping recording: %s", exc)
-            return None
+            return exc
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -332,12 +332,14 @@ def prepare_dataset(manifest: DatasetManifest, window: int = 10,
 
     skipped = []
     for entry, rec in zip(manifest.recordings, loaded):
-        if rec is None:
+        if isinstance(rec, RecordingError):
+            log.warning("skipping recording: %s", rec)
             skipped.append(entry.path)
         elif len(rec.samples) < window:
             log.warning("recording %s has %d samples, shorter than window %d; "
                         "produced 0 windows", entry.path, len(rec.samples), window)
-    prepared = window_recordings([rec for rec in loaded if rec is not None], window)
+    prepared = window_recordings([rec for rec in loaded if not isinstance(rec, RecordingError)],
+                                 window)
     train_idx, test_idx = split_indices(prepared.count, ratio, seed)
     prepared.meta = {
         "window": window,

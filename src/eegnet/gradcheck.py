@@ -17,7 +17,6 @@ import numpy as np
 from . import autodiff as ad
 from . import convolution, models
 from .autodiff import Tensor, backward, softmax_cross_entropy
-from .convolution import conv1d_same, conv2d_same, conv3d_same
 from .models import ModelConfig, param_init
 
 
@@ -96,15 +95,25 @@ def _check_gather(rng):
 
 
 def _check_conv(nd):
-    conv = {1: conv1d_same, 2: conv2d_same, 3: conv3d_same}[nd]
+    # one fused conv + bias + ELU node, channels-last in and out
     spatial = {1: (7,), 2: (4, 5), 3: (3, 4, 4)}[nd]
 
     def run(rng):
-        x = _t(rng, 2, *spatial)
+        x = _t(rng, 2, *spatial, 2)
         k = _t(rng, 3, 2, *(3,) * nd)
         b = _t(rng, 3)
-        c = np.random.default_rng(7).standard_normal((3,) + spatial)
-        return finite_diff_check(lambda x, k, b: _weighted_sum(conv(x, k, b), c), [x, k, b])
+        c = np.random.default_rng(7).standard_normal((2, *spatial, 3))
+
+        def fn(x, k, b):
+            return _weighted_sum(convolution._conv(x, k, b, channels_first=False), c)
+
+        # the runs that fail have a coordinate whose gradient nearly cancels
+        # (about 1e-7 to 1e-4), where the central difference's rounding
+        # error, about 1e-16 |f| / eps, or its eps**2 error is too large a
+        # share.  Failed runs of the three ranks by eps, seeds 0-199 (of
+        # 600): 3e-6 9, 1e-5 3, 1.5e-5 1, 2e-5 0, 3e-5 2, 5e-5 8, 1e-4 31;
+        # seeds 200-599 (of 1200): 1e-5 10, 2e-5 8
+        return finite_diff_check(fn, [x, k, b], eps=2e-5)
 
     return run
 
@@ -118,8 +127,8 @@ def _check_conv_elu(rng):
     c = rng.standard_normal((2, 2, 4, 5))
 
     def fn(x, k0, b0, k1, b1):
-        h = convolution._conv(x, k0, b0, elu=True, channels_first=False)
-        return _weighted_sum(convolution._conv(h, k1, b1, elu=True, channels_first=True), c)
+        h = convolution._conv(x, k0, b0, channels_first=False)
+        return _weighted_sum(convolution._conv(h, k1, b1, channels_first=True), c)
 
     # eps 1e-5: through two ELUs the central differences' eps**2 error at the
     # default 1e-4 reaches a few 1e-6 on some seeds (40 seeds: at most 7e-8 here)
@@ -160,8 +169,8 @@ def _check_lstm_sequence(rng):
 def _check_conv_stack(rng):
     config = reduced_config("cascade")
     params = param_init(config, seed=3, dtype=np.float64)
-    # one frame, channels-first (1, 1, h, w)
-    frame = Tensor.constant(rng.standard_normal((1, config.mesh_h, config.mesh_w))[None])
+    # one frame, channels-last (1, h, w, 1)
+    frame = Tensor.constant(rng.standard_normal((1, config.mesh_h, config.mesh_w, 1)))
     c = rng.standard_normal((1, config.fc_width))
     stack = [params.tensors[k] for k in params.tensors if k.startswith("cnn.")]
 

@@ -339,9 +339,9 @@ def _first_appearance(ids: np.ndarray):
 
 
 def _conv_stack(config: ModelConfig, tensors: dict, x: Tensor, rng, rows=None) -> Tensor:
-    """Conv layers, each one fused conv + bias + ELU node, over a channels-first
-    (N, 1, *spatial) batch; the flattened last layer, then ``elu(cnn.fc)``
-    and dropout if the model has `cnn.fc`.
+    """Conv layers, each one :func:`convolution._conv` node (conv + bias +
+    ELU), over a channels-last (N, *spatial, 1) batch; the flattened last
+    layer, then ``elu(cnn.fc)`` and dropout if the model has `cnn.fc`.
 
     Given `rows`, one :func:`autodiff.gather` puts the features of those
     rows of `x`, in that order, in place of the N before dropout, whose mask
@@ -350,12 +350,11 @@ def _conv_stack(config: ModelConfig, tensors: dict, x: Tensor, rng, rows=None) -
     # next layer's lowering input as it stands.  Only the last layer emits
     # channels-first and C-contiguous: the flatten is then a view, and the
     # columns of cnn.fc.weight keep their (C, *spatial) order.
-    h = convolution._channels_last(x, x.ndim - 2)
     last = config.conv_depth - 1
     for i in range(config.conv_depth):
-        h = convolution._conv(h, tensors[f"cnn.conv{i}.kernel"], tensors[f"cnn.conv{i}.bias"],
-                              elu=True, channels_first=i == last)
-    feats = ad.reshape(h, (x.shape[0], -1))
+        x = convolution._conv(x, tensors[f"cnn.conv{i}.kernel"], tensors[f"cnn.conv{i}.bias"],
+                              channels_first=i == last)
+    feats = ad.reshape(x, (x.shape[0], -1))
     with_fc = "cnn.fc.weight" in tensors
     if with_fc:
         feats = ad.elu(_dense(feats, tensors, "cnn.fc"))
@@ -370,7 +369,7 @@ def _frame_features(config: ModelConfig, tensors: dict, frames: np.ndarray,
     index order.  Each distinct frame index runs through the conv layers
     and ``elu(cnn.fc)`` once, and the rows are gathered back before dropout."""
     keep, rows = _first_appearance(index.ravel())
-    x = Tensor.constant(np.take(frames, keep, axis=0)[:, None])
+    x = Tensor.constant(np.take(frames, keep, axis=0)[..., None])
     return _conv_stack(config, tensors, x, rng, rows if len(keep) < index.size else None)
 
 
@@ -477,7 +476,7 @@ def forward_windows(params: ModelParams, raw: np.ndarray, meshes: np.ndarray,
     elif arch == "rnn":
         feats = _temporal_path(params, raw, index, rng)
     elif arch == "cnn3d":  # the conv reads whole windows, one (S, h, w) volume each
-        x = Tensor.constant(np.take(meshes, index, axis=0)[:, None])
+        x = Tensor.constant(np.take(meshes, index, axis=0)[..., None])
         feats = _conv_stack(config, tensors, x, rng)
     else:  # cnn1d, cnn2d: one conv pass per step, then the mean of the step logits
         feats = _frame_features(config, tensors, raw if arch == "cnn1d" else meshes, index, rng)

@@ -63,3 +63,61 @@ def tiny_checkpoint(tmp_path_factory):
         rng=np.random.default_rng(0), history=[training.EpochStats(1, 1.1, 0.4, 1.2, 0.3)],
     )
     return path
+
+
+# Independent nested-loop oracles: direct correlation of one channels-first
+# (C_in, *spatial) frame, zero-padded, with a (C_out, C_in, 3, ...) kernel,
+# plus the bias; no activation.
+
+def conv1d_loops(x, k, b):
+    cin, length = x.shape
+    cout = k.shape[0]
+    xp = np.pad(x, ((0, 0), (1, 1)))
+    out = np.zeros((cout, length))
+    for co in range(cout):
+        for i in range(length):
+            acc = 0.0
+            for ci in range(cin):
+                for p in range(3):
+                    acc += xp[ci, i + p] * k[co, ci, p]
+            out[co, i] = acc + b[co]
+    return out
+
+
+def conv2d_loops(x, k, b):
+    cin, h, w = x.shape
+    cout = k.shape[0]
+    xp = np.pad(x, ((0, 0), (1, 1), (1, 1)))
+    out = np.zeros((cout, h, w))
+    for co in range(cout):
+        for y in range(h):
+            for z in range(w):
+                acc = 0.0
+                for ci in range(cin):
+                    for p in range(3):
+                        for q in range(3):
+                            acc += xp[ci, y + p, z + q] * k[co, ci, p, q]
+                out[co, y, z] = acc + b[co]
+    return out
+
+
+def conv3d_loops(x, k, b):
+    cin, d, h, w = x.shape
+    cout = k.shape[0]
+    xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (1, 1)))
+    out = np.zeros((cout, d, h, w))
+    for co in range(cout):
+        for u in range(d):
+            for y in range(h):
+                for z in range(w):
+                    acc = 0.0
+                    for ci in range(cin):
+                        for p in range(3):
+                            for q in range(3):
+                                for r in range(3):
+                                    acc += xp[ci, u + p, y + q, z + r] * k[co, ci, p, q, r]
+                    out[co, u, y, z] = acc + b[co]
+    return out
+
+
+CONV_LOOPS = {1: conv1d_loops, 2: conv2d_loops, 3: conv3d_loops}

@@ -7,7 +7,6 @@ import pytest
 from eegnet import autodiff as ad
 from eegnet import convolution
 from eegnet.autodiff import Tensor, backward, softmax_cross_entropy
-from eegnet.convolution import conv2d_same
 from eegnet.gradcheck import finite_diff_check
 
 
@@ -228,7 +227,7 @@ class TestShapeOps:
         )
         assert err <= 1e-8
 
-    def test_reshape_transpose_getitem_concat_gradients(self):
+    def test_reshape_getitem_concat_gradients(self):
         rng = np.random.default_rng(10)
         x = t64(rng.standard_normal((2, 6)))
         y = t64(rng.standard_normal((2, 3)))
@@ -238,8 +237,7 @@ class TestShapeOps:
         for axis in (1, -1):
             def fn(x, y):
                 xr = ad.reshape(x, (3, 4))
-                xt = ad.transpose(xr, (1, 0))      # (4, 3)
-                part = xt[0:2, :]                   # (2, 3)
+                part = xr[1:3, 0:3]  # (2, 3)
                 joined = ad.concat([part, y, part[:, 0:1]], axis=axis)  # (2, 7)
                 return ad.tensor_sum(ad.mul(joined, weighted))
 
@@ -280,10 +278,9 @@ class TestOpProtocol:
     @pytest.mark.parametrize("op", [
         lambda c: ad.mul(c, 2.0),
         ad.elu,
-        lambda c: ad.transpose(c, (2, 0, 1)),
-        lambda c: conv2d_same(c, Tensor.constant(np.ones((2, 3, 3, 3))),
-                              Tensor.constant(np.zeros(2))),
-    ], ids=["mul", "elu", "transpose", "conv2d_same"])
+        lambda c: convolution._conv(c, Tensor.constant(np.ones((2, 5, 3))),
+                                    Tensor.constant(np.zeros(2)), channels_first=False),
+    ], ids=["mul", "elu", "conv"])
     def test_constant_inputs_give_a_constant(self, op):
         out = op(Tensor.constant(np.arange(60.0).reshape(3, 4, 5)))
         assert out.requires_grad is False
@@ -292,7 +289,7 @@ class TestOpProtocol:
     @pytest.mark.parametrize("x_is_parameter, calls", [(False, 0), (True, 1)])
     def test_conv_input_gradient_only_when_required(self, monkeypatch, x_is_parameter, calls):
         rng = np.random.default_rng(14)
-        x = rng.standard_normal((2, 4, 5))
+        x = rng.standard_normal((1, 4, 5, 2))
         x = t64(x) if x_is_parameter else Tensor.constant(x)
         k, b = t64(rng.standard_normal((3, 2, 3, 3))), t64(rng.standard_normal(3))
         original = convolution._input_grad
@@ -303,7 +300,7 @@ class TestOpProtocol:
             return original(*args)
 
         monkeypatch.setattr(convolution, "_input_grad", counted)
-        backward(ad.tensor_sum(conv2d_same(x, k, b)))
+        backward(ad.tensor_sum(convolution._conv(x, k, b, channels_first=False)))
         assert len(seen) == calls
         assert k.grad is not None and b.grad is not None
         assert (x.grad is not None) == x_is_parameter
@@ -353,9 +350,8 @@ class TestOpProtocol:
         inputs = {name: Tensor(rng.standard_normal(shape), requires_grad=name[0] in parameters)
                   for name, shape in shapes.items()}
         c = Tensor.constant(rng.standard_normal((2, 2, 4, 5)))
-        h = convolution._conv(inputs["x"], inputs["k0"], inputs["b0"],
-                              elu=True, channels_first=False)
-        out = convolution._conv(h, inputs["k1"], inputs["b1"], elu=True, channels_first=True)
+        h = convolution._conv(inputs["x"], inputs["k0"], inputs["b0"], channels_first=False)
+        out = convolution._conv(h, inputs["k1"], inputs["b1"], channels_first=True)
         return ad.tensor_sum(ad.mul(out, c)), inputs
 
     @pytest.mark.parametrize("parameters", ["x", "k", "b", "xk", "xb", "kb", "xkb"])
@@ -392,7 +388,7 @@ class TestOpProtocol:
             return d
 
         monkeypatch.setattr(ad, "_elu_grad", tracked)
-        out = convolution._conv(x, k, b, elu=True, channels_first=False)
+        out = convolution._conv(x, k, b, channels_first=False)
         backward(ad.tensor_sum(out))
         assert len(refs) == 1
         assert out._backward is not None  # the graph is still alive
@@ -401,7 +397,7 @@ class TestOpProtocol:
     def test_fused_conv_looks_up_elu_grad_at_backward_time(self, monkeypatch):
         rng = np.random.default_rng(23)
         x, k, b = (t64(rng.standard_normal(shape)) for shape in ((2, 4, 5, 2), (3, 2, 3, 3), (3,)))
-        out = convolution._conv(x, k, b, elu=True, channels_first=True)
+        out = convolution._conv(x, k, b, channels_first=True)
         monkeypatch.setattr(ad, "_elu_grad", np.zeros_like)
         backward(ad.tensor_sum(out))
         for t in (x, k, b):

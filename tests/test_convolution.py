@@ -7,78 +7,38 @@ from hypothesis import strategies as st
 
 from eegnet import convolution
 from eegnet.autodiff import Tensor
-from eegnet.convolution import conv1d_same, conv2d_same, conv3d_same
+
+from conftest import conv1d_loops, conv2d_loops, conv3d_loops
 
 
 def t64(data):
     return Tensor(np.asarray(data, dtype=np.float64))
 
 
-# Independent nested-loop oracles: direct correlation over zero-padded input.
-
-def conv1d_loops(x, k, b):
-    cin, length = x.shape
-    cout = k.shape[0]
-    xp = np.pad(x, ((0, 0), (1, 1)))
-    out = np.zeros((cout, length))
-    for co in range(cout):
-        for i in range(length):
-            acc = 0.0
-            for ci in range(cin):
-                for p in range(3):
-                    acc += xp[ci, i + p] * k[co, ci, p]
-            out[co, i] = acc + b[co]
-    return out
+def elu(z):
+    return np.where(z > 0, z, np.expm1(z))
 
 
-def conv2d_loops(x, k, b):
-    cin, h, w = x.shape
-    cout = k.shape[0]
-    xp = np.pad(x, ((0, 0), (1, 1), (1, 1)))
-    out = np.zeros((cout, h, w))
-    for co in range(cout):
-        for y in range(h):
-            for z in range(w):
-                acc = 0.0
-                for ci in range(cin):
-                    for p in range(3):
-                        for q in range(3):
-                            acc += xp[ci, y + p, z + q] * k[co, ci, p, q]
-                out[co, y, z] = acc + b[co]
-    return out
-
-
-def conv3d_loops(x, k, b):
-    cin, d, h, w = x.shape
-    cout = k.shape[0]
-    xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (1, 1)))
-    out = np.zeros((cout, d, h, w))
-    for co in range(cout):
-        for u in range(d):
-            for y in range(h):
-                for z in range(w):
-                    acc = 0.0
-                    for ci in range(cin):
-                        for p in range(3):
-                            for q in range(3):
-                                for r in range(3):
-                                    acc += xp[ci, u + p, y + q, z + r] * k[co, ci, p, q, r]
-                    out[co, u, y, z] = acc + b[co]
-    return out
+def conv_frames(x, k, b, channels_first=True):
+    """`convolution._conv` on channels-first frames (B, C_in, *spatial), fed
+    to it channels-last; the result moved back to (B, C_out, *spatial) if it
+    comes out channels-last."""
+    out = convolution._conv(t64(np.moveaxis(x, 1, -1)), t64(k), t64(b),
+                            channels_first=channels_first).data
+    return out if channels_first else np.moveaxis(out, -1, 1)
 
 
 class TestConv2d:
     def test_delta_kernel_is_identity(self):
         rng = np.random.default_rng(0)
-        x = rng.standard_normal((1, 4, 6))
+        x = rng.standard_normal((1, 1, 4, 6))
         k = np.zeros((1, 1, 3, 3))
         k[0, 0, 1, 1] = 1.0
-        out = conv2d_same(t64(x), t64(k), t64(np.zeros(1)))
-        np.testing.assert_allclose(out.data, x, atol=1e-15)
+        out = conv_frames(x, k, np.zeros(1))
+        np.testing.assert_allclose(out, elu(x), atol=1e-15)
 
     def test_ones_kernel_counts_overlap(self):
-        out = conv2d_same(t64(np.ones((1, 3, 3))), t64(np.ones((1, 1, 3, 3))),
-                          t64(np.zeros(1))).data[0]
+        out = conv_frames(np.ones((1, 1, 3, 3)), np.ones((1, 1, 3, 3)), np.zeros(1))[0, 0]
         assert out[1, 1] == 9.0
         for corner in ((0, 0), (0, 2), (2, 0), (2, 2)):
             assert out[corner] == 4.0
@@ -88,65 +48,51 @@ class TestConv2d:
         x = rng.standard_normal((2, 5, 6))
         k = rng.standard_normal((3, 2, 3, 3))
         b = rng.standard_normal(3)
-        out = conv2d_same(t64(x), t64(k), t64(b))
-        assert np.abs(out.data - conv2d_loops(x, k, b)).max() <= 1e-12
-
-    def test_channel_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="channel mismatch"):
-            conv2d_same(t64(np.ones((2, 4, 4))), t64(np.ones((1, 3, 3, 3))),
-                        t64(np.zeros(1)))
-
-    def test_bias_shape_rejected(self):
-        with pytest.raises(ValueError, match="bias"):
-            conv2d_same(t64(np.ones((1, 4, 4))), t64(np.ones((2, 1, 3, 3))),
-                        t64(np.zeros(3)))
-
-    def test_kernel_extent_rejected(self):
-        with pytest.raises(ValueError, match="kernel"):
-            conv2d_same(t64(np.ones((1, 4, 4))), t64(np.ones((1, 1, 5, 5))),
-                        t64(np.zeros(1)))
+        want = elu(conv2d_loops(x, k, b))
+        for channels_first in (False, True):
+            out = conv_frames(x[None], k, b, channels_first)[0]
+            assert np.abs(out - want).max() <= 1e-12
 
     def test_batched_equals_per_sample(self):
         rng = np.random.default_rng(2)
         x = rng.standard_normal((4, 2, 5, 5))
         k = rng.standard_normal((3, 2, 3, 3))
         b = rng.standard_normal(3)
-        batched = conv2d_same(t64(x), t64(k), t64(b)).data
+        batched = conv_frames(x, k, b)
         for i in range(4):
-            single = conv2d_same(t64(x[i]), t64(k), t64(b)).data
+            single = conv_frames(x[i:i + 1], k, b)[0]
             np.testing.assert_allclose(batched[i], single, atol=1e-12)
 
 
 class TestConv1dConv3d:
     def test_conv1d_delta_identity(self):
         rng = np.random.default_rng(3)
-        x = rng.standard_normal((2, 9))
+        x = rng.standard_normal((1, 2, 9))
         k = np.zeros((2, 2, 3))
         k[0, 0, 1] = 1.0
         k[1, 1, 1] = 1.0
-        out = conv1d_same(t64(x), t64(k), t64(np.zeros(2)))
-        np.testing.assert_allclose(out.data, x, atol=1e-15)
+        out = conv_frames(x, k, np.zeros(2), channels_first=False)
+        np.testing.assert_allclose(out, elu(x), atol=1e-15)
 
     def test_conv3d_ones_center(self):
-        out = conv3d_same(t64(np.ones((1, 3, 3, 3))), t64(np.ones((1, 1, 3, 3, 3))),
-                          t64(np.zeros(1)))
-        assert out.data[0, 1, 1, 1] == 27.0
+        out = conv_frames(np.ones((1, 1, 3, 3, 3)), np.ones((1, 1, 3, 3, 3)), np.zeros(1))
+        assert out[0, 0, 1, 1, 1] == 27.0
 
     def test_conv1d_matches_loops(self):
         rng = np.random.default_rng(4)
         x = rng.standard_normal((3, 8))
         k = rng.standard_normal((2, 3, 3))
         b = rng.standard_normal(2)
-        out = conv1d_same(t64(x), t64(k), t64(b))
-        assert np.abs(out.data - conv1d_loops(x, k, b)).max() <= 1e-12
+        out = conv_frames(x[None], k, b, channels_first=False)[0]
+        assert np.abs(out - elu(conv1d_loops(x, k, b))).max() <= 1e-12
 
     def test_conv3d_matches_loops(self):
         rng = np.random.default_rng(5)
         x = rng.standard_normal((2, 3, 4, 4))
         k = rng.standard_normal((2, 2, 3, 3, 3))
         b = rng.standard_normal(2)
-        out = conv3d_same(t64(x), t64(k), t64(b))
-        assert np.abs(out.data - conv3d_loops(x, k, b)).max() <= 1e-12
+        out = conv_frames(x[None], k, b, channels_first=False)[0]
+        assert np.abs(out - elu(conv3d_loops(x, k, b))).max() <= 1e-12
 
 
 @settings(max_examples=25, deadline=None)
@@ -157,26 +103,28 @@ class TestConv1dConv3d:
 )
 def test_same_padding_preserves_spatial_extents(cin, cout, spatial):
     nd = len(spatial)
-    conv = {1: conv1d_same, 2: conv2d_same, 3: conv3d_same}[nd]
     rng = np.random.default_rng(42)
-    x = rng.standard_normal((cin, *spatial))
-    k = rng.standard_normal((cout, cin) + (3,) * nd)
-    out = conv(t64(x), t64(k), t64(np.zeros(cout)))
-    assert out.shape == (cout, *spatial)
+    x = t64(rng.standard_normal((2, *spatial, cin)))
+    k = t64(rng.standard_normal((cout, cin) + (3,) * nd))
+    b = t64(np.zeros(cout))
+    assert convolution._conv(x, k, b, channels_first=False).shape == (2, *spatial, cout)
+    assert convolution._conv(x, k, b, channels_first=True).shape == (2, cout, *spatial)
 
 
 def test_time_constant_3d_kernel_reduces_to_2d():
     """A 3D conv whose kernel is constant along time, applied to a window of
     identical frames, is the 2D conv scaled by the number of time taps that
-    land on data: 3 at interior steps, 2 at the window's first/last step."""
+    land on data: 3 at interior steps, 2 at the window's first/last step.  A
+    positive frame and kernel keep every pre-activation positive, where the
+    ELU is the identity."""
     rng = np.random.default_rng(6)
-    frame = rng.standard_normal((4, 5))
-    k2 = rng.standard_normal((2, 1, 3, 3))
+    frame = np.abs(rng.standard_normal((4, 5)))
+    k2 = np.abs(rng.standard_normal((2, 1, 3, 3)))
     k3 = np.repeat(k2[:, :, None, :, :], 3, axis=2)  # (2, 1, 3, 3, 3)
     steps = 6
-    window = np.broadcast_to(frame, (steps, 4, 5))[None]  # (1, S, h, w)
-    out3 = conv3d_same(t64(window), t64(k3), t64(np.zeros(2))).data
-    out2 = conv2d_same(t64(frame[None]), t64(k2), t64(np.zeros(2))).data
+    window = np.broadcast_to(frame, (steps, 4, 5))[None, None]  # (1, 1, S, h, w)
+    out3 = conv_frames(window, k3, np.zeros(2))[0]
+    out2 = conv_frames(frame[None, None], k2, np.zeros(2))[0]
     for s in range(steps):
         factor = 2.0 if s in (0, steps - 1) else 3.0
         np.testing.assert_allclose(out3[:, s], factor * out2, atol=1e-12)
@@ -190,29 +138,34 @@ class TestBlockedCore:
     SPATIAL = {1: (5,), 2: (4, 5), 3: (3, 4, 4)}
 
     @staticmethod
-    def _run(nd, elu, channels_first, dtype, batch=7, cin=2, cout=3):
+    def _run(nd, x_grad, channels_first, dtype, batch=7, cin=2, cout=3):
         rng = np.random.default_rng(30 + nd)
         spatial = TestBlockedCore.SPATIAL[nd]
-        x = Tensor(rng.standard_normal((batch, *spatial, cin)), dtype, requires_grad=True)
+        x = Tensor(rng.standard_normal((batch, *spatial, cin)), dtype, requires_grad=x_grad)
         k = Tensor(rng.standard_normal((cout, cin) + (3,) * nd), dtype, requires_grad=True)
         b = Tensor(rng.standard_normal(cout), dtype, requires_grad=True)
-        out = convolution._conv(x, k, b, elu=elu, channels_first=channels_first)
+        out = convolution._conv(x, k, b, channels_first=channels_first)
         out._backward(rng.standard_normal(out.shape).astype(dtype))
         return out.data, x.grad, k.grad, b.grad
 
     @pytest.mark.parametrize("frames", [1, 3])
     @pytest.mark.parametrize("channels_first", [False, True])
-    @pytest.mark.parametrize("elu", [False, True])
+    @pytest.mark.parametrize("x_grad", [False, True])
     @pytest.mark.parametrize("nd", [1, 2, 3])
-    def test_blocks_do_not_change_results(self, monkeypatch, nd, elu, channels_first, frames):
+    def test_blocks_do_not_change_results(self, monkeypatch, nd, x_grad, channels_first, frames):
         monkeypatch.setattr(convolution, "_BLOCK_BYTES", 1 << 40)
-        whole = self._run(nd, elu, channels_first, np.float64)
-        # `frames` frames of the lowered 3 output channels: the backward walks
-        # blocks of `frames`, the forward, lowering 2 channels, of 1 or 4
+        whole = self._run(nd, x_grad, channels_first, np.float64)
+        # `frames` frames of the lowered 3 output channels: the forward,
+        # lowering 2 channels, walks blocks of 1 or 4, and so does the
+        # backward of a constant x; given x_grad, the backward also lowers
+        # the 3 channels of dz and walks blocks of `frames`
         frame = int(np.prod(self.SPATIAL[nd])) * 3 ** nd * 3 * 8
         monkeypatch.setattr(convolution, "_BLOCK_BYTES", frames * frame)
-        blocked = self._run(nd, elu, channels_first, np.float64)
+        blocked = self._run(nd, x_grad, channels_first, np.float64)
+        assert (blocked[1] is None) == (whole[1] is None) == (not x_grad)
         for name, got, want in zip(("out", "dx", "dk", "db"), blocked, whole):
+            if want is None:
+                continue
             assert got.shape == want.shape, name
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), name
 
@@ -230,10 +183,10 @@ class TestBlockedCore:
         x = Tensor.constant(x64.astype(np.float32))
         k = Tensor.parameter(rng.standard_normal((3, 2, 3, 3)))
         b = Tensor.parameter(rng.standard_normal(3))
-        out = convolution._conv(x, k, b, elu=True, channels_first=True)
+        out = convolution._conv(x, k, b, channels_first=True)
         assert out.dtype == np.float64
         want = convolution._conv(Tensor.constant(x64.astype(np.float32).astype(np.float64)),
-                                 k, b, elu=True, channels_first=True)
+                                 k, b, channels_first=True)
         np.testing.assert_array_equal(out.data, want.data)
         out._backward(np.ones(out.shape))
         assert k.grad.dtype == b.grad.dtype == np.float64
@@ -250,7 +203,7 @@ class TestBlockedCore:
         g = rng.standard_normal((batch, 10, 11, 64)).astype(np.float32)
         tracemalloc.start()
         try:
-            out = convolution._conv(x, k, b, elu=True, channels_first=False)
+            out = convolution._conv(x, k, b, channels_first=False)
             retained = tracemalloc.get_traced_memory()[0]
             out._backward(g)
             peak = tracemalloc.get_traced_memory()[1]

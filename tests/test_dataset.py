@@ -1,5 +1,7 @@
 import json
 import struct
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -614,6 +616,39 @@ class TestPrepareDataset:
         threaded = ds.prepare_dataset(manifest, window=10, threads=4)
         np.testing.assert_array_equal(serial.raw, threaded.raw)
         np.testing.assert_array_equal(serial.labels, threaded.labels)
+
+    def test_threaded_skip_warnings_follow_manifest_order(self, tmp_path, monkeypatch, caplog):
+        # the first damaged recording finishes loading after the second, as a
+        # slow read would; its warning still comes first
+        (tmp_path / "recordings").mkdir()
+        names = ["recordings/bad0.csv", "recordings/bad1.csv", "recordings/good.csv"]
+        for name in names[:2]:
+            (tmp_path / name).write_text("broken")
+        ds.save_recording_csv(tmp_path / names[2],
+                              np.random.default_rng(3).standard_normal((20, 64)))
+        manifest = ds.DatasetManifest(
+            recordings=[ds.ManifestEntry(name, f"s{i}", 0) for i, name in enumerate(names)],
+            label_names={0: "a"}, base_dir=tmp_path)
+        load = ds.load_recording_csv
+        second_loaded = threading.Event()
+
+        def first_loads_last(path, entry, *args):
+            if entry.path == names[0]:
+                assert second_loaded.wait(timeout=5)
+                time.sleep(0.05)
+            try:
+                return load(path, entry, *args)
+            finally:
+                if entry.path == names[1]:
+                    second_loaded.set()
+
+        monkeypatch.setattr(ds, "load_recording_csv", first_loads_last)
+        with caplog.at_level("WARNING"):
+            prepared = ds.prepare_dataset(manifest, window=10, threads=3)
+        skips = [r.getMessage() for r in caplog.records if "skipping recording" in r.getMessage()]
+        assert len(skips) == 2
+        assert names[0] in skips[0] and names[1] in skips[1]
+        assert prepared.meta["skipped"] == names[:2]
 
 
 def test_build_prepared_helper_balanced():

@@ -4,9 +4,10 @@ import pytest
 from eegnet import autodiff as ad
 from eegnet import convolution, models
 from eegnet.autodiff import Tensor, backward
-from eegnet.convolution import conv1d_same, conv2d_same, conv3d_same
 from eegnet.gradcheck import reduced_config
 from eegnet.models import ModelConfig, canonical_config, fuse, param_init
+
+from conftest import CONV_LOOPS
 
 
 def make_segment(config, seed=0, dtype=np.float64):
@@ -24,7 +25,7 @@ def one_window(config):
 
 def frame_features(params, frame):
     """The conv stack's (F,) features of one (h, w) frame, in eval mode."""
-    x = Tensor.constant(np.asarray(frame)[None, None])
+    x = Tensor.constant(np.asarray(frame)[None, ..., None])
     return models._conv_stack(params.config, params.tensors, x, None).data[0]
 
 
@@ -154,13 +155,14 @@ class TestConvStack:
                              ids=["f64", "f32"])
     @pytest.mark.parametrize("arch", ["cnn1d", "cnn2d", "cnn3d"])
     def test_matches_composed_public_convs(self, arch, dtype, tol):
-        # the fused channels-last stack against elu(convNd_same(...)) layer by
-        # layer: the stack cut after each depth, values and gradients
+        # the fused channels-last stack against elu(convNd_loops(...)) layer
+        # by layer, channels-first, then flattened: the stack cut after each
+        # depth, values and gradients
         spatial = models._conv_spatial(reduced_config(arch), arch)
-        nd = len(spatial)
-        conv = {1: conv1d_same, 2: conv2d_same, 3: conv3d_same}[nd]
-        rng = np.random.default_rng(nd)
-        x = Tensor.parameter(rng.standard_normal((2, 1) + spatial).astype(dtype))
+        rng = np.random.default_rng(len(spatial))
+        frames = rng.standard_normal((2,) + spatial).astype(dtype)
+        x = Tensor.parameter(frames[..., None])
+        x_first = Tensor.parameter(frames[:, None])
         for depth in (1, 2, 3):
             config = reduced_config(arch, conv_depth=depth)
             tensors = {name: Tensor.parameter(rng.standard_normal(shape).astype(dtype))
@@ -168,19 +170,48 @@ class TestConvStack:
             width = config.maps[-1] * int(np.prod(spatial))
             weights = Tensor.constant(rng.standard_normal((2, width)).astype(dtype))
 
-            def grads(out):
+            def grads(out, x):
                 backward(ad.tensor_sum(ad.mul(out, weights)))
-                return [x.grad] + [t.grad for t in tensors.values()]
+                return [x.grad.reshape(frames.shape)] + [t.grad for t in tensors.values()]
 
             fused = models._conv_stack(config, tensors, x, None)
-            fused_grads = grads(fused)
-            h = x
+            fused_grads = grads(fused, x)
+            h = x_first
             for i in range(depth):
-                h = ad.elu(conv(h, tensors[f"cnn.conv{i}.kernel"], tensors[f"cnn.conv{i}.bias"]))
+                h = loop_conv(h, tensors[f"cnn.conv{i}.kernel"], tensors[f"cnn.conv{i}.bias"])
+                h = ad.elu(h)
             composed = ad.reshape(h, (2, -1))
             assert fused.data.dtype == fused_grads[0].dtype == dtype
-            for a, b in zip([fused.data] + fused_grads, [composed.data] + grads(composed)):
+            want = [composed.data] + grads(composed, x_first)
+            for a, b in zip([fused.data] + fused_grads, want):
                 assert np.abs(a - b).max() <= tol * np.abs(b).max()
+
+
+def loop_conv(x, k, b):
+    """The nested-loop oracle over a channels-first (B, C_in, *spatial) batch
+    as a tape op, in float64.  Its VJPs are the oracle's adjoints: the input
+    gradient is the oracle run on the upstream gradient with the flipped
+    kernel, its channels swapped; the kernel gradient correlates the
+    zero-padded input with the upstream gradient, one kernel offset at a
+    time."""
+    nd = k.ndim - 2
+    loops = CONV_LOOPS[nd]
+    spatial = x.shape[2:]
+    flipped = np.flip(k.data, tuple(range(2, 2 + nd))).swapaxes(0, 1)
+    padded = np.pad(x.data, ((0, 0), (0, 0)) + ((1, 1),) * nd)
+    axes = [0] + list(range(2, 2 + nd))
+
+    def dk(g):
+        out = np.empty(k.shape)
+        for offset in np.ndindex(*k.shape[2:]):
+            shifted = padded[(slice(None), slice(None))
+                             + tuple(slice(o, o + n) for o, n in zip(offset, spatial))]
+            out[(slice(None), slice(None)) + offset] = np.tensordot(g, shifted, (axes, axes))
+        return out
+
+    return ad._op(np.stack([loops(f, k.data, b.data) for f in x.data]), (x, k, b),
+                  lambda g: np.stack([loops(f, flipped, np.zeros(k.shape[1])) for f in g]),
+                  dk, lambda g: g.sum(axis=tuple(axes)))
 
 
 def lstm_reference(steps, tensors, depth, hidden):
@@ -379,10 +410,10 @@ def every_frame_conv_stack(config, tensors, x, rng, rows=None):
     flatten, ``elu(cnn.fc)`` and dropout (reference)."""
     if rows is not None:
         x = Tensor.constant(x.data[rows])
-    h = convolution._channels_last(x, x.ndim - 2)
+    h = x
     for i in range(config.conv_depth):
         h = convolution._conv(h, tensors[f"cnn.conv{i}.kernel"], tensors[f"cnn.conv{i}.bias"],
-                              elu=True, channels_first=i == config.conv_depth - 1)
+                              channels_first=i == config.conv_depth - 1)
     feats = ad.elu(ad.linear(ad.reshape(h, (x.shape[0], -1)), tensors["cnn.fc.weight"],
                              tensors["cnn.fc.bias"]))
     return feats if rng is None else ad.dropout(feats, config.keep_prob, rng)
@@ -474,7 +505,7 @@ class TestDistinctFrames:
         # merging rows would leave the merged rows without their own x.grad
         config = reduced_config("cnn2d")
         tensors = param_init(config, seed=0, dtype=np.float64).tensors
-        x = Tensor.parameter(np.ones((4, 1, config.mesh_h, config.mesh_w)))
+        x = Tensor.parameter(np.ones((4, config.mesh_h, config.mesh_w, 1)))
         seen = self._count_conv_frames(monkeypatch)
         backward(ad.tensor_sum(models._conv_stack(config, tensors, x, None)))
         assert seen[0] == 4
