@@ -17,7 +17,7 @@ from .dataset import (
     save_prepared,
 )
 from .gradcheck import finite_diff_check, run_checks
-from .layout import ElectrodeLayout, from_mesh, layout_default, to_mesh, zscore_mesh
+from .layout import from_mesh, to_mesh, zscore_mesh
 from .models import (
     ModelConfig,
     ModelParams,
@@ -34,7 +34,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AdamState",
     "DatasetManifest",
-    "ElectrodeLayout",
     "Metrics",
     "ModelConfig",
     "ModelParams",
@@ -52,7 +51,6 @@ __all__ = [
     "from_mesh",
     "fuse",
     "init_adam",
-    "layout_default",
     "load_checkpoint",
     "load_prepared",
     "param_init",

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import container
-from .layout import layout_default, normalized_meshes
+from .layout import MESH_COLS, MESH_ROWS, N_CHANNELS, normalized_meshes
 
 log = logging.getLogger(__name__)
 
@@ -156,9 +156,9 @@ def save_recording_csv(path, samples: np.ndarray) -> None:
     np.savetxt(path, samples, delimiter=",", header=header, comments="", fmt="%.7g")
 
 
-def load_recording_csv(path, entry: ManifestEntry, sample_rate: int = 160,
-                       n_channels: int = 64) -> Recording:
-    """Read and validate one recording; raises RecordingError on damage."""
+def load_recording_csv(path, entry: ManifestEntry, sample_rate: int = 160) -> Recording:
+    """Read and validate one recording of the montage's 64 channels; raises
+    RecordingError on damage."""
     try:
         with open(path) as fh:
             header = fh.readline().strip()
@@ -170,11 +170,11 @@ def load_recording_csv(path, entry: ManifestEntry, sample_rate: int = 160,
             data = np.loadtxt(fh, delimiter=",", ndmin=2, dtype=np.float64)
     except (OSError, ValueError) as exc:
         raise RecordingError(f"{path}: unreadable recording ({exc})") from exc
-    expected = ",".join(f"ch{i + 1}" for i in range(n_channels))
+    expected = ",".join(f"ch{i + 1}" for i in range(N_CHANNELS))
     if header != expected:
-        raise RecordingError(f"{path}: bad header, expected columns ch1..ch{n_channels}")
-    if data.ndim != 2 or data.shape[1] != n_channels:
-        raise RecordingError(f"{path}: expected {n_channels} columns, got {data.shape}")
+        raise RecordingError(f"{path}: bad header, expected columns ch1..ch{N_CHANNELS}")
+    if data.ndim != 2 or data.shape[1] != N_CHANNELS:
+        raise RecordingError(f"{path}: expected {N_CHANNELS} columns, got {data.shape}")
     # NaN fails the comparison; a value past float32's range would cast to inf
     if not np.all(np.abs(data) <= np.finfo(np.float32).max):
         raise RecordingError(f"{path}: recording contains NaN, Inf or values beyond float32")
@@ -277,8 +277,8 @@ def window_recordings(recordings, window: int = 10) -> PreparedDataset:
     Window starts form the progression 0, S/2, S, ... within a recording;
     each window carries its recording's label and never crosses into another
     recording.  Each recording's samples are held once, all-zero (missing)
-    samples kept, with their meshes (default 64-channel 10x11 montage,
-    ``layout_default``) computed once per frame.  A recording shorter than
+    samples kept, with their meshes (the 64-channel 10x11 montage of
+    :mod:`eegnet.layout`) computed once per frame.  A recording shorter than
     one window adds nothing; DatasetError if no recording is that long.
     """
     _check_window(window)
@@ -304,8 +304,8 @@ def prepare_dataset(manifest: DatasetManifest, window: int = 10,
                     threads: int = 1) -> PreparedDataset:
     """Full ingestion pipeline: load -> normalize -> mesh -> window -> split.
 
-    Recordings have the 64 channels of the default 10x11 montage
-    (``layout_default``), which places every sample on the mesh.  `threads`
+    Recordings have the 64 channels of the 10x11 montage of
+    :mod:`eegnet.layout`, which places every sample on the mesh.  `threads`
     loader threads read the recordings.  Damaged recordings are skipped with
     a warning, and so, with another, are recordings shorter than one window;
     the warnings and the remainder follow manifest order, so output and log
@@ -313,14 +313,13 @@ def prepare_dataset(manifest: DatasetManifest, window: int = 10,
     ValueError before any recording is read.
     """
     _check_window(window)
-    layout = layout_default()
     ratio = manifest.split_ratio if ratio is None else ratio
     seed = manifest.split_seed if seed is None else seed
 
     def load_one(entry):
         path = manifest.base_dir / entry.path
         try:
-            return load_recording_csv(path, entry, manifest.sample_rate, layout.n_channels)
+            return load_recording_csv(path, entry, manifest.sample_rate)
         except RecordingError as exc:
             return exc
 
@@ -343,8 +342,8 @@ def prepare_dataset(manifest: DatasetManifest, window: int = 10,
     train_idx, test_idx = split_indices(prepared.count, ratio, seed)
     prepared.meta = {
         "window": window,
-        "channels": layout.n_channels,
-        "mesh": [layout.rows, layout.cols],
+        "channels": N_CHANNELS,
+        "mesh": [MESH_ROWS, MESH_COLS],
         "sample_rate": manifest.sample_rate,
         "label_names": {str(k): v for k, v in manifest.label_names.items()},
         "split": {
@@ -427,11 +426,10 @@ def load_prepared(path) -> PreparedDataset:
     or Inf, a window that runs past the stored frames, a label outside
     `label_names` and a stored split that does not index the windows raise
     typed errors, never a partial dataset."""
-    layout = layout_default()
     with container.read(path, PREPARED_FORMAT) as ((q, s, n, f), meta, read_array):
-        if n != layout.n_channels:
+        if n != N_CHANNELS:
             raise DatasetFormatError(
-                f"prepared dataset has {n} channels; meshes need {layout.n_channels}")
+                f"prepared dataset has {n} channels; meshes need {N_CHANNELS}")
         frames = read_array("f4", (f, n), "frames")
         starts = read_array("u4", (q,), "window starts").astype(np.intp)
         labels = read_array("u1", (q,), "labels")
@@ -443,5 +441,5 @@ def load_prepared(path) -> PreparedDataset:
     if bad.size:
         raise DatasetFormatError(f"prepared dataset window {bad[0]} starts at frame "
                                  f"{starts[bad[0]]}, so its {s} frames run past the {f} stored")
-    return PreparedDataset(frames=frames, frame_meshes=normalized_meshes(frames, layout),
+    return PreparedDataset(frames=frames, frame_meshes=normalized_meshes(frames),
                            starts=starts, labels=labels, window=s, meta=meta)

@@ -34,6 +34,7 @@ import numpy as np
 from . import autodiff as ad
 from . import convolution
 from .autodiff import Tensor
+from .layout import MESH_COLS, MESH_ROWS, N_CHANNELS
 
 ARCHITECTURES = ("cascade", "parallel", "cnn1d", "cnn2d", "cnn3d", "rnn")
 FUSIONS = ("cat", "add", "cat-fc", "cat-conv")
@@ -84,9 +85,9 @@ class ModelConfig:
     arch: str
     classes: int = 5
     window: int = 10
-    channels: int = 64
-    mesh_h: int = 10
-    mesh_w: int = 11
+    channels: int = N_CHANNELS
+    mesh_h: int = MESH_ROWS
+    mesh_w: int = MESH_COLS
     fc_width: int = 1024
     hidden: int = 64
     conv_depth: int = 3
@@ -116,6 +117,11 @@ class ModelConfig:
         for name in ("classes", "window", "channels", "mesh_h", "mesh_w", "fc_width", "hidden"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
+        if self.arch == "parallel" and self.fusion in ("add", "cat-conv"):
+            spatial, temporal = _spatial_feature_size(self), _temporal_feature_size(self)
+            if spatial != temporal:
+                raise ValueError(f"{self.fusion} fusion needs equal feature sizes, "
+                                 f"got {spatial} and {temporal}")
 
     @property
     def maps(self) -> tuple:
@@ -177,11 +183,7 @@ def _fused_size(config: ModelConfig) -> int:
         return spatial + temporal
     if config.fusion == "cat-fc":
         return config.fc_width
-    if spatial != temporal:
-        raise ValueError(
-            f"{config.fusion} fusion needs equal feature sizes, got {spatial} and {temporal}"
-        )
-    return spatial
+    return spatial  # add and cat-conv: equal sizes, checked by ModelConfig
 
 
 def _plan(config: ModelConfig) -> list:

@@ -19,11 +19,12 @@ architectures are strictly handicapped while joint models can reach ~100%.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .dataset import DatasetManifest, ManifestEntry, Recording
+from .layout import N_CHANNELS
 from .models import _check_field_types
 
 
@@ -49,7 +50,6 @@ class SynthSpec:
     window: int = 10
     sample_rate: int = 160
     seed: int = 0
-    n_channels: int = 64
 
     def __post_init__(self):
         # values are never coerced: an int field given 2.9 or true is an error
@@ -66,6 +66,8 @@ class SynthSpec:
             raise ValueError("recordings_per_class must be >= 1")
         if self.window < 2 or self.window % 2:
             raise ValueError(f"window size must be even and >= 2, got {self.window}")
+        if self.sample_rate < 1:
+            raise ValueError(f"sample_rate must be >= 1, got {self.sample_rate}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         names = [c.name for c in self.classes]
@@ -75,9 +77,9 @@ class SynthSpec:
             if cls.amplitude < 0:
                 raise ValueError(f"class {cls.name}: amplitude must be >= 0")
             for ch in cls.channels:
-                if not 1 <= ch <= self.n_channels:
+                if not 1 <= ch <= N_CHANNELS:
                     raise ValueError(
-                        f"class {cls.name}: channel {ch} out of range 1..{self.n_channels}"
+                        f"class {cls.name}: channel {ch} out of range 1..{N_CHANNELS}"
                     )
 
 
@@ -135,7 +137,7 @@ def synth_dataset(spec: SynthSpec):
             _recording_lengths(spec.windows_per_class, spec.recordings_per_class, spec.window)
         ):
             t = np.arange(length)[:, None]
-            samples = rng.normal(0.0, spec.noise, size=(length, spec.n_channels))
+            samples = rng.normal(0.0, spec.noise, size=(length, N_CHANNELS))
             if cls.channels:
                 wave = cls.amplitude * np.sin(
                     2.0 * np.pi * cls.frequency * t / spec.sample_rate + cls.phase
@@ -160,9 +162,8 @@ def synth_dataset(spec: SynthSpec):
     return manifest, recordings
 
 
-_SPEC_KEYS = {"classes", "noise", "windows_per_class", "recordings_per_class", "window",
-              "sample_rate", "seed"}
-_CLASS_KEYS = {"name", "channels", "frequency", "phase", "amplitude"}
+_SPEC_KEYS = {f.name for f in fields(SynthSpec)}
+_CLASS_KEYS = {f.name for f in fields(SynthClass)}
 
 
 def _reject_unknown(doc: dict, known: set, where: str) -> None:

@@ -557,12 +557,18 @@ def test_usage_error_exit_code_for_bad_flags(capsys):
     (["synth", "--spec", "{channel_float}"], "channels must be a list of ints, got [1.9]"),
     (["synth", "--spec", "{windows_float}"], "windows_per_class must be an int, got 2.9"),
     (["synth", "--spec", "{seed_bool}"], "seed must be an int, got True"),
+    (["train", "--arch", "parallel", "--epochs", "1", "--config", "{add_unequal}"],
+     "add fusion needs equal feature sizes"),
+    (["train", "--arch", "parallel", "--epochs", "1", "--config", "{cat_conv_unequal}"],
+     "cat-conv fusion needs equal feature sizes"),
+    (["synth", "--spec", "{rate_zero}"], "sample_rate must be >= 1, got 0"),
 ], ids=["keep-prob-2", "epochs-0", "config-typo", "config-not-json", "spec-not-json",
         "synth-zero-windows", "prepare-odd-window", "prepare-ratio-1.5", "config-hidden-float",
         "config-patience-string", "config-data-number", "config-conv-maps-zero",
         "config-seed-negative", "config-lr-negative", "synth-seed-negative",
         "spec-unknown-key", "spec-class-unknown-key", "spec-channel-float",
-        "spec-windows-float", "spec-seed-bool"])
+        "spec-windows-float", "spec-seed-bool", "config-parallel-add-unequal",
+        "config-parallel-cat-conv-unequal", "spec-sample-rate-zero"])
 def test_bad_input_is_usage_error(argv, reason, synth_dir, prepared_file, tmp_path, capsys):
     configs = {"typo": {"epoch": 1}, "hidden": {"hidden": 8.5}, "patience": {"patience": "3"},
                "data": {"data": 5}, "maps": {"conv_maps": [0, 3, 4]}, "seed": {"seed": -1},
@@ -572,7 +578,11 @@ def test_bad_input_is_usage_error(argv, reason, synth_dir, prepared_file, tmp_pa
                               "windows_per_class": 2},
                "channel_float": {"classes": [{"name": "a", "channels": [1.9]}]},
                "windows_float": {"classes": [{"name": "a"}], "windows_per_class": 2.9},
-               "seed_bool": {"classes": [{"name": "a"}], "seed": True}}
+               "seed_bool": {"classes": [{"name": "a"}], "seed": True},
+               "add_unequal": {"fusion": "add", "final_fc": False},
+               "cat_conv_unequal": {"fusion": "cat-conv", "mid_fc": False},
+               "rate_zero": {"classes": [{"name": "a"}, {"name": "b", "channels": [1]}],
+                             "sample_rate": 0}}
     files = {name: tmp_path / f"{name}.json" for name in configs}
     for name, doc in configs.items():
         files[name].write_text(json.dumps(doc))

@@ -9,7 +9,7 @@ import pytest
 
 from eegnet import container
 from eegnet import dataset as ds
-from eegnet.layout import layout_default, to_mesh, zscore_mesh
+from eegnet.layout import MASK, to_mesh, zscore_mesh
 
 from conftest import build_prepared, rewrite_header
 
@@ -97,9 +97,8 @@ class TestSegmentWindows:
                 np.testing.assert_allclose(window[k], expected, atol=1e-5)
 
     def test_null_cells_zero_through_pipeline(self):
-        layout = layout_default()
         prepared = windows_of(make_recording(30))
-        assert np.all(prepared.meshes[:, :, ~layout.mask] == 0)
+        assert np.all(prepared.meshes[:, :, ~MASK] == 0)
 
     def test_all_zero_missing_samples_preserved(self):
         rec = make_recording(20)

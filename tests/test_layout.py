@@ -6,54 +6,47 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eegnet.layout import (
-    ElectrodeLayout,
+    GRID,
+    MASK,
+    MESH_COLS,
+    MESH_ROWS,
+    N_CHANNELS,
     from_mesh,
-    layout_default,
     normalized_meshes,
     to_mesh,
     to_mesh_batch,
     zscore_mesh,
-    zscore_mesh_batch,
 )
 
 
 class TestDefaultLayout:
     def test_known_cells(self):
-        layout = layout_default()
-        assert layout.channel_at(4, 5) == 11
-        assert layout.channel_at(9, 5) == 64
-        assert layout.channel_at(0, 0) is None
+        assert GRID[4, 5] == 11
+        assert GRID[9, 5] == 64
+        assert GRID[0, 0] == 0
 
     def test_channel_29_correction(self):
         # the montage places 25..29 across row 1; 28 sits at column 6 and 29
         # at column 7 (the printed equation repeats 28 there)
-        layout = layout_default()
-        assert layout.channel_at(1, 6) == 28
-        assert layout.channel_at(1, 7) == 29
+        assert GRID[1, 6] == 28
+        assert GRID[1, 7] == 29
+        assert list(zip(*np.nonzero(GRID == 29))) == [(1, 7)]
 
     def test_counts(self):
-        layout = layout_default()
-        assert layout.mask.sum() == 64
-        assert layout.n_null == 46
-        assert layout.grid.size == 110
+        assert (MESH_ROWS, MESH_COLS, N_CHANNELS) == (10, 11, 64)
+        assert MASK.sum() == 64
+        assert (GRID == 0).sum() == 46
+        assert GRID.size == 110
 
     def test_every_channel_exactly_once(self):
-        layout = layout_default()
-        occupied = sorted(layout.grid[layout.mask].tolist())
+        occupied = sorted(GRID[MASK].tolist())
         assert occupied == list(range(1, 65))
 
-    def test_position_of_inverts_channel_at(self):
-        layout = layout_default()
-        for ch in range(1, 65):
-            r, c = layout.position_of(ch)
-            assert layout.channel_at(r, c) == ch
-
-    def test_duplicate_channel_rejected(self):
-        grid = layout_default().grid.copy()
-        row, col = layout_default().position_of(29)
-        grid[row, col] = 28
-        with pytest.raises(ValueError, match="exactly once"):
-            ElectrodeLayout(grid)
+    def test_constants_are_read_only(self):
+        with pytest.raises(ValueError, match="read-only"):
+            GRID[0, 0] = 1
+        with pytest.raises(ValueError, match="read-only"):
+            MASK[0, 0] = True
 
 
 class TestMeshTransform:
@@ -72,8 +65,7 @@ class TestMeshTransform:
         rng = np.random.default_rng(0)
         sample = rng.standard_normal(64)
         mesh = to_mesh(sample)
-        layout = layout_default()
-        assert sorted(mesh[layout.mask].tolist()) == sorted(sample.tolist())
+        assert sorted(mesh[MASK].tolist()) == sorted(sample.tolist())
 
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError, match="64"):
@@ -132,19 +124,17 @@ class TestZscore:
 
     def test_random_mesh_normalized_statistics(self):
         rng = np.random.default_rng(3)
-        layout = layout_default()
         for _ in range(20):
             mesh = to_mesh(rng.standard_normal(64).astype(np.float64))
             out = zscore_mesh(mesh)
-            vals = out[layout.mask]
+            vals = out[MASK]
             assert abs(vals.mean()) <= 1e-9
             assert abs(vals.std() - 1.0) <= 1e-9
 
     def test_null_cells_zero_after_normalization(self):
         rng = np.random.default_rng(4)
-        layout = layout_default()
         out = zscore_mesh(to_mesh(rng.standard_normal(64) + 5.0))
-        np.testing.assert_array_equal(out[~layout.mask], 0.0)
+        np.testing.assert_array_equal(out[~MASK], 0.0)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -160,10 +150,10 @@ class TestZscore:
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(6)
-        meshes = to_mesh_batch(rng.standard_normal((5, 64)))
-        batched = zscore_mesh_batch(meshes)
+        samples = rng.standard_normal((5, 64))
+        batched = normalized_meshes(samples)
         for i in range(5):
-            np.testing.assert_allclose(batched[i], zscore_mesh(meshes[i]), atol=1e-12)
+            np.testing.assert_allclose(batched[i], zscore_mesh(to_mesh(samples[i])), atol=1e-12)
 
     def test_huge_finite_values_give_finite_output_without_warning(self):
         # float32 statistics would overflow squaring 1e38
@@ -171,10 +161,31 @@ class TestZscore:
         sample[3], sample[40] = 1e38, -1e38
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            out = zscore_mesh_batch(to_mesh_batch(sample[None]))
+            out = normalized_meshes(sample[None])
         assert out.dtype == np.float32
         assert np.all(np.isfinite(out))
-        assert out[0][layout_default().mask].std() == pytest.approx(1.0, rel=1e-5)
+        assert out[0][MASK].std() == pytest.approx(1.0, rel=1e-5)
+
+
+def _oracle(frame: np.ndarray) -> np.ndarray:
+    """Ingest's rule written out: float64 mean and population std over the
+    64 channels, a frame with std below 1e-8 gives zeros, then placement."""
+    x = np.asarray(frame, dtype=np.float64)
+    std = x.std()
+    return to_mesh(np.zeros(64) if std < 1e-8 else (x - x.mean()) / std)
+
+
+def _oracle_frames(case: str, dtype) -> np.ndarray:
+    rng = np.random.default_rng(8)
+    if case == "random":
+        frames = 3.0 * rng.standard_normal((6, 64)) + 2.0
+    elif case == "constant":
+        frames = np.stack([np.full(64, 7.5), np.zeros(64), np.full(64, -1e6)])
+    else:  # huge: float32 statistics would overflow
+        frames = 1e37 * rng.standard_normal((4, 64))
+        frames[0] = 0.0
+        frames[0, 3], frames[0, 40] = 3e38, -3e38
+    return frames.astype(dtype)
 
 
 class TestNormalizedMeshes:
@@ -182,4 +193,19 @@ class TestNormalizedMeshes:
         samples = np.random.default_rng(7).standard_normal((4, 6, 64)).astype(np.float32)
         out = normalized_meshes(samples)
         assert out.dtype == np.float32 and out.shape == (4, 6, 10, 11)
-        np.testing.assert_array_equal(out, zscore_mesh_batch(to_mesh_batch(samples)))
+        per_frame = [[zscore_mesh(to_mesh(frame)) for frame in row] for row in samples]
+        np.testing.assert_array_equal(out, np.array(per_frame))
+
+    @pytest.mark.parametrize("case", ["random", "constant", "huge"])
+    @pytest.mark.parametrize("dtype, rtol", [(np.float64, 1e-12), (np.float32, 1e-6)])
+    def test_matches_numpy_oracle(self, case, dtype, rtol):
+        frames = _oracle_frames(case, dtype)
+        out = normalized_meshes(frames)
+        assert out.dtype == dtype and out.shape == (len(frames), 10, 11)
+        np.testing.assert_allclose(out, np.array([_oracle(f) for f in frames]),
+                                   rtol=rtol, atol=rtol)
+
+    def test_near_constant_frame_gives_zeros(self):
+        frame = 7.5 + 1e-10 * np.random.default_rng(9).standard_normal(64)
+        np.testing.assert_array_equal(normalized_meshes(frame[None]), _oracle(frame)[None])
+        np.testing.assert_array_equal(_oracle(frame), 0.0)

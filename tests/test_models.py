@@ -131,9 +131,8 @@ class TestParamInit:
             assert np.abs(t.data).max() <= bound, name
 
     def test_add_fusion_with_unequal_sizes_rejected(self):
-        config = reduced_config("parallel", fusion="add", mid_fc=False)
         with pytest.raises(ValueError, match="equal feature sizes"):
-            param_init(config, seed=0)
+            reduced_config("parallel", fusion="add", mid_fc=False)
 
 
 class TestConvStack:
