@@ -321,15 +321,15 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return _op(out, tensors, *(lambda g, piece=piece: g[piece] for piece in pieces))
 
 
-def tensor_sum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+def tensor_sum(x: Tensor, axis=None) -> Tensor:
     x = _lift(x)
 
     def vjp(g):
-        if axis is not None and not keepdims:
+        if axis is not None:
             g = np.expand_dims(g, axis)
         return np.broadcast_to(g, x.data.shape)
 
-    return _op(x.data.sum(axis=axis, keepdims=keepdims), (x,), vjp)
+    return _op(x.data.sum(axis=axis), (x,), vjp)
 
 
 def dropout(x: Tensor, keep_prob: float, rng: np.random.Generator) -> Tensor:

@@ -123,7 +123,6 @@ def cmd_synth(args) -> int:
             spec = synth.spec_from_dict({**_read_json(args.spec, "spec"), **given})
         else:
             spec = synth.default_spec(**given)
-        spec.validate()
     except (KeyError, ValueError, TypeError) as exc:
         raise UsageError(f"invalid synthetic spec: {exc}") from exc
     manifest, recordings = synth.synth_dataset(spec)

@@ -1,6 +1,6 @@
 """EEG recording ingestion, windowing, splitting and dataset persistence.
 
-Recordings arrive as CSV (one row per time sample, columns ch1..chN) plus a
+Recordings arrive as CSV (one row per time sample, columns ch1..ch64) plus a
 JSON manifest carrying subject ids, labels, the sample rate and the split
 policy.  Prepared datasets are stored in a little-endian binary container
 (magic ``EEGW``, version 3) holding each raw frame once, one start offset
@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import container
-from .layout import MESH_COLS, MESH_ROWS, N_CHANNELS, normalized_meshes
+from .layout import N_CHANNELS, normalized_meshes
 
 log = logging.getLogger(__name__)
 
@@ -70,12 +70,11 @@ PREPARED_FORMAT = container.Format(
 
 @dataclass
 class Recording:
-    """One task run: a time-ordered block of n-channel samples, one label."""
+    """One task run: a time-ordered block of 64-channel samples, one label.
+    Its subject and sample rate are the manifest's."""
 
-    subject: str
     label: int
-    samples: np.ndarray  # (N, n) float32
-    sample_rate: int = 160
+    samples: np.ndarray  # (N, 64) float32
 
 
 @dataclass
@@ -95,6 +94,8 @@ class DatasetManifest:
     base_dir: Path = field(default_factory=Path)
 
     def __post_init__(self):
+        if self.sample_rate < 1:
+            raise DatasetError(f"sample_rate must be >= 1, got {self.sample_rate}")
         keys = sorted(self.label_names)
         if keys != list(range(len(keys))):
             raise DatasetError(f"label indices must be dense 0..K-1, got {keys}")
@@ -114,8 +115,9 @@ class DatasetManifest:
 
 def load_manifest(path) -> DatasetManifest:
     """Read a manifest; a file that is not JSON or does not describe a
-    manifest (a missing key, a label that is not an integer) raises
-    :class:`DatasetError` naming the file."""
+    manifest (a missing key, a label that is not an integer, a value that
+    :class:`DatasetManifest` rejects) raises :class:`DatasetError` naming
+    the file."""
     path = Path(path)
     try:
         with open(path) as fh:
@@ -133,6 +135,8 @@ def load_manifest(path) -> DatasetManifest:
         )
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise DatasetError(f"{path}: not a dataset manifest ({exc!r})") from exc
+    except DatasetError as exc:
+        raise DatasetError(f"{path}: {exc}") from exc
 
 
 def save_manifest(path, manifest: DatasetManifest) -> None:
@@ -156,9 +160,10 @@ def save_recording_csv(path, samples: np.ndarray) -> None:
     np.savetxt(path, samples, delimiter=",", header=header, comments="", fmt="%.7g")
 
 
-def load_recording_csv(path, entry: ManifestEntry, sample_rate: int = 160) -> Recording:
-    """Read and validate one recording of the montage's 64 channels; raises
-    RecordingError on damage."""
+def load_recording_csv(path) -> np.ndarray:
+    """The (N, 64) float32 samples of one recording CSV of the montage's 64
+    channels, header ch1..ch64 and at least one row; raises RecordingError
+    on damage."""
     try:
         with open(path) as fh:
             header = fh.readline().strip()
@@ -178,12 +183,7 @@ def load_recording_csv(path, entry: ManifestEntry, sample_rate: int = 160) -> Re
     # NaN fails the comparison; a value past float32's range would cast to inf
     if not np.all(np.abs(data) <= np.finfo(np.float32).max):
         raise RecordingError(f"{path}: recording contains NaN, Inf or values beyond float32")
-    return Recording(
-        subject=entry.subject,
-        label=entry.label,
-        samples=data.astype(np.float32),
-        sample_rate=sample_rate,
-    )
+    return data.astype(np.float32)
 
 
 # ---------------------------------------------------------------------------
@@ -310,16 +310,17 @@ def prepare_dataset(manifest: DatasetManifest, window: int = 10,
     a warning, and so, with another, are recordings shorter than one window;
     the warnings and the remainder follow manifest order, so output and log
     are deterministic for any thread count.  An invalid window size raises
-    ValueError before any recording is read.
+    ValueError before any recording is read.  `meta` holds the manifest's
+    `sample_rate` and `label_names`, the `split` and the `skipped` paths; the
+    window length and channel count are the dataset's own fields.
     """
     _check_window(window)
     ratio = manifest.split_ratio if ratio is None else ratio
     seed = manifest.split_seed if seed is None else seed
 
     def load_one(entry):
-        path = manifest.base_dir / entry.path
         try:
-            return load_recording_csv(path, entry, manifest.sample_rate)
+            return Recording(entry.label, load_recording_csv(manifest.base_dir / entry.path))
         except RecordingError as exc:
             return exc
 
@@ -341,9 +342,6 @@ def prepare_dataset(manifest: DatasetManifest, window: int = 10,
                                  window)
     train_idx, test_idx = split_indices(prepared.count, ratio, seed)
     prepared.meta = {
-        "window": window,
-        "channels": N_CHANNELS,
-        "mesh": [MESH_ROWS, MESH_COLS],
         "sample_rate": manifest.sample_rate,
         "label_names": {str(k): v for k, v in manifest.label_names.items()},
         "split": {

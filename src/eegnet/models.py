@@ -143,10 +143,6 @@ class ModelParams:
     config: ModelConfig
     tensors: dict = field(default_factory=dict)
 
-    @property
-    def n_params(self) -> int:
-        return sum(t.size for t in self.tensors.values())
-
     def frozen(self) -> "ModelParams":
         """The same arrays, uncopied, as constants: a forward on them builds
         no tape and leaves every ``.grad`` alone (evaluation and prediction)."""

@@ -23,7 +23,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .dataset import DatasetManifest, ManifestEntry, Recording
+from .dataset import DatasetManifest, ManifestEntry, Recording, _check_window
 from .layout import N_CHANNELS
 from .models import _check_field_types
 
@@ -54,8 +54,6 @@ class SynthSpec:
     def __post_init__(self):
         # values are never coerced: an int field given 2.9 or true is an error
         _check_field_types(self)
-
-    def validate(self) -> None:
         if not self.classes:
             raise ValueError("synthetic spec needs at least one class")
         if self.noise < 0:
@@ -64,8 +62,7 @@ class SynthSpec:
             raise ValueError("windows_per_class must be >= 1")
         if self.recordings_per_class < 1:
             raise ValueError("recordings_per_class must be >= 1")
-        if self.window < 2 or self.window % 2:
-            raise ValueError(f"window size must be even and >= 2, got {self.window}")
+        _check_window(self.window)
         if self.sample_rate < 1:
             raise ValueError(f"sample_rate must be >= 1, got {self.sample_rate}")
         if self.seed < 0:
@@ -128,7 +125,6 @@ def synth_dataset(spec: SynthSpec):
     Recording paths in the manifest follow the layout used by the CLI
     (``recordings/<subject>.csv``); the caller decides whether to write them.
     """
-    spec.validate()
     rng = np.random.default_rng(spec.seed)
     recordings = []
     entries = []
@@ -144,11 +140,7 @@ def synth_dataset(spec: SynthSpec):
                 )
                 samples[:, np.array(cls.channels) - 1] += wave
             subject = f"synth-{cls.name}-{part}"
-            recordings.append(
-                Recording(subject=subject, label=label,
-                          samples=samples.astype(np.float32),
-                          sample_rate=spec.sample_rate)
-            )
+            recordings.append(Recording(label, samples.astype(np.float32)))
             entries.append(
                 ManifestEntry(path=f"recordings/{subject}.csv", subject=subject, label=label)
             )
@@ -179,6 +171,4 @@ def spec_from_dict(doc: dict) -> SynthSpec:
     _reject_unknown(doc, _SPEC_KEYS, "spec")
     for i, c in enumerate(doc["classes"]):
         _reject_unknown(c, _CLASS_KEYS, f"class {i}")
-    spec = SynthSpec(**{**doc, "classes": [SynthClass(**c) for c in doc["classes"]]})
-    spec.validate()
-    return spec
+    return SynthSpec(**{**doc, "classes": [SynthClass(**c) for c in doc["classes"]]})

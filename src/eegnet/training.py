@@ -9,10 +9,8 @@ matches an uninterrupted one step for step.
 from __future__ import annotations
 
 import csv
-import json
 import logging
-from dataclasses import asdict, dataclass, field
-from pathlib import Path
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -25,7 +23,7 @@ from .optim import AdamState, adam_step, init_adam
 log = logging.getLogger(__name__)
 
 CHECKPOINT_MAGIC = b"EEGC"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 
 class TrainingDiverged(RuntimeError):
@@ -61,7 +59,6 @@ class TrainConfig:
     batch_size: int = 64
     learning_rate: float = 1e-4
     seed: int = 0
-    shuffle: bool = True
     patience: int | None = 10
     precision: str = "f32"
 
@@ -201,14 +198,16 @@ class TrainResult:
 def train(model_config: ModelConfig, train_config: TrainConfig,
           train_set: PreparedDataset, test_set: PreparedDataset,
           params: ModelParams | None = None, adam_state: AdamState | None = None,
-          rng: np.random.Generator | None = None, start_epoch: int = 0,
-          history: list | None = None, on_epoch=None) -> TrainResult:
+          rng: np.random.Generator | None = None, history: list | None = None,
+          on_epoch=None) -> TrainResult:
     """Seeded mini-batch training loop.
 
     One epoch = seeded shuffle, then forward/backward/Adam per batch.  The
     history records per-epoch train loss/accuracy and eval-mode test
-    loss/accuracy; the last evaluation comes back as ``metrics``, so the
-    caller need not evaluate the final parameters again.  ``train_loss`` is
+    loss/accuracy, its rows numbered 1, 2, ...; a run given a ``history`` of
+    k rows goes on from epoch k + 1, up to ``train_config.epochs``.  The
+    last evaluation comes back as ``metrics``, so the caller need not
+    evaluate the final parameters again.  ``train_loss`` is
     the mean dropout-mode loss of the epoch's batches, each taken before
     that batch's update; it carries the dropout-mask noise, so it need not
     fall monotonically even under full-batch descent.  A parameter with no gradient (it took no part in
@@ -239,8 +238,8 @@ def train(model_config: ModelConfig, train_config: TrainConfig,
     since_best = 0
     test_metrics = None
 
-    for epoch in range(start_epoch, train_config.epochs):
-        order = rng.permutation(count) if train_config.shuffle else np.arange(count)
+    for epoch in range(len(history), train_config.epochs):
+        order = rng.permutation(count)
         loss_sum = 0.0
         correct = 0
         for step, idx in enumerate(_batches(count, train_config.batch_size, order)):
@@ -311,20 +310,6 @@ def write_history(path, history) -> None:
                              repr(row.test_loss), repr(row.test_acc)])
 
 
-def read_history(path) -> list:
-    rows = []
-    with open(path, newline="") as fh:
-        for rec in csv.DictReader(fh):
-            rows.append(EpochStats(
-                epoch=int(rec["epoch"]),
-                train_loss=float(rec["train_loss"]),
-                train_acc=float(rec["train_acc"]),
-                test_loss=float(rec["test_loss"]),
-                test_acc=float(rec["test_acc"]),
-            ))
-    return rows
-
-
 # ---------------------------------------------------------------------------
 # checkpoints
 
@@ -345,9 +330,6 @@ def save_checkpoint(path, model_config: ModelConfig, train_config: TrainConfig,
         "adam": {
             "step": adam_state.step,
             "learning_rate": adam_state.learning_rate,
-            "beta1": adam_state.beta1,
-            "beta2": adam_state.beta2,
-            "epsilon": adam_state.epsilon,
         },
         "history": [asdict(h) for h in history],
         "metrics": metrics.to_dict() if metrics else None,
@@ -398,8 +380,7 @@ def load_checkpoint(path) -> Checkpoint:
             adam = header["adam"]
             adam_state = AdamState(
                 step=adam["step"], first_moment=first, second_moment=second,
-                learning_rate=adam["learning_rate"], beta1=adam["beta1"],
-                beta2=adam["beta2"], epsilon=adam["epsilon"],
+                learning_rate=adam["learning_rate"],
             )
             rng = np.random.default_rng()
             rng.bit_generator.state = header["rng_state"]

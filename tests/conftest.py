@@ -22,9 +22,6 @@ def build_prepared(windows_per_class=20, noise=0.25, seed=0, split_seed=0,
         prepared.labels = rng.permutation(prepared.labels)
     train_idx, test_idx = ds.split_indices(prepared.count, ratio, split_seed)
     prepared.meta = {
-        "window": window,
-        "channels": 64,
-        "mesh": [10, 11],
         "sample_rate": spec.sample_rate,
         "label_names": {str(i): c.name for i, c in enumerate(spec.classes)},
         "split": {"seed": split_seed, "ratio": ratio,

@@ -92,14 +92,20 @@ class TestPrepare:
         prepared = ds.load_prepared(out)
         assert prepared.count == 120
 
-    def test_damaged_manifest_is_error(self, tmp_path, capsys):
-        manifest = tmp_path / "manifest.json"
-        manifest.write_text(json.dumps({"recordings": [{"path": "a.csv"}],
-                                        "label_names": {"0": "a"}}))
-        rc = cli.main(["prepare", "--manifest", str(manifest),
-                       "--out", str(tmp_path / "x.eegw")])
-        assert rc == 1
-        assert "error:" in capsys.readouterr().err
+    def test_damaged_manifest_is_error(self, synth_dir, tmp_path, capsys):
+        # a missing label, then a sample rate below 1 in an otherwise good manifest
+        good = json.loads((synth_dir / "manifest.json").read_text())
+        for doc, reason in (({"recordings": [{"path": "a.csv"}], "label_names": {"0": "a"}},
+                             "not a dataset manifest"),
+                            ({**good, "sample_rate": -5}, "sample_rate must be >= 1, got -5")):
+            manifest = tmp_path / "manifest.json"
+            manifest.write_text(json.dumps(doc))
+            out = tmp_path / "x.eegw"
+            rc = cli.main(["prepare", "--manifest", str(manifest), "--out", str(out)])
+            assert rc == 1
+            err = capsys.readouterr().err
+            assert f"error: {manifest}: {reason}" in err
+            assert not out.exists()
 
     def test_missing_manifest_is_usage_error(self, tmp_path):
         rc = cli.main(["prepare", "--manifest", str(tmp_path / "none.json"),
@@ -226,7 +232,8 @@ class TestTrain:
         rc = cli.main(["train", "--arch", "cascade", "--data", str(prepared_file),
                        "--out", str(out), "--conv-depth", "1", *TINY_MODEL])
         assert rc == 0
-        assert len(calls) == len(training.read_history(out / "history.csv")) == 2
+        history_rows = (out / "history.csv").read_text().splitlines()[1:]
+        assert len(calls) == len(history_rows) == 2
 
     def test_divergence_is_error(self, prepared_file, tmp_path, monkeypatch, capsys):
         def diverge(*args, **kwargs):
@@ -415,8 +422,9 @@ class TestEvalPredict:
         assert ("error: dataset window 10 does not match checkpoint window 3"
                 in capsys.readouterr().err)
 
-    # v1 stored dense weights (in, out), v2 the LSTM input weights (in, 4·hidden)
-    @pytest.mark.parametrize("version", [1, 2], ids=["v1", "v2"])
+    # v1 stored dense weights (in, out), v2 the LSTM input weights (in, 4·hidden),
+    # v3 the Adam decay rates and epsilon and `train_config.shuffle`
+    @pytest.mark.parametrize("version", [1, 2, 3], ids=["v1", "v2", "v3"])
     @pytest.mark.parametrize("command, data_flag", [("eval", "--data"),
                                                     ("predict", "--windows")],
                              ids=["eval", "predict"])
@@ -429,7 +437,7 @@ class TestEvalPredict:
         rc = cli.main([command, "--checkpoint", str(old), data_flag, str(prepared_file)])
         assert rc == 1
         captured = capsys.readouterr()
-        assert f"error: unsupported checkpoint version {version}, expected 3" in captured.err
+        assert f"error: unsupported checkpoint version {version}, expected 4" in captured.err
         assert "window 0:" not in captured.out
 
     # v2 stored every window whole; re-running `prepare` writes v3
@@ -562,13 +570,15 @@ def test_usage_error_exit_code_for_bad_flags(capsys):
     (["train", "--arch", "parallel", "--epochs", "1", "--config", "{cat_conv_unequal}"],
      "cat-conv fusion needs equal feature sizes"),
     (["synth", "--spec", "{rate_zero}"], "sample_rate must be >= 1, got 0"),
+    (["train", "--arch", "cascade", "--epochs", "1", "--config", "{shuffle}"],
+     "unknown run config field(s): shuffle"),
 ], ids=["keep-prob-2", "epochs-0", "config-typo", "config-not-json", "spec-not-json",
         "synth-zero-windows", "prepare-odd-window", "prepare-ratio-1.5", "config-hidden-float",
         "config-patience-string", "config-data-number", "config-conv-maps-zero",
         "config-seed-negative", "config-lr-negative", "synth-seed-negative",
         "spec-unknown-key", "spec-class-unknown-key", "spec-channel-float",
         "spec-windows-float", "spec-seed-bool", "config-parallel-add-unequal",
-        "config-parallel-cat-conv-unequal", "spec-sample-rate-zero"])
+        "config-parallel-cat-conv-unequal", "spec-sample-rate-zero", "config-shuffle"])
 def test_bad_input_is_usage_error(argv, reason, synth_dir, prepared_file, tmp_path, capsys):
     configs = {"typo": {"epoch": 1}, "hidden": {"hidden": 8.5}, "patience": {"patience": "3"},
                "data": {"data": 5}, "maps": {"conv_maps": [0, 3, 4]}, "seed": {"seed": -1},
@@ -582,7 +592,8 @@ def test_bad_input_is_usage_error(argv, reason, synth_dir, prepared_file, tmp_pa
                "add_unequal": {"fusion": "add", "final_fc": False},
                "cat_conv_unequal": {"fusion": "cat-conv", "mid_fc": False},
                "rate_zero": {"classes": [{"name": "a"}, {"name": "b", "channels": [1]}],
-                             "sample_rate": 0}}
+                             "sample_rate": 0},
+               "shuffle": {"shuffle": True}}
     files = {name: tmp_path / f"{name}.json" for name in configs}
     for name, doc in configs.items():
         files[name].write_text(json.dumps(doc))

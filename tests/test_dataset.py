@@ -16,7 +16,7 @@ from conftest import build_prepared, rewrite_header
 
 def make_recording(n_samples, label=2, seed=0):
     rng = np.random.default_rng(seed)
-    return ds.Recording(subject="s1", label=label,
+    return ds.Recording(label=label,
                         samples=rng.standard_normal((n_samples, 64)).astype(np.float32))
 
 
@@ -272,6 +272,13 @@ class TestPreparedRoundTrip:
         np.testing.assert_array_equal(frames[starts[:, None] + np.arange(s)],
                                       small_prepared.raw)
         assert blob[-q:] == small_prepared.labels.tobytes()
+        # S and n are fixed fields and the mesh is `layout`'s, so meta holds
+        # only what the manifest and the split add
+        ds.save_recording_csv(tmp_path / "rec.csv", small_prepared.frames[:20])
+        manifest = ds.DatasetManifest(recordings=[ds.ManifestEntry("rec.csv", "s1", 0)],
+                                      label_names={0: "a"}, base_dir=tmp_path)
+        meta = ds.prepare_dataset(manifest, ratio=0.5).meta
+        assert set(meta) == {"sample_rate", "label_names", "split", "skipped"}
 
     def test_v1_file_rejected_naming_version(self, tmp_path, small_prepared):
         path = self._damaged(tmp_path, small_prepared, 4, struct.pack("<H", 1))
@@ -318,8 +325,8 @@ class TestPreparedRoundTrip:
         # for one 0.0 that reads -0.0, and each window stores all ten
         first = make_recording(10, seed=1)
         first.samples[5, 0] = 0.0
-        second = ds.Recording("s2", 1, np.concatenate([first.samples[5:],
-                                                       make_recording(5, seed=2).samples]))
+        second = ds.Recording(1, np.concatenate([first.samples[5:],
+                                                 make_recording(5, seed=2).samples]))
         for value in (-0.0, 0.0):
             second.samples[0, 0] = value
             pair = windows_of(first, second)
@@ -448,44 +455,39 @@ class TestRecordingCsv:
         samples = rng.standard_normal((12, 64)).astype(np.float32)
         path = tmp_path / "rec.csv"
         ds.save_recording_csv(path, samples)
-        entry = ds.ManifestEntry(path="rec.csv", subject="s", label=1)
-        rec = ds.load_recording_csv(path, entry)
-        np.testing.assert_allclose(rec.samples, samples, rtol=1e-5)
-        assert rec.label == 1 and rec.subject == "s"
+        loaded = ds.load_recording_csv(path)
+        assert loaded.dtype == np.float32 and loaded.shape == samples.shape
+        np.testing.assert_allclose(loaded, samples, rtol=1e-5)
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "rec.csv"
         path.write_text("a,b,c\n1,2,3\n")
-        entry = ds.ManifestEntry(path="rec.csv", subject="s", label=0)
         with pytest.raises(ds.RecordingError, match="header"):
-            ds.load_recording_csv(path, entry)
+            ds.load_recording_csv(path)
 
     def test_nan_rejected(self, tmp_path):
         # 1e39 is finite in float64 but would cast to inf in float32
         path = tmp_path / "rec.csv"
         header = ",".join(f"ch{i + 1}" for i in range(64))
-        entry = ds.ManifestEntry(path="rec.csv", subject="s", label=0)
         for cell in ("nan", "1e39"):
             row = ",".join(["1.0"] * 63 + [cell])
             path.write_text(f"{header}\n{row}\n")
             with pytest.raises(ds.RecordingError, match="NaN, Inf or values beyond float32"):
-                ds.load_recording_csv(path, entry)
+                ds.load_recording_csv(path)
 
     @pytest.mark.parametrize("body", ["", "\n\n", "# no rows\n"], ids=["bare", "blank", "comment"])
     def test_header_only_rejected(self, tmp_path, body):
         path = tmp_path / "rec.csv"
         path.write_text(",".join(f"ch{i + 1}" for i in range(64)) + "\n" + body)
-        entry = ds.ManifestEntry(path="rec.csv", subject="s", label=0)
         with pytest.raises(ds.RecordingError, match="holds no samples"):
-            ds.load_recording_csv(path, entry)
+            ds.load_recording_csv(path)
 
     def test_garbage_rejected(self, tmp_path):
         path = tmp_path / "rec.csv"
         header = ",".join(f"ch{i + 1}" for i in range(64))
         path.write_text(f"{header}\nnot,numbers,at,all\n")
-        entry = ds.ManifestEntry(path="rec.csv", subject="s", label=0)
         with pytest.raises(ds.RecordingError):
-            ds.load_recording_csv(path, entry)
+            ds.load_recording_csv(path)
 
 
 class TestManifest:
@@ -527,8 +529,10 @@ class TestManifest:
         {"recordings": [{"label": 0}], "label_names": {"0": "a"}},
         {"recordings": [{"path": "a.csv"}], "label_names": {"0": "a"}},
         {"recordings": [{"path": "a.csv", "label": "x"}], "label_names": {"0": "a"}},
+        {"recordings": [], "label_names": {"0": "a"}, "sample_rate": 0},
+        {"recordings": [], "label_names": {"0": "a"}, "sample_rate": -5},
     ], ids=["not-json", "no-recordings", "no-label-names", "no-path", "no-label",
-            "label-not-int"])
+            "label-not-int", "sample-rate-zero", "sample-rate-negative"])
     def test_damaged_manifest_rejected(self, tmp_path, doc):
         path = tmp_path / "manifest.json"
         path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
@@ -631,14 +635,14 @@ class TestPrepareDataset:
         load = ds.load_recording_csv
         second_loaded = threading.Event()
 
-        def first_loads_last(path, entry, *args):
-            if entry.path == names[0]:
+        def first_loads_last(path):
+            if path == tmp_path / names[0]:
                 assert second_loaded.wait(timeout=5)
                 time.sleep(0.05)
             try:
-                return load(path, entry, *args)
+                return load(path)
             finally:
-                if entry.path == names[1]:
+                if path == tmp_path / names[1]:
                     second_loaded.set()
 
         monkeypatch.setattr(ds, "load_recording_csv", first_loads_last)

@@ -100,7 +100,7 @@ class TestParamInit:
         expected = conv + fc + lstm1 + lstm2 + head
         assert expected == 14_895_109
         params = param_init(canonical_config("cascade"), seed=0)
-        assert params.n_params == expected
+        assert sum(t.size for t in params.tensors.values()) == expected
 
     def test_forget_gate_bias_one_other_biases_zero(self):
         config = reduced_config("cascade")

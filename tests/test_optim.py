@@ -5,7 +5,7 @@ import pytest
 
 from eegnet import autodiff as ad
 from eegnet.autodiff import Tensor, backward
-from eegnet.optim import _BLOCK, adam_step, init_adam
+from eegnet.optim import _BLOCK, BETA1, BETA2, EPSILON, adam_step, init_adam
 
 
 def params_of(**arrays):
@@ -17,7 +17,7 @@ def reference_adam_step(params, grads, state):
     oracle for ``adam_step``'s in-place, blocked one."""
     state.step += 1
     t = state.step
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = BETA1, BETA2
     bias1 = 1.0 - b1**t
     bias2 = 1.0 - b2**t
     updated = {}
@@ -27,7 +27,7 @@ def reference_adam_step(params, grads, state):
         v = state.second_moment[name]
         m_next = b1 * m + (1.0 - b1) * g
         v_next = b2 * v + (1.0 - b2) * (g * g)
-        step = state.learning_rate * (m_next / bias1) / (np.sqrt(v_next / bias2) + state.epsilon)
+        step = state.learning_rate * (m_next / bias1) / (np.sqrt(v_next / bias2) + EPSILON)
         if not g.all():
             idle = g == 0
             m_next = np.where(idle, m, m_next)
@@ -79,7 +79,7 @@ class TestAdam:
         params = params_of(w=[0.0])
         state = init_adam(params, learning_rate=lr)
         params, state = adam_step(params, {"w": np.array([1.0])}, state)
-        expected = lr * 1.0 / (1.0 + state.epsilon)
+        expected = lr * 1.0 / (1.0 + EPSILON)
         assert abs(abs(params["w"].data[0]) - expected) <= 1e-18
         assert params["w"].data[0] == -expected
 

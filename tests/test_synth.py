@@ -9,29 +9,25 @@ from conftest import build_prepared
 
 class TestSpecValidation:
     def test_default_spec_is_valid(self):
-        synth.default_spec().validate()
+        assert len(synth.default_spec().classes) == 5
 
     def test_empty_classes_rejected(self):
         with pytest.raises(ValueError, match="at least one class"):
-            synth.SynthSpec(classes=[]).validate()
+            synth.SynthSpec(classes=[])
 
     def test_bad_channel_rejected(self):
-        spec = synth.SynthSpec(classes=[synth.SynthClass("x", channels=(0,))])
         with pytest.raises(ValueError, match="out of range"):
-            spec.validate()
-        spec = synth.SynthSpec(classes=[synth.SynthClass("x", channels=(65,))])
+            synth.SynthSpec(classes=[synth.SynthClass("x", channels=(0,))])
         with pytest.raises(ValueError, match="out of range"):
-            spec.validate()
+            synth.SynthSpec(classes=[synth.SynthClass("x", channels=(65,))])
 
     def test_negative_noise_rejected(self):
-        spec = synth.SynthSpec(classes=[synth.SynthClass("x")], noise=-1.0)
         with pytest.raises(ValueError, match="noise"):
-            spec.validate()
+            synth.SynthSpec(classes=[synth.SynthClass("x")], noise=-1.0)
 
     def test_duplicate_names_rejected(self):
-        spec = synth.SynthSpec(classes=[synth.SynthClass("x"), synth.SynthClass("x")])
         with pytest.raises(ValueError, match="duplicate"):
-            spec.validate()
+            synth.SynthSpec(classes=[synth.SynthClass("x"), synth.SynthClass("x")])
 
     def test_rejected_at_generation(self):
         with pytest.raises(ValueError):
@@ -60,9 +56,10 @@ class TestGeneration:
     def test_same_spec_and_seed_identical(self):
         a = synth.synth_dataset(synth.default_spec(windows_per_class=10, seed=4))
         b = synth.synth_dataset(synth.default_spec(windows_per_class=10, seed=4))
+        assert a[0].recordings == b[0].recordings
         for ra, rb in zip(a[1], b[1]):
             np.testing.assert_array_equal(ra.samples, rb.samples)
-            assert ra.subject == rb.subject and ra.label == rb.label
+            assert ra.label == rb.label
 
     def test_different_seed_differs(self):
         a = synth.synth_dataset(synth.default_spec(windows_per_class=10, seed=4))
@@ -123,7 +120,7 @@ class TestSeparability:
         _, recordings = synth.synth_dataset(spec)
         prepared = ds.window_recordings(recordings, window=10)
         train_idx, test_idx = ds.split_indices(prepared.count, 0.75, 0)
-        prepared.meta = {"window": 10, "channels": 64, "mesh": [10, 11], "sample_rate": 160,
+        prepared.meta = {"sample_rate": 160,
                 "label_names": {"0": "a", "1": "b"},
                 "split": {"seed": 0, "ratio": 0.75,
                           "train": train_idx.tolist(), "test": test_idx.tolist()},

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import struct
@@ -24,7 +25,6 @@ from eegnet.training import (
     load_checkpoint,
     metrics_from_confusion,
     predict,
-    read_history,
     save_checkpoint,
     train,
     write_history,
@@ -216,7 +216,7 @@ class TestTrainLoop:
         train_set, test_set = prepared.train_test()
         config = tiny_config(keep_prob=1.0)
         tc = TrainConfig(epochs=10, batch_size=train_set.count, learning_rate=1e-3,
-                         seed=0, shuffle=False, patience=None)
+                         seed=0, patience=None)
         result = train(config, tc, train_set, test_set)
         losses = [h.train_loss for h in result.history]
         violations = sum(b > a for a, b in zip(losses, losses[1:]))
@@ -331,9 +331,10 @@ class TestTrainLoop:
     def test_resume_past_last_epoch_still_returns_metrics(self, tiny_sets):
         train_set, test_set = tiny_sets
         params = param_init(tiny_config(), seed=0)
+        history = [EpochStats(1, 1.0, 0.5, 1.0, 0.5), EpochStats(2, 0.9, 0.5, 0.9, 0.5)]
         result = train(tiny_config(), TrainConfig(epochs=2), train_set, test_set,
-                       params=params, start_epoch=2)
-        assert result.history == []
+                       params=params, history=history)
+        assert result.history == history
         assert result.metrics.to_dict() == evaluate(params, test_set).to_dict()
 
     def test_invalid_train_config_rejected(self):
@@ -478,7 +479,9 @@ class TestHistoryCsv:
                 EpochStats(2, 0.9999999999999999, 0.75, 1.0, 0.5)]
         path = tmp_path / "history.csv"
         write_history(path, rows)
-        loaded = read_history(path)
+        with open(path, newline="") as fh:
+            loaded = [EpochStats(int(r.pop("epoch")), **{k: float(v) for k, v in r.items()})
+                      for r in csv.DictReader(fh)]
         assert [r.__dict__ for r in loaded] == [r.__dict__ for r in rows]
 
 
@@ -517,7 +520,7 @@ class TestCheckpoint:
         ckpt = load_checkpoint(path)
         resumed = train(ckpt.model_config, tc6, train_set, test_set,
                         params=ckpt.params, adam_state=ckpt.adam_state,
-                        rng=ckpt.rng, start_epoch=ckpt.epoch, history=ckpt.history)
+                        rng=ckpt.rng, history=ckpt.history)
         assert [h.__dict__ for h in resumed.history] == [h.__dict__ for h in straight.history]
         for k in straight.params.tensors:
             np.testing.assert_array_equal(straight.params.tensors[k].data,
@@ -571,13 +574,15 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_v1_checkpoint_rejected(self, tiny_checkpoint, tmp_path):
-        # v1 stored dense weights (in, out); there is no v1 reader
-        path = tmp_path / "v1.eegc"
-        blob = bytearray(tiny_checkpoint.read_bytes())
-        blob[4:6] = struct.pack("<H", 1)
-        path.write_bytes(bytes(blob))
-        with pytest.raises(CheckpointVersionError, match="version 1, expected 3"):
-            load_checkpoint(path)
+        # v1 stored dense weights (in, out) and v3 the Adam decay rates and
+        # epsilon and `train_config.shuffle`; there is no reader for either
+        for version in (1, 3):
+            path = tmp_path / f"v{version}.eegc"
+            blob = bytearray(tiny_checkpoint.read_bytes())
+            blob[4:6] = struct.pack("<H", version)
+            path.write_bytes(bytes(blob))
+            with pytest.raises(CheckpointVersionError, match=f"version {version}, expected 4"):
+                load_checkpoint(path)
 
     def test_header_not_utf8_rejected(self, tiny_sets, tmp_path):
         config, tc, result = self._train_some(tiny_sets, epochs=1)
@@ -599,11 +604,14 @@ class TestCheckpoint:
                         epoch=1, rng=result.rng, history=result.history)
         blob = path.read_bytes()
         assert blob[:4] == b"EEGC"
-        assert struct.unpack_from("<H", blob, 4) == (3,)
+        assert struct.unpack_from("<H", blob, 4) == (4,)
         (header_len,) = struct.unpack_from("<I", blob, 6)
         header = json.loads(blob[10:10 + header_len])
+        # the Adam decay rates and epsilon are module constants, not state
+        assert set(header["adam"]) == {"step", "learning_rate"}
+        assert set(header["train_config"]) == set(TrainConfig.__dataclass_fields__)
         assert [e["name"] for e in header["tensors"]] == list(result.params.tensors)
-        # v3 stores the LSTM input weight (4·hidden, in), as every dense weight
+        # the LSTM input weight is stored (4·hidden, in), as every dense weight
         shapes = {e["name"]: e["shape"] for e in header["tensors"]}
         assert shapes["rnn.l0.w"] == [4 * config.hidden, config.fc_width]
         param_bytes = sum(t.data.nbytes for t in result.params.tensors.values())
