@@ -4,12 +4,13 @@ Subcommands: synth (generate a synthetic dataset), prepare (CSV recordings
 -> windowed binary dataset), train, eval, predict, gradcheck.  Progress and
 warnings go to standard error; machine-readable artifacts (config echo,
 history CSV, checkpoints, JSON reports) go to files.  Exit codes: 0 on
-success, 1 on check/training failure, a damaged manifest, dataset or
-checkpoint, or an empty split side to train or evaluate on, 2 on usage
+success; 1 on check/training failure, a damaged manifest, dataset or
+checkpoint, or an empty split side to train or evaluate on; 2 on usage
 errors: a missing input file, an invalid flag value, a split ratio that
 leaves a side empty, or a config or spec file that is not a JSON object,
-holds an unknown field or gives an invalid value.  When the reader of standard output goes away
-(``eegnet predict ... | head -1``) the command stops quietly with exit code 1.
+holds an unknown field or gives an invalid value.  When the reader of
+standard output goes away (``eegnet predict ... | head -1``) the command
+stops quietly with exit code 1.
 """
 
 from __future__ import annotations
@@ -20,13 +21,14 @@ import logging
 import os
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
+from . import container, gradcheck, synth, training
 from . import dataset as ds
-from . import gradcheck, synth, training
 from .models import FUSIONS, ModelConfig, canonical_config
 from .training import TrainConfig
 
@@ -37,10 +39,10 @@ log = logging.getLogger("eegnet")
 RNN_ALIASES = {"rnn64": 64, "rnn16": 16}
 CLI_ARCHES = ("cascade", "parallel", "cnn1d", "cnn2d", "cnn3d", *RNN_ALIASES)
 
-_MODEL_FIELDS = set(ModelConfig.__dataclass_fields__)
-_TRAIN_FIELDS = set(TrainConfig.__dataclass_fields__)
-# every key a run config file may hold; the train flags' dests are among them
-_RUN_KEYS = _MODEL_FIELDS | _TRAIN_FIELDS | {"data", "out_dir"}
+_MODEL_FIELDS = get_type_hints(ModelConfig)
+_TRAIN_FIELDS = get_type_hints(TrainConfig)
+# every run config key and its annotation; the train flags' dests are among them
+_RUN_FIELDS = {**_MODEL_FIELDS, **_TRAIN_FIELDS, "data": str | None, "out_dir": str | None}
 
 
 class UsageError(Exception):
@@ -58,8 +60,8 @@ def _loader_threads(recordings: int) -> int:
     return min(cpus or 1, recordings)
 
 
-def _read_json(path, what: str) -> dict:
-    """The JSON object in a --config or --spec file."""
+def _read_json(path, what: str):
+    """The JSON document in a --config or --spec file."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -67,8 +69,6 @@ def _read_json(path, what: str) -> dict:
         raise UsageError(f"{what} file not found: {path}") from None
     except (OSError, ValueError) as exc:
         raise UsageError(f"{what} file {path} is not readable JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise UsageError(f"{what} file {path} does not hold a JSON object")
     return doc
 
 
@@ -76,22 +76,17 @@ def _run_config(args):
     """The model config, train config, dataset path and output directory of
     `eegnet train`: the config file's fields, overridden by the flags given."""
     merged = _read_json(args.config, "config") if args.config else {}
-    merged.update((k, v) for k, v in vars(args).items() if k in _RUN_KEYS and v is not None)
-    unknown = sorted(set(merged) - _RUN_KEYS)
-    if unknown:
-        raise UsageError(f"unknown run config field(s): {', '.join(unknown)}")
-    if "arch" not in merged:
-        raise UsageError("an architecture is required (--arch or config file)")
-    for key in ("data", "out_dir"):
-        if merged.get(key) is not None and not isinstance(merged[key], str):
-            raise UsageError(f"{key} must be a string, got {merged[key]!r}")
-    if not merged.get("data"):
-        raise UsageError("a prepared dataset is required (--data or config file)")
-    arch = merged.pop("arch")
-    if arch in RNN_ALIASES:
-        merged.setdefault("hidden", RNN_ALIASES[arch])
-        arch = "rnn"
     try:
+        merged = container.json_fields(merged, "run config", _RUN_FIELDS)
+        merged.update((k, v) for k, v in vars(args).items() if k in _RUN_FIELDS and v is not None)
+        if "arch" not in merged:
+            raise UsageError("an architecture is required (--arch or config file)")
+        if not merged.get("data"):
+            raise UsageError("a prepared dataset is required (--data or config file)")
+        arch = merged.pop("arch")
+        if arch in RNN_ALIASES:
+            merged.setdefault("hidden", RNN_ALIASES[arch])
+            arch = "rnn"
         model_config = canonical_config(
             arch, **{k: v for k, v in merged.items() if k in _MODEL_FIELDS})
         train_config = TrainConfig(**{k: v for k, v in merged.items() if k in _TRAIN_FIELDS})
@@ -120,7 +115,7 @@ def cmd_synth(args) -> int:
              if getattr(args, k) is not None}
     try:
         if args.spec:
-            spec = synth.spec_from_dict({**_read_json(args.spec, "spec"), **given})
+            spec = replace(synth.spec_from_dict(_read_json(args.spec, "spec")), **given)
         else:
             spec = synth.default_spec(**given)
     except (KeyError, ValueError, TypeError) as exc:

@@ -2,18 +2,21 @@
 
 Layout, little-endian throughout: 4-byte magic, u16 version, the format's
 fixed fields, u32 header length, UTF-8 JSON header, then the arrays back to
-back with no padding.
+back with no padding.  :func:`from_json` and :func:`json_fields` read the
+JSON documents: checkpoint headers, manifests, run configs and synth specs.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
 import secrets
 import struct
+import typing
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -102,3 +105,56 @@ def read(path, fmt: Format):
         extra = size - fh.tell()
         if extra:
             raise fmt.format_error(f"{fmt.name} has {extra} bytes after its last array")
+
+
+# how an error names each plain annotation of a field, and the JSON types it
+# admits: exactly these, so true is no int; a tuple is a list of ints
+_KINDS = {
+    bool: ("a bool", (bool,)),
+    int: ("an int", (int,)),
+    float: ("a real number", (int, float)),
+    str: ("a string", (str,)),
+    dict: ("an object", (dict,)),
+    list: ("a list", (list,)),
+    tuple: ("a list of ints", (list,)),
+}
+_hints = functools.cache(typing.get_type_hints)  # evaluates string annotations once per class
+
+
+def _checked(hint, value, where: str, or_none: str = ""):
+    """`value` as a field annotated `hint` (a kind, dataclass, list or optional) holds it."""
+    args = typing.get_args(hint)
+    if type(None) in args:
+        return None if value is None else _checked(args[0], value, where, " or None")
+    if is_dataclass(hint):
+        return from_json(hint, value, where)
+    kind = typing.get_origin(hint) or hint
+    wanted, types = _KINDS[kind]
+    if type(value) not in types or kind is tuple and any(type(v) is not int for v in value):
+        raise TypeError(f"{where} must be {wanted}{or_none}, got {value!r}")
+    if kind is list and args:
+        return [_checked(args[0], v, f"{where}[{i}]") for i, v in enumerate(value)]
+    return tuple(value) if kind is tuple else value
+
+
+def json_fields(doc, where: str, hints: dict) -> dict:
+    """The JSON object `doc`, each value checked against its key's annotation
+    in `hints` and never coerced.  An unknown key or a mistyped value raises
+    TypeError naming where it sits (``manifest.recordings[2].label``)."""
+    if not isinstance(doc, dict):
+        raise TypeError(f"{where} must be a JSON object, got {doc!r}")
+    unknown = sorted(set(doc) - set(hints))
+    if unknown:
+        raise TypeError(f"unknown {where} field(s): {', '.join(unknown)}")
+    return {key: _checked(hints[key], value, f"{where}.{key}") for key, value in doc.items()}
+
+
+def from_json(cls, doc, where: str):
+    """The dataclass `cls` built from `doc` by :func:`json_fields`; a field
+    without a default that `doc` lacks raises KeyError."""
+    values = json_fields(doc, where, _hints(cls))
+    missing = [f.name for f in fields(cls) if f.name not in values
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise KeyError(f"{where} lacks field(s): {', '.join(missing)}")
+    return cls(**values)

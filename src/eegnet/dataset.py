@@ -16,7 +16,7 @@ import json
 import logging
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
 
@@ -86,8 +86,8 @@ class ManifestEntry:
 
 @dataclass
 class DatasetManifest:
-    recordings: list
-    label_names: dict
+    recordings: list[ManifestEntry]
+    label_names: dict[int, str]
     sample_rate: int = 160
     split_seed: int = 0
     split_ratio: float = 0.75
@@ -96,12 +96,8 @@ class DatasetManifest:
     def __post_init__(self):
         if self.sample_rate < 1:
             raise DatasetError(f"sample_rate must be >= 1, got {self.sample_rate}")
-        keys = sorted(self.label_names)
-        if keys != list(range(len(keys))):
-            raise DatasetError(f"label indices must be dense 0..K-1, got {keys}")
-        if len(keys) > MAX_CLASSES:
-            raise DatasetError(f"{len(keys)} label names; a prepared dataset stores labels "
-                               f"as one byte, so at most {MAX_CLASSES}")
+        self.label_names = _label_names({str(k): v for k, v in self.label_names.items()},
+                                        "manifest", DatasetError)
         for entry in self.recordings:
             if entry.label not in self.label_names:
                 raise DatasetError(
@@ -113,44 +109,48 @@ class DatasetManifest:
         return len(self.label_names)
 
 
+@dataclass
+class _Split:
+    seed: int = 0
+    ratio: float = 0.75
+
+
+@dataclass(kw_only=True)
+class _ManifestFile:  # the JSON object of a manifest file
+    sample_rate: int = 160
+    label_names: dict
+    split: _Split = field(default_factory=_Split)
+    recordings: list[ManifestEntry]
+
+
 def load_manifest(path) -> DatasetManifest:
-    """Read a manifest; a file that is not JSON or does not describe a
-    manifest (a missing key, a label that is not an integer, a value that
-    :class:`DatasetManifest` rejects) raises :class:`DatasetError` naming
-    the file."""
+    """Read a manifest by :func:`container.from_json`; a file that is
+    unreadable, not JSON, or not a manifest by that rule or
+    :class:`DatasetManifest`'s, raises :class:`DatasetError` naming it."""
     path = Path(path)
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            doc = container.from_json(_ManifestFile, json.load(fh), "manifest")
         return DatasetManifest(
-            recordings=[
-                ManifestEntry(path=r["path"], subject=r.get("subject", ""), label=int(r["label"]))
-                for r in doc["recordings"]
-            ],
-            label_names={int(k): v for k, v in doc["label_names"].items()},
-            sample_rate=int(doc.get("sample_rate", 160)),
-            split_seed=int(doc.get("split", {}).get("seed", 0)),
-            split_ratio=float(doc.get("split", {}).get("ratio", 0.75)),
-            base_dir=path.parent,
+            recordings=doc.recordings, label_names=doc.label_names,
+            sample_rate=doc.sample_rate, split_seed=doc.split.seed,
+            split_ratio=doc.split.ratio, base_dir=path.parent,
         )
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         raise DatasetError(f"{path}: not a dataset manifest ({exc!r})") from exc
     except DatasetError as exc:
         raise DatasetError(f"{path}: {exc}") from exc
 
 
 def save_manifest(path, manifest: DatasetManifest) -> None:
-    doc = {
-        "sample_rate": manifest.sample_rate,
-        "label_names": {str(k): v for k, v in manifest.label_names.items()},
-        "split": {"seed": manifest.split_seed, "ratio": manifest.split_ratio},
-        "recordings": [
-            {"path": e.path, "subject": e.subject, "label": e.label}
-            for e in manifest.recordings
-        ],
-    }
+    doc = _ManifestFile(
+        sample_rate=manifest.sample_rate,
+        label_names={str(k): v for k, v in manifest.label_names.items()},
+        split=_Split(manifest.split_seed, manifest.split_ratio),
+        recordings=manifest.recordings,
+    )
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
+        json.dump(asdict(doc), fh, indent=1)
         fh.write("\n")
 
 
@@ -246,7 +246,7 @@ class PreparedDataset:
 
     @property
     def label_names(self) -> dict:
-        return {int(k): v for k, v in self.meta["label_names"].items()}
+        return _label_names(self.meta["label_names"], "prepared dataset")
 
     def subset(self, indices) -> "PreparedDataset":
         """The windows at the given integer indices, without the stored split;
@@ -375,15 +375,24 @@ def save_prepared(path, dataset: PreparedDataset) -> None:
                     (frames, starts.astype(np.uint32), labels.astype(np.uint8)))
 
 
-def _check_labels(meta, labels, error=DatasetFormatError) -> np.ndarray:
-    """Return `labels` as an array; raise `error` unless `label_names` is an
-    object keyed by the dense indices "0".."K-1", as a manifest's are, with
-    K <= 256, and every label is one of its keys."""
-    names = meta.get("label_names") if isinstance(meta, dict) else None
-    if not isinstance(names, dict) or set(names) != set(map(str, range(len(names)))):
-        raise error(f"prepared dataset label_names must be keyed 0..K-1, got {names!r}")
+def _label_names(names, where: str, error=DatasetFormatError) -> dict:
+    """The JSON object `names` keyed by int labels; `error` unless its keys
+    are exactly "0".."K-1" with K <= 256 and its values strings.  The one key
+    rule of manifests and prepared datasets: JSON keys are strings."""
+    if (not isinstance(names, dict) or set(names) != set(map(str, range(len(names))))
+            or not all(isinstance(name, str) for name in names.values())):
+        raise error(f"{where} label_names must be keyed 0..K-1 (dense) and hold "
+                    f"strings, got {names!r}")
     if len(names) > MAX_CLASSES:
-        raise error(f"prepared dataset has {len(names)} label_names, more than {MAX_CLASSES}")
+        raise error(f"{where} has {len(names)} label names; labels are stored as one "
+                    f"byte, so at most {MAX_CLASSES}")
+    return {i: names[str(i)] for i in range(len(names))}
+
+
+def _check_labels(meta, labels, error=DatasetFormatError) -> np.ndarray:
+    """`labels` as an array; `error` unless `meta` holds label names that key each."""
+    names = _label_names(meta.get("label_names") if isinstance(meta, dict) else None,
+                         "prepared dataset", error)
     labels = np.asarray(labels)
     if labels.dtype.kind in "iu":
         bad = np.flatnonzero((labels < 0) | (labels >= len(names)))
@@ -391,7 +400,7 @@ def _check_labels(meta, labels, error=DatasetFormatError) -> np.ndarray:
         bad = np.arange(labels.size)
     if bad.size:
         raise error(f"prepared dataset window {bad[0]} has label {labels[bad[0]]}, "
-                    f"not a key of label_names {sorted(names, key=int)}")
+                    f"not a key of label_names {sorted(names)}")
     return labels
 
 

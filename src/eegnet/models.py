@@ -26,8 +26,7 @@ projection over all steps as one :func:`autodiff.linear`, with
 
 from __future__ import annotations
 
-import numbers
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,42 +41,6 @@ FUSIONS = ("cat", "add", "cat-fc", "cat-conv")
 # LSTM gate layout inside the fused 4d-wide matrices: input, forget,
 # candidate, output.  The forget slice of each bias starts at hidden size.
 _GATES = 4
-
-
-def _is_bool(value) -> bool:
-    return isinstance(value, (bool, np.bool_))
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not _is_bool(value)
-
-
-# each annotation a config field may carry: what it reads as in an error,
-# and the test a value passes
-_FIELD_KINDS = {
-    "int": ("an int", _is_int),
-    "float": ("a real number", lambda v: isinstance(v, numbers.Real) and not _is_bool(v)),
-    "bool": ("a bool", _is_bool),
-    "str": ("a string", lambda v: isinstance(v, str)),
-    "list": ("a list", lambda v: isinstance(v, list)),
-    "tuple": ("a list of ints", lambda v: isinstance(v, (list, tuple)) and all(map(_is_int, v))),
-}
-
-
-def _check_field_types(config) -> None:
-    """Raise TypeError unless every field of the dataclass `config` holds its
-    annotated type (``X | None`` also admits None; the annotations are
-    strings, as the module postpones their evaluation).  Config files and
-    checkpoint headers are JSON, which the annotations do not constrain."""
-    for f in fields(config):
-        value = getattr(config, f.name)
-        kind, _, optional = f.type.partition(" | ")
-        if optional == "None" and value is None:
-            continue
-        wanted, accepts = _FIELD_KINDS[kind]
-        if not accepts(value):
-            raise TypeError(f"{f.name} must be {wanted}{' or None' if optional else ''}, "
-                            f"got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -99,8 +62,7 @@ class ModelConfig:
     final_fc: bool = True
 
     def __post_init__(self):
-        _check_field_types(self)
-        # JSON gives a list; the frozen config always holds a tuple
+        # a caller may pass a list; the frozen config always holds a tuple
         object.__setattr__(self, "conv_maps", tuple(self.conv_maps))
         if self.arch not in ARCHITECTURES:
             raise ValueError(f"unknown architecture {self.arch!r}, expected one of {ARCHITECTURES}")

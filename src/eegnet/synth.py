@@ -19,13 +19,13 @@ architectures are strictly handicapped while joint models can reach ~100%.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
+from . import container
 from .dataset import DatasetManifest, ManifestEntry, Recording, _check_window
 from .layout import N_CHANNELS
-from .models import _check_field_types
 
 
 @dataclass
@@ -36,14 +36,10 @@ class SynthClass:
     phase: float = 0.0        # radians
     amplitude: float = 1.0
 
-    def __post_init__(self):
-        _check_field_types(self)
-        self.channels = tuple(self.channels)  # JSON gives a list
-
 
 @dataclass
 class SynthSpec:
-    classes: list
+    classes: list[SynthClass]
     noise: float = 0.25
     windows_per_class: int = 400
     recordings_per_class: int = 2
@@ -52,8 +48,6 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
-        # values are never coerced: an int field given 2.9 or true is an error
-        _check_field_types(self)
         if not self.classes:
             raise ValueError("synthetic spec needs at least one class")
         if self.noise < 0:
@@ -154,21 +148,8 @@ def synth_dataset(spec: SynthSpec):
     return manifest, recordings
 
 
-_SPEC_KEYS = {f.name for f in fields(SynthSpec)}
-_CLASS_KEYS = {f.name for f in fields(SynthClass)}
-
-
-def _reject_unknown(doc: dict, known: set, where: str) -> None:
-    unknown = sorted(set(doc) - known)
-    if unknown:
-        raise ValueError(f"unknown {where} field(s): {', '.join(unknown)}")
-
-
 def spec_from_dict(doc: dict) -> SynthSpec:
-    """Build a spec from a JSON document (the CLI's --spec file); a key that
-    names no spec or class field, or a value of the wrong type, is an error.
-    Values are taken as given, never coerced."""
-    _reject_unknown(doc, _SPEC_KEYS, "spec")
-    for i, c in enumerate(doc["classes"]):
-        _reject_unknown(c, _CLASS_KEYS, f"class {i}")
-    return SynthSpec(**{**doc, "classes": [SynthClass(**c) for c in doc["classes"]]})
+    """Build a spec from a JSON document (the CLI's --spec file) by the rule
+    of :func:`container.from_json`: a key that names no spec or class field,
+    or a value of the wrong type, is an error, and values are never coerced."""
+    return container.from_json(SynthSpec, doc, "spec")

@@ -63,7 +63,6 @@ class TrainConfig:
     precision: str = "f32"
 
     def __post_init__(self):
-        models._check_field_types(self)
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
@@ -313,6 +312,24 @@ def write_history(path, history) -> None:
 # ---------------------------------------------------------------------------
 # checkpoints
 
+@dataclass
+class _AdamHeader:
+    step: int
+    learning_rate: float
+
+
+@dataclass
+class _Header:  # the JSON header of a checkpoint
+    model_config: ModelConfig
+    train_config: TrainConfig
+    epoch: int
+    rng_state: dict
+    adam: _AdamHeader
+    history: list[EpochStats]
+    metrics: dict | None
+    tensors: list
+
+
 def save_checkpoint(path, model_config: ModelConfig, train_config: TrainConfig,
                     params: ModelParams, adam_state: AdamState, epoch: int,
                     rng: np.random.Generator, history, metrics: Metrics | None = None) -> None:
@@ -322,77 +339,56 @@ def save_checkpoint(path, model_config: ModelConfig, train_config: TrainConfig,
     _require_config(params, model_config)
     values = {name: t.data for name, t in params.tensors.items()}
     stores = (values, adam_state.first_moment, adam_state.second_moment)
-    header = {
-        "model_config": asdict(model_config),
-        "train_config": asdict(train_config),
-        "epoch": epoch,
-        "rng_state": rng.bit_generator.state,
-        "adam": {
-            "step": adam_state.step,
-            "learning_rate": adam_state.learning_rate,
-        },
-        "history": [asdict(h) for h in history],
-        "metrics": metrics.to_dict() if metrics else None,
-        "tensors": [{"name": name, "shape": list(arr.shape), "dtype": str(arr.dtype)}
-                    for name, arr in values.items()],
-    }
-    container.write(path, CHECKPOINT_FORMAT, (), header,
+    header = _Header(
+        model_config=model_config, train_config=train_config, epoch=epoch,
+        rng_state=rng.bit_generator.state,
+        adam=_AdamHeader(adam_state.step, adam_state.learning_rate),
+        history=list(history), metrics=metrics.to_dict() if metrics else None,
+        tensors=[{"name": name, "shape": list(arr.shape), "dtype": str(arr.dtype)}
+                 for name, arr in values.items()],
+    )
+    container.write(path, CHECKPOINT_FORMAT, (), asdict(header),
                     (store[name] for store in stores for name in values))
 
 
 @dataclass
-class Checkpoint:
-    model_config: ModelConfig
-    train_config: TrainConfig
+class Checkpoint(_Header):
+    """A loaded checkpoint: its header and the state that the header restores."""
+
     params: ModelParams
     adam_state: AdamState
-    epoch: int
     rng: np.random.Generator
-    history: list
-    metrics: dict | None = None
 
 
 def load_checkpoint(path) -> Checkpoint:
     """Read an EEGC container.  Besides the container's own errors, a header
-    that decodes but does not describe a checkpoint (a missing or mistyped
-    field, a config the dataclasses reject, a tensor table whose names and
-    shapes differ from the config's, an rng state numpy refuses) raises
-    :class:`CheckpointFormatError`."""
+    that decodes but does not describe a checkpoint (by :func:`container.from_json`,
+    the config dataclasses, the tensor table against the config's, or numpy's
+    rng state) raises :class:`CheckpointFormatError`."""
     with container.read(path, CHECKPOINT_FORMAT) as (_, header, read_array):
         try:
-            model_config = ModelConfig(**header["model_config"])
-            train_config = TrainConfig(**header["train_config"])
-            table = {e["name"]: tuple(e["shape"]) for e in header["tensors"]}
-            plan = {name: shape for name, shape, _ in models._plan(model_config)}
+            header = container.from_json(_Header, header, "header")
+            table = {e["name"]: tuple(e["shape"]) for e in header.tensors}
+            plan = {name: shape for name, shape, _ in models._plan(header.model_config)}
             if table != plan:
                 wrong = sorted(set(table.items()) ^ set(plan.items()))
                 raise CheckpointFormatError(
                     f"tensor table does not match the model config: {wrong}")
             values, first, second = (
                 {e["name"]: read_array(e["dtype"], e["shape"], f"{store} of {e['name']}")
-                 for e in header["tensors"]}
+                 for e in header.tensors}
                 for store in ("parameters", "first moment", "second moment")
             )
             params = ModelParams(
-                config=model_config,
+                config=header.model_config,
                 tensors={name: Tensor.parameter(arr) for name, arr in values.items()},
             )
-            adam = header["adam"]
             adam_state = AdamState(
-                step=adam["step"], first_moment=first, second_moment=second,
-                learning_rate=adam["learning_rate"],
+                step=header.adam.step, first_moment=first, second_moment=second,
+                learning_rate=header.adam.learning_rate,
             )
             rng = np.random.default_rng()
-            rng.bit_generator.state = header["rng_state"]
-            return Checkpoint(
-                model_config=model_config,
-                train_config=train_config,
-                params=params,
-                adam_state=adam_state,
-                epoch=header["epoch"],
-                rng=rng,
-                history=[EpochStats(**h) for h in header["history"]],
-                metrics=header.get("metrics"),
-            )
+            rng.bit_generator.state = header.rng_state
+            return Checkpoint(**vars(header), params=params, adam_state=adam_state, rng=rng)
         except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
             raise CheckpointFormatError(f"corrupt checkpoint header: {exc!r}") from exc

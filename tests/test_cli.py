@@ -93,11 +93,15 @@ class TestPrepare:
         assert prepared.count == 120
 
     def test_damaged_manifest_is_error(self, synth_dir, tmp_path, capsys):
-        # a missing label, then a sample rate below 1 in an otherwise good manifest
+        # a missing label, then a sample rate below 1 and a path that is no string
+        # in an otherwise good manifest
         good = json.loads((synth_dir / "manifest.json").read_text())
+        no_path = {**good, "recordings": [{**good["recordings"][0], "path": 7}]}
         for doc, reason in (({"recordings": [{"path": "a.csv"}], "label_names": {"0": "a"}},
                              "not a dataset manifest"),
-                            ({**good, "sample_rate": -5}, "sample_rate must be >= 1, got -5")):
+                            ({**good, "sample_rate": -5}, "sample_rate must be >= 1, got -5"),
+                            (no_path, "not a dataset manifest (TypeError('manifest.recordings[0]"
+                                      ".path must be a string, got 7'))")):
             manifest = tmp_path / "manifest.json"
             manifest.write_text(json.dumps(doc))
             out = tmp_path / "x.eegw"
@@ -561,7 +565,7 @@ def test_usage_error_exit_code_for_bad_flags(capsys):
      "learning_rate must be finite and >= 0"),
     (["synth", "--seed", "-1"], "seed must be >= 0"),
     (["synth", "--spec", "{spec_typo}"], "unknown spec field(s): windows_per_clas"),
-    (["synth", "--spec", "{class_typo}"], "unknown class 1 field(s): amplitud"),
+    (["synth", "--spec", "{class_typo}"], "unknown spec.classes[1] field(s): amplitud"),
     (["synth", "--spec", "{channel_float}"], "channels must be a list of ints, got [1.9]"),
     (["synth", "--spec", "{windows_float}"], "windows_per_class must be an int, got 2.9"),
     (["synth", "--spec", "{seed_bool}"], "seed must be an int, got True"),
@@ -572,13 +576,16 @@ def test_usage_error_exit_code_for_bad_flags(capsys):
     (["synth", "--spec", "{rate_zero}"], "sample_rate must be >= 1, got 0"),
     (["train", "--arch", "cascade", "--epochs", "1", "--config", "{shuffle}"],
      "unknown run config field(s): shuffle"),
+    (["train", "--epochs", "1", "--config", "{arch_list}"],
+     "run config.arch must be a string, got ['cascade']"),
 ], ids=["keep-prob-2", "epochs-0", "config-typo", "config-not-json", "spec-not-json",
         "synth-zero-windows", "prepare-odd-window", "prepare-ratio-1.5", "config-hidden-float",
         "config-patience-string", "config-data-number", "config-conv-maps-zero",
         "config-seed-negative", "config-lr-negative", "synth-seed-negative",
         "spec-unknown-key", "spec-class-unknown-key", "spec-channel-float",
         "spec-windows-float", "spec-seed-bool", "config-parallel-add-unequal",
-        "config-parallel-cat-conv-unequal", "spec-sample-rate-zero", "config-shuffle"])
+        "config-parallel-cat-conv-unequal", "spec-sample-rate-zero", "config-shuffle",
+        "config-arch-list"])
 def test_bad_input_is_usage_error(argv, reason, synth_dir, prepared_file, tmp_path, capsys):
     configs = {"typo": {"epoch": 1}, "hidden": {"hidden": 8.5}, "patience": {"patience": "3"},
                "data": {"data": 5}, "maps": {"conv_maps": [0, 3, 4]}, "seed": {"seed": -1},
@@ -593,7 +600,7 @@ def test_bad_input_is_usage_error(argv, reason, synth_dir, prepared_file, tmp_pa
                "cat_conv_unequal": {"fusion": "cat-conv", "mid_fc": False},
                "rate_zero": {"classes": [{"name": "a"}, {"name": "b", "channels": [1]}],
                              "sample_rate": 0},
-               "shuffle": {"shuffle": True}}
+               "shuffle": {"shuffle": True}, "arch_list": {"arch": ["cascade"]}}
     files = {name: tmp_path / f"{name}.json" for name in configs}
     for name, doc in configs.items():
         files[name].write_text(json.dumps(doc))

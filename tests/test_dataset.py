@@ -418,6 +418,15 @@ class TestPreparedRoundTrip:
         with pytest.raises(ds.DatasetFormatError, match="label_names must be keyed 0..K-1"):
             ds.load_prepared(path)
 
+    def test_label_name_not_a_string_rejected(self, tmp_path, small_prepared):
+        # `eegnet eval` formats each name as a string
+        path = tmp_path / "n.eegw"
+        rewrite_header(self._saved_path(tmp_path, small_prepared), path, ds.PREPARED_FORMAT,
+                       lambda h: h["label_names"].update({"0": None}))
+        with pytest.raises(ds.DatasetFormatError,
+                           match=r"must be keyed 0..K-1 \(dense\) and hold strings"):
+            ds.load_prepared(path)
+
     @pytest.mark.parametrize("side, entry", [
         ("test", 1000000), ("test", -1), ("train", 2.0), ("train", True), ("test", "3"),
     ], ids=["past-the-end", "negative", "float", "bool", "string"])
@@ -503,7 +512,9 @@ class TestManifest:
         loaded = ds.load_manifest(path)
         assert loaded.label_names == manifest.label_names
         assert loaded.split_seed == 3 and loaded.split_ratio == 0.8
-        assert [e.path for e in loaded.recordings] == ["recordings/a.csv", "recordings/b.csv"]
+        assert [(e.path, e.subject, e.label) for e in loaded.recordings] == [
+            ("recordings/a.csv", "s1", 0), ("recordings/b.csv", "s2", 1)]
+        assert loaded.recordings == manifest.recordings
         assert loaded.base_dir == tmp_path
 
     def test_more_than_256_label_names_rejected(self):
@@ -531,13 +542,39 @@ class TestManifest:
         {"recordings": [{"path": "a.csv", "label": "x"}], "label_names": {"0": "a"}},
         {"recordings": [], "label_names": {"0": "a"}, "sample_rate": 0},
         {"recordings": [], "label_names": {"0": "a"}, "sample_rate": -5},
+        # each of these loaded, coerced or ignored, before one reader checked manifests
+        {"recordings": [], "label_names": {"0": "a"}, "sample_rate": 2.9},
+        {"recordings": [], "label_names": {"0": "a"}, "split": {"seed": True}},
+        {"recordings": [], "label_names": {"0": "a"}, "split": {"ratio": "0.5"}},
+        {"recordings": [{"path": "a.csv", "subject": "s", "label": "0"}],
+         "label_names": {"0": "a"}},
+        {"recordings": [{"path": "a.csv", "subject": "s", "label": True}],
+         "label_names": {"0": "a", "1": "b"}},
+        {"recordings": [], "lable_names": {"0": "a"}, "label_names": {"0": "a"}},
+        {"recordings": [{"path": "a.csv", "subjekt": "s", "subject": "s", "label": 0}],
+         "label_names": {"0": "a"}},
+        {"recordings": [], "label_names": {"0": 5}},
+        {"recordings": [{"path": 7, "subject": "s", "label": 0}], "label_names": {"0": "a"}},
+        {"recordings": [], "label_names": {"00": "a"}},
+        {"recordings": [], "label_names": {"0": "a", " 1": "b"}},
+        {"recordings": [], "label_names": {"0": "a", "+1": "b"}},
+        {"recordings": [{"path": "a.csv", "label": 0}], "label_names": {"0": "a"}},
+        [],
     ], ids=["not-json", "no-recordings", "no-label-names", "no-path", "no-label",
-            "label-not-int", "sample-rate-zero", "sample-rate-negative"])
+            "label-not-int", "sample-rate-zero", "sample-rate-negative", "sample-rate-float",
+            "split-seed-bool", "split-ratio-string", "label-string", "label-bool",
+            "misspelt-label-names", "misspelt-subject", "label-name-int", "path-int",
+            "label-key-00", "label-key-space-1", "label-key-plus-1", "no-subject",
+            "not-an-object"])
     def test_damaged_manifest_rejected(self, tmp_path, doc):
         path = tmp_path / "manifest.json"
         path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
         with pytest.raises(ds.DatasetError, match="manifest.json"):
             ds.load_manifest(path)
+
+    def test_unreadable_manifest_rejected(self, tmp_path):
+        with pytest.raises(ds.DatasetError, match="not a dataset manifest"):
+            ds.load_manifest(tmp_path)
 
 
 class TestPrepareDataset:

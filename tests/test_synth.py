@@ -1,3 +1,6 @@
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -44,6 +47,9 @@ class TestSpecValidation:
         assert len(spec.classes) == 2
         assert spec.classes[1].channels == (1, 2)
         assert spec.noise == 0.1 and spec.windows_per_class == 7
+        # the strict reader takes back what a spec writes as JSON
+        spec = synth.default_spec()
+        assert synth.spec_from_dict(json.loads(json.dumps(asdict(spec)))) == spec
 
 
 class TestGeneration:

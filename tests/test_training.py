@@ -646,9 +646,17 @@ class TestCheckpoint:
         (lambda h: h["model_config"].update(bogus=1), TypeError),
         (lambda h: h["train_config"].update(patience="3"), TypeError),
         (lambda h: h["train_config"].update(learning_rate=-1.0), ValueError),
+        (lambda h: h["history"][0].update(epoch="1"), TypeError),
+        (lambda h: h["history"][0].update(train_loss="nan"), TypeError),
+        (lambda h: h["adam"].update(step=2.5), TypeError),
+        (lambda h: h.update(epoch="one"), TypeError),
+        (lambda h: h.update(comment="extra"), TypeError),
+        (lambda h: h.pop("metrics"), KeyError),
     ], ids=["tensor-without-shape", "unknown-dtype", "rng-not-pcg64", "rng-state-too-large",
             "unknown-arch", "no-adam", "unknown-config-field", "patience-not-int",
-            "learning-rate-negative"])
+            "learning-rate-negative", "history-epoch-string", "history-loss-string",
+            "adam-step-float", "epoch-string", "unknown-top-level-key",
+            "no-metrics"])
     def test_damaged_header_field_rejected(self, tiny_checkpoint, tmp_path, edit, cause):
         path = tmp_path / "h.eegc"
         rewrite_header(tiny_checkpoint, path, training.CHECKPOINT_FORMAT, edit)
