@@ -29,6 +29,7 @@ import numpy as np
 
 from . import container, gradcheck, synth, training
 from . import dataset as ds
+from .layout import MESH_COLS, MESH_ROWS
 from .models import FUSIONS, ModelConfig, canonical_config
 from .training import TrainConfig
 
@@ -165,13 +166,8 @@ def cmd_prepare(args) -> int:
 
 def cmd_train(args) -> int:
     model_config, train_config, data, out_dir = _run_config(args)
-    if not Path(data).exists():
-        raise UsageError(f"prepared dataset not found: {data}")
-    prepared = ds.load_prepared(data)
-    _check_fits(model_config, "config", prepared)
-    train_set, test_set = prepared.train_test()
-    _require_windows(train_set, data, "train")
-    _require_windows(test_set, data, "test")
+    prepared = _load_fitting(data, model_config, "config")
+    train_set, test_set = (_split_side(prepared, data, side) for side in ("train", "test"))
     out_dir.mkdir(parents=True, exist_ok=True)
     _echo_config(out_dir, model_config, train_config, data)
     log.info("training %s on %d windows (%d test)", model_config.arch,
@@ -192,39 +188,32 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_checkpoint(path):
-    path = Path(path)
-    if not path.exists():
-        raise UsageError(f"checkpoint not found: {path}")
-    return training.load_checkpoint(path)
-
-
-def _check_fits(config: ModelConfig, source: str, prepared: ds.PreparedDataset) -> None:
-    """The model of `config`, which came from `source` (the run config or a
-    checkpoint), reads windows of the dataset's length, channel count and
-    mesh and scores the dataset's classes.  The models do not check the
-    shapes of what they are given, so this is where a mismatch is caught."""
-    rows, cols = prepared.frame_meshes.shape[1:]
+def _load_fitting(data, config: ModelConfig, source: str) -> ds.PreparedDataset:
+    """The prepared dataset at `data`, whose window length, channels, mesh
+    and classes the model of `config`, from `source` (the run config or a
+    checkpoint), must share.  The models do not check the shapes of what
+    they are given, so this is where a mismatch is caught."""
+    if not Path(data).exists():
+        raise UsageError(f"prepared dataset not found: {data}")
+    prepared = ds.load_prepared(data)
     for what, have, want in (
         ("window", prepared.window, config.window),
         ("classes", prepared.n_classes, config.classes),
         ("channels", prepared.frames.shape[1], config.channels),
-        ("mesh", f"{rows}x{cols}", f"{config.mesh_h}x{config.mesh_w}"),
+        ("mesh", f"{MESH_ROWS}x{MESH_COLS}", f"{config.mesh_h}x{config.mesh_w}"),
     ):
         if have != want:
             raise ConfigMismatch(f"dataset {what} {have} does not match {source} {what} {want}")
+    return prepared
 
 
-def _require_windows(subset: ds.PreparedDataset, data, side: str) -> None:
-    if subset.count == 0:  # a stored split may leave a side empty
+def _split_side(prepared: ds.PreparedDataset, data, side: str) -> ds.PreparedDataset:
+    """The windows of one side of the stored split, or "all" of them; a
+    DatasetError if there are none, as a stored split may leave a side empty."""
+    subset = prepared if side == "all" else prepared.train_test()[("train", "test").index(side)]
+    if subset.count == 0:
         raise ds.DatasetError(f"{data}: the {side} split holds no windows")
-
-
-def _select_split(prepared: ds.PreparedDataset, which: str) -> ds.PreparedDataset:
-    if which == "all":
-        return prepared
-    train_set, test_set = prepared.train_test()
-    return train_set if which == "train" else test_set
+    return subset
 
 
 def _format_metrics(metrics: training.Metrics, label_names: dict) -> str:
@@ -241,14 +230,17 @@ def _format_metrics(metrics: training.Metrics, label_names: dict) -> str:
     return "\n".join(lines)
 
 
+def _load_scoring(checkpoint, data):
+    """The checkpoint at `checkpoint` and the dataset at `data` that fits it."""
+    if not Path(checkpoint).exists():
+        raise UsageError(f"checkpoint not found: {checkpoint}")
+    ckpt = training.load_checkpoint(checkpoint)
+    return ckpt, _load_fitting(data, ckpt.model_config, "checkpoint")
+
+
 def cmd_eval(args) -> int:
-    ckpt = _load_checkpoint(args.checkpoint)
-    if not Path(args.data).exists():
-        raise UsageError(f"prepared dataset not found: {args.data}")
-    prepared = ds.load_prepared(args.data)
-    _check_fits(ckpt.model_config, "checkpoint", prepared)
-    subset = _select_split(prepared, args.split)
-    _require_windows(subset, args.data, args.split)
+    ckpt, prepared = _load_scoring(args.checkpoint, args.data)
+    subset = _split_side(prepared, args.data, args.split)
     metrics = training.evaluate(ckpt.params, subset)
     print(_format_metrics(metrics, prepared.label_names))
     if args.json_out:
@@ -259,15 +251,10 @@ def cmd_eval(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    ckpt = _load_checkpoint(args.checkpoint)
-    if not Path(args.windows).exists():
-        raise UsageError(f"prepared dataset not found: {args.windows}")
-    prepared = ds.load_prepared(args.windows)
-    _check_fits(ckpt.model_config, "checkpoint", prepared)
+    ckpt, prepared = _load_scoring(args.checkpoint, args.windows)
     names = prepared.label_names
-    for i, frames in enumerate(prepared.index):
-        probs, cls = training.predict(ckpt.params, prepared.frames[frames],
-                                      prepared.frame_meshes[frames])
+    for i, probs in enumerate(training.probabilities(ckpt.params, prepared)):
+        cls = int(probs.argmax())
         rendered = " ".join(repr(float(p)) for p in probs)
         print(f"window {i}: class={cls} ({names.get(cls, cls)}) probs=[{rendered}]")
     return 0

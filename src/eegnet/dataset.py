@@ -4,10 +4,10 @@ Recordings arrive as CSV (one row per time sample, columns ch1..ch64) plus a
 JSON manifest carrying subject ids, labels, the sample rate and the split
 policy.  Prepared datasets are stored in a little-endian binary container
 (magic ``EEGW``, version 3) holding each raw frame once, one start offset
-per window, the labels and the split.  In memory too a dataset holds each
-frame once, with its mesh, and each window as a start offset, so the
-50%-overlapping windows of a recording cost about one copy of its samples.
-The loader rebuilds the meshes, a per-frame function of the raw frames.
+per window, the labels and the split.  In memory a dataset holds the same,
+each frame once and each window as a start offset, so the 50%-overlapping
+windows of a recording cost about one copy of its samples.  The meshes, a
+per-frame function of the frames, are derived wherever a model reads them.
 """
 
 from __future__ import annotations
@@ -216,11 +216,10 @@ class PreparedDataset:
     windows that overlap share their frames.  `raw` and `meshes` give the
     dense (q, S, ...) windows, gathered on first use and kept."""
 
-    frames: np.ndarray        # (F, n) float32 raw frames
-    frame_meshes: np.ndarray  # (F, rows, cols) float32, each frame z-scored
-    starts: np.ndarray        # (q,) intp, each window's first frame
-    labels: np.ndarray        # (q,) uint8
-    window: int               # S, the frames per window
+    frames: np.ndarray  # (F, n) float32 raw frames
+    starts: np.ndarray  # (q,) intp, each window's first frame
+    labels: np.ndarray  # (q,) uint8
+    window: int         # S, the frames per window
     meta: dict
 
     @property
@@ -238,7 +237,24 @@ class PreparedDataset:
 
     @cached_property
     def meshes(self) -> np.ndarray:
-        return np.take(self.frame_meshes, self.index, axis=0)
+        _, meshes, index = self.inputs()
+        return np.take(meshes, index, axis=0)
+
+    def _used_frames(self):
+        """The frames that the windows use, in frame order, and the (q, S)
+        index renumbered into them."""
+        index = self.index
+        used = np.zeros(len(self.frames), dtype=bool)
+        used[index] = True
+        return self.frames[used], (np.cumsum(used) - 1)[index]
+
+    def inputs(self, dtype=np.float32):
+        """The :meth:`_used_frames` and their normalized meshes, both in
+        `dtype`, and the renumbered index.  The meshes come from the float32
+        frames before the cast, so every dtype reads the same meshes."""
+        frames, index = self._used_frames()
+        return (frames.astype(dtype, copy=False),
+                normalized_meshes(frames).astype(dtype, copy=False), index)
 
     @property
     def n_classes(self) -> int:
@@ -277,9 +293,8 @@ def window_recordings(recordings, window: int = 10) -> PreparedDataset:
     Window starts form the progression 0, S/2, S, ... within a recording;
     each window carries its recording's label and never crosses into another
     recording.  Each recording's samples are held once, all-zero (missing)
-    samples kept, with their meshes (the 64-channel 10x11 montage of
-    :mod:`eegnet.layout`) computed once per frame.  A recording shorter than
-    one window adds nothing; DatasetError if no recording is that long.
+    samples kept.  A recording shorter than one window adds nothing;
+    DatasetError if no recording is that long.
     """
     _check_window(window)
     recordings = [rec for rec in recordings if len(rec.samples) >= window]
@@ -291,7 +306,6 @@ def window_recordings(recordings, window: int = 10) -> PreparedDataset:
               for offset, f in zip(offsets, frames)]
     return PreparedDataset(
         frames=np.concatenate(frames),
-        frame_meshes=np.concatenate([normalized_meshes(f) for f in frames]),
         starts=np.concatenate(starts),
         labels=np.repeat(np.array([rec.label for rec in recordings], np.uint8),
                          [len(s) for s in starts]),
@@ -302,11 +316,10 @@ def window_recordings(recordings, window: int = 10) -> PreparedDataset:
 def prepare_dataset(manifest: DatasetManifest, window: int = 10,
                     ratio: float | None = None, seed: int | None = None,
                     threads: int = 1) -> PreparedDataset:
-    """Full ingestion pipeline: load -> normalize -> mesh -> window -> split.
+    """Full ingestion pipeline: load -> window -> split.
 
-    Recordings have the 64 channels of the 10x11 montage of
-    :mod:`eegnet.layout`, which places every sample on the mesh.  `threads`
-    loader threads read the recordings.  Damaged recordings are skipped with
+    Recordings have the 64 channels of the montage of :mod:`eegnet.layout`.
+    `threads` loader threads read them.  Damaged recordings are skipped with
     a warning, and so, with another, are recordings shorter than one window;
     the warnings and the remainder follow manifest order, so output and log
     are deterministic for any thread count.  An invalid window size raises
@@ -366,13 +379,11 @@ def save_prepared(path, dataset: PreparedDataset) -> None:
     is written.
     """
     labels = _check_labels(dataset.meta, dataset.labels, DatasetError)
-    used = np.zeros(len(dataset.frames), dtype=bool)
-    used[dataset.index] = True
-    starts = (np.cumsum(used) - 1)[dataset.starts]
-    frames = np.asarray(dataset.frames[used], dtype=np.float32)
+    frames, index = dataset._used_frames()
     container.write(path, PREPARED_FORMAT,
                     (dataset.count, dataset.window, frames.shape[1], len(frames)), dataset.meta,
-                    (frames, starts.astype(np.uint32), labels.astype(np.uint8)))
+                    (frames.astype(np.float32, copy=False), index[:, 0].astype(np.uint32),
+                     labels.astype(np.uint8)))
 
 
 def _label_names(names, where: str, error=DatasetFormatError) -> dict:
@@ -427,12 +438,11 @@ def _check_split(meta: dict, count: int) -> None:
 
 
 def load_prepared(path) -> PreparedDataset:
-    """Read an EEGW v3 container and compute the meshes once per stored
-    frame by ingest's rule; no window is gathered.  Bad magic, version (v1
-    and v2 included), header, truncation, a channel count other than 64, NaN
-    or Inf, a window that runs past the stored frames, a label outside
-    `label_names` and a stored split that does not index the windows raise
-    typed errors, never a partial dataset."""
+    """Read an EEGW v3 container; no mesh is computed and no window
+    gathered.  Bad magic, version (v1 and v2 included), header, truncation,
+    a channel count other than 64, NaN or Inf, a window that runs past the
+    stored frames, a label outside `label_names` and a stored split that
+    does not index the windows raise typed errors, never a partial dataset."""
     with container.read(path, PREPARED_FORMAT) as ((q, s, n, f), meta, read_array):
         if n != N_CHANNELS:
             raise DatasetFormatError(
@@ -448,5 +458,4 @@ def load_prepared(path) -> PreparedDataset:
     if bad.size:
         raise DatasetFormatError(f"prepared dataset window {bad[0]} starts at frame "
                                  f"{starts[bad[0]]}, so its {s} frames run past the {f} stored")
-    return PreparedDataset(frames=frames, frame_meshes=normalized_meshes(frames),
-                           starts=starts, labels=labels, window=s, meta=meta)
+    return PreparedDataset(frames=frames, starts=starts, labels=labels, window=s, meta=meta)

@@ -50,8 +50,8 @@ class SynthSpec:
     def __post_init__(self):
         if not self.classes:
             raise ValueError("synthetic spec needs at least one class")
-        if self.noise < 0:
-            raise ValueError(f"noise level must be >= 0, got {self.noise}")
+        if not 0 <= self.noise < np.inf:
+            raise ValueError(f"noise level must be finite and >= 0, got {self.noise}")
         if self.windows_per_class < 1:
             raise ValueError("windows_per_class must be >= 1")
         if self.recordings_per_class < 1:
@@ -65,8 +65,10 @@ class SynthSpec:
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate class names: {names}")
         for cls in self.classes:
-            if cls.amplitude < 0:
-                raise ValueError(f"class {cls.name}: amplitude must be >= 0")
+            if not 0 <= cls.amplitude < np.inf:
+                raise ValueError(f"class {cls.name}: amplitude must be finite and >= 0")
+            if not np.isfinite([cls.frequency, cls.phase]).all():
+                raise ValueError(f"class {cls.name}: frequency and phase must be finite")
             for ch in cls.channels:
                 if not 1 <= ch <= N_CHANNELS:
                     raise ValueError(

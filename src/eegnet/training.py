@@ -134,25 +134,18 @@ def _require_config(params: ModelParams, model_config: ModelConfig) -> None:
                          f"{', '.join(differ)}")
 
 
-def _as_dtype(raw, meshes, dtype):
-    return np.asarray(raw).astype(dtype, copy=False), np.asarray(meshes).astype(dtype, copy=False)
-
-
-def _frames_as(dataset: PreparedDataset, dtype):
-    """The dataset's raw frames and meshes in `dtype`, and its (q, S) frame
-    index into them.  A cast copies only the frames that its windows use,
-    renumbered in frame order, so a small subset of a large set stays small."""
-    index = dataset.index
-    if dataset.frames.dtype == dtype and dataset.frame_meshes.dtype == dtype:
-        return dataset.frames, dataset.frame_meshes, index
-    used, inverse = np.unique(index, return_inverse=True)
-    raw, meshes = _as_dtype(dataset.frames[used], dataset.frame_meshes[used], dtype)
-    return raw, meshes, inverse.reshape(index.shape)
-
-
 def _batches(count: int, batch_size: int, order: np.ndarray):
     for start in range(0, count, batch_size):
         yield order[start:start + batch_size]
+
+
+def _eval_logits(params: ModelParams, dataset: PreparedDataset):
+    """Each batch's window indices and eval-mode logits, 256 windows at a
+    time in window order, on frozen parameters (no tape)."""
+    params = params.frozen()
+    raw, meshes, index = dataset.inputs(params.tensors["head.out.bias"].dtype)
+    for idx in _batches(dataset.count, 256, np.arange(dataset.count)):
+        yield idx, models.forward_windows(params, raw, meshes, mode="eval", index=index[idx])
 
 
 def evaluate(params: ModelParams, dataset: PreparedDataset) -> Metrics:
@@ -160,14 +153,11 @@ def evaluate(params: ModelParams, dataset: PreparedDataset) -> Metrics:
     the model 256 windows at a time on frozen parameters (no tape)."""
     if dataset.count == 0:
         raise ValueError("cannot evaluate an empty dataset")
-    params = params.frozen()
     k = params.config.classes
-    raw, meshes, index = _frames_as(dataset, params.tensors["head.out.bias"].dtype)
     labels = dataset.labels.astype(np.int64)
     confusion = np.zeros((k, k), dtype=np.int64)
     loss_sum = 0.0
-    for idx in _batches(dataset.count, 256, np.arange(dataset.count)):
-        logits = models.forward_windows(params, raw, meshes, mode="eval", index=index[idx])
+    for idx, logits in _eval_logits(params, dataset):
         loss, probs = softmax_cross_entropy_batch(logits, labels[idx])
         loss_sum += float(loss.data) * len(idx)
         predicted = probs.argmax(axis=1)
@@ -175,12 +165,21 @@ def evaluate(params: ModelParams, dataset: PreparedDataset) -> Metrics:
     return metrics_from_confusion(confusion, loss_sum / dataset.count)
 
 
+def probabilities(params: ModelParams, dataset: PreparedDataset) -> np.ndarray:
+    """The (q, K) class probabilities of every window, from the pass that
+    :func:`evaluate` scores, so they equal its probabilities bit for bit."""
+    empty = np.zeros((0, params.config.classes), params.tensors["head.out.bias"].dtype)
+    return np.concatenate([empty] + [_softmax_rows(logits.data)
+                                     for _, logits in _eval_logits(params, dataset)])
+
+
 def predict(params: ModelParams, raw: np.ndarray, meshes: np.ndarray):
     """Class probabilities and argmax class (ties -> lowest index) for one
     window, from a forward on frozen parameters (no tape), the window cast
     to the parameters' dtype as in :func:`evaluate`."""
-    raw, meshes = _as_dtype(raw, meshes, params.tensors["head.out.bias"].dtype)
-    logits = models.forward_windows(params.frozen(), raw[None], meshes[None], mode="eval")
+    dtype = params.tensors["head.out.bias"].dtype
+    logits = models.forward_windows(params.frozen(), np.asarray(raw, dtype)[None],
+                                    np.asarray(meshes, dtype)[None], mode="eval")
     probs = _softmax_rows(logits.data)[0]
     return probs, int(probs.argmax())
 
@@ -230,7 +229,7 @@ def train(model_config: ModelConfig, train_config: TrainConfig,
         rng = np.random.default_rng(train_config.seed)
     history = list(history) if history else []
 
-    raw, meshes, index = _frames_as(train_set, dtype)
+    raw, meshes, index = train_set.inputs(dtype)
     labels = train_set.labels.astype(np.int64)
     count = train_set.count
     best_loss = min((h.test_loss for h in history), default=np.inf)

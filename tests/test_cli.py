@@ -335,6 +335,31 @@ class TestEvalPredict:
             probs = [float(x) for x in line.split("probs=[")[1].rstrip("]").split()]
             assert abs(sum(probs) - 1.0) <= 1e-6
 
+    def test_predict_prints_the_probabilities_of_evaluates_pass(self, trained_run, prepared_file,
+                                                                capsys, monkeypatch):
+        ckpt_path = trained_run / "checkpoint.eegc"
+        assert cli.main(["predict", "--checkpoint", str(ckpt_path),
+                         "--windows", str(prepared_file)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        printed = np.array([[float(x) for x in line.split("probs=[")[1].rstrip("]").split()]
+                            for line in lines])
+        classes = [int(line.split("class=")[1].split()[0]) for line in lines]
+        seen = []
+        real = training.softmax_cross_entropy_batch
+
+        def record(logits, labels):
+            seen.append(real(logits, labels))
+            return seen[-1]
+
+        monkeypatch.setattr(training, "softmax_cross_entropy_batch", record)
+        prepared = ds.load_prepared(prepared_file)
+        metrics = training.evaluate(training.load_checkpoint(ckpt_path).params, prepared)
+        evaluated = np.concatenate([probs for _, probs in seen])
+        assert printed.tobytes() == evaluated.astype(np.float64).tobytes()
+        confusion = np.zeros_like(metrics.confusion)
+        np.add.at(confusion, (prepared.labels, classes), 1)
+        np.testing.assert_array_equal(confusion, metrics.confusion)
+
     def test_predict_into_closed_pipe_exits_quietly(self, trained_run, prepared_file):
         # the reader closes the pipe after one line, as `| head -1` does; a
         # one-page pipe cannot hold the rest, so the command is still writing
@@ -574,6 +599,8 @@ def test_usage_error_exit_code_for_bad_flags(capsys):
     (["train", "--arch", "parallel", "--epochs", "1", "--config", "{cat_conv_unequal}"],
      "cat-conv fusion needs equal feature sizes"),
     (["synth", "--spec", "{rate_zero}"], "sample_rate must be >= 1, got 0"),
+    (["synth", "--noise", "nan"], "noise level must be finite and >= 0, got nan"),
+    (["synth", "--spec", "{amplitude_nan}"], "class b: amplitude must be finite and >= 0"),
     (["train", "--arch", "cascade", "--epochs", "1", "--config", "{shuffle}"],
      "unknown run config field(s): shuffle"),
     (["train", "--epochs", "1", "--config", "{arch_list}"],
@@ -584,7 +611,8 @@ def test_usage_error_exit_code_for_bad_flags(capsys):
         "config-seed-negative", "config-lr-negative", "synth-seed-negative",
         "spec-unknown-key", "spec-class-unknown-key", "spec-channel-float",
         "spec-windows-float", "spec-seed-bool", "config-parallel-add-unequal",
-        "config-parallel-cat-conv-unequal", "spec-sample-rate-zero", "config-shuffle",
+        "config-parallel-cat-conv-unequal", "spec-sample-rate-zero", "synth-noise-nan",
+        "spec-amplitude-nan", "config-shuffle",
         "config-arch-list"])
 def test_bad_input_is_usage_error(argv, reason, synth_dir, prepared_file, tmp_path, capsys):
     configs = {"typo": {"epoch": 1}, "hidden": {"hidden": 8.5}, "patience": {"patience": "3"},
@@ -600,6 +628,8 @@ def test_bad_input_is_usage_error(argv, reason, synth_dir, prepared_file, tmp_pa
                "cat_conv_unequal": {"fusion": "cat-conv", "mid_fc": False},
                "rate_zero": {"classes": [{"name": "a"}, {"name": "b", "channels": [1]}],
                              "sample_rate": 0},
+               "amplitude_nan": {"classes": [{"name": "a"},
+                                             {"name": "b", "amplitude": float("nan")}]},
                "shuffle": {"shuffle": True}, "arch_list": {"arch": ["cascade"]}}
     files = {name: tmp_path / f"{name}.json" for name in configs}
     for name, doc in configs.items():

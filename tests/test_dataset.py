@@ -2,7 +2,7 @@ import json
 import struct
 import threading
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -370,6 +370,28 @@ class TestPreparedRoundTrip:
         path = self._damaged(tmp_path, small_prepared, 12, struct.pack("<H", 63))
         with pytest.raises(ds.DatasetFormatError, match="63 channels"):
             ds.load_prepared(path)
+
+    def test_holds_only_what_the_file_stores(self, tmp_path, small_prepared, monkeypatch):
+        # the meshes are derived from the frames where a model reads them
+        assert [f.name for f in fields(ds.PreparedDataset)] == [
+            "frames", "starts", "labels", "window", "meta"]
+        path = tmp_path / "d.eegw"
+        ds.save_prepared(path, small_prepared)
+
+        def no_meshes(_samples):
+            raise AssertionError("meshes computed")
+
+        monkeypatch.setattr(ds, "normalized_meshes", no_meshes)
+        ds.load_prepared(path)
+        windows_of(make_recording(30))
+
+    def test_inputs_are_the_used_frames_and_their_float32_meshes(self, small_prepared):
+        subset = small_prepared.subset([9, 2, 9])
+        frames, meshes, index = subset.inputs(np.float64)
+        assert frames.dtype == meshes.dtype == np.float64 and len(frames) == 20
+        np.testing.assert_array_equal(frames[index], subset.raw)
+        np.testing.assert_array_equal(meshes[index], subset.meshes)
+        assert subset.meshes.dtype == np.float32
 
     def test_stored_split_partitions_dataset(self, small_prepared):
         train, test = small_prepared.train_test()

@@ -28,6 +28,17 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="noise"):
             synth.SynthSpec(classes=[synth.SynthClass("x")], noise=-1.0)
 
+    @pytest.mark.parametrize("spec", [
+        dict(noise=float("inf")),
+        dict(noise=float("nan")),
+        dict(classes=[synth.SynthClass("x", amplitude=float("nan"))]),
+        dict(classes=[synth.SynthClass("x", frequency=float("inf"))]),
+        dict(classes=[synth.SynthClass("x", phase=float("nan"))]),
+    ], ids=["noise-inf", "noise-nan", "amplitude-nan", "frequency-inf", "phase-nan"])
+    def test_non_finite_value_rejected(self, spec):
+        with pytest.raises(ValueError, match="finite"):
+            synth.SynthSpec(**{"classes": [synth.SynthClass("x")], **spec})
+
     def test_duplicate_names_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             synth.SynthSpec(classes=[synth.SynthClass("x"), synth.SynthClass("x")])

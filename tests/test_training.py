@@ -11,6 +11,7 @@ import pytest
 from eegnet import dataset, models, training
 from eegnet.autodiff import Tensor, backward, softmax_cross_entropy_batch
 from eegnet.gradcheck import reduced_config
+from eegnet.layout import normalized_meshes
 from eegnet.models import param_init
 from eegnet.optim import adam_step, init_adam
 from eegnet.training import (
@@ -149,7 +150,6 @@ class TestEvaluate:
         steps = [slice(s, s + 10) for s in subset.starts]
         alone = dataset.PreparedDataset(
             frames=np.concatenate([prepared.frames[s] for s in steps]),
-            frame_meshes=np.concatenate([prepared.frame_meshes[s] for s in steps]),
             starts=np.arange(0, 40, 10), labels=subset.labels, window=10, meta=subset.meta)
         params = param_init(tiny_config(), seed=0, dtype=np.float64)
         tracemalloc.start()
@@ -171,7 +171,6 @@ class TestEvaluate:
         rng = np.random.default_rng(0)
         windows = dataset.PreparedDataset(
             frames=rng.standard_normal((2560, 64)).astype(np.float32),
-            frame_meshes=rng.standard_normal((2560, 10, 11)).astype(np.float32),
             starts=np.arange(0, 2560, 10),
             labels=rng.integers(0, 5, 256).astype(np.uint8),
             window=10,
@@ -415,6 +414,50 @@ class TestPredict:
             nll.append(-np.log(probs[test_set.labels[i]]))
         assert test_set.raw.dtype == np.float32
         assert abs(np.mean(nll) - evaluate(params, test_set).mean_loss) <= 1e-12
+
+
+    def test_probabilities_are_evaluates_pass(self, monkeypatch):
+        # 300 windows, two batches: the rows are the probabilities that
+        # evaluate scores, bit for bit and in window order
+        prepared = build_prepared(windows_per_class=60, seed=6)
+        params = param_init(tiny_config(), seed=3)
+        probs = training.probabilities(params, prepared)
+        seen = []
+        real = training.softmax_cross_entropy_batch
+
+        def record(logits, labels):
+            seen.append(real(logits, labels))
+            return seen[-1]
+
+        monkeypatch.setattr(training, "softmax_cross_entropy_batch", record)
+        metrics = evaluate(params, prepared)
+        assert [len(p) for _, p in seen] == [256, 44]
+        assert probs.tobytes() == np.concatenate([p for _, p in seen]).tobytes()
+        confusion = np.zeros((5, 5), dtype=np.int64)
+        np.add.at(confusion, (prepared.labels, probs.argmax(axis=1)), 1)
+        np.testing.assert_array_equal(confusion, metrics.confusion)
+
+    def test_probabilities_of_no_windows(self, tiny_sets):
+        _, test_set = tiny_sets
+        probs = training.probabilities(param_init(tiny_config(), seed=0), test_set.subset([]))
+        assert probs.shape == (0, 5) and probs.dtype == np.float32
+
+    def test_float64_reads_the_float32_meshes(self, tiny_sets):
+        # the meshes are computed from the float32 frames, then cast: an f64
+        # evaluation is a forward on the float32 meshes, about 1e-9 away from
+        # one on meshes computed in float64
+        _, test_set = tiny_sets
+        params = param_init(tiny_config(), seed=3, dtype=np.float64)
+        raw = test_set.raw.astype(np.float64)
+
+        def loss_on(meshes):
+            logits = models.forward_windows(params.frozen(), raw, meshes, mode="eval")
+            return float(softmax_cross_entropy_batch(logits, test_set.labels)[0].data)
+
+        got = evaluate(params, test_set).mean_loss
+        assert got == pytest.approx(
+            loss_on(test_set.meshes.astype(np.float32).astype(np.float64)), rel=1e-13)
+        assert abs(got - loss_on(normalized_meshes(raw))) > 1e-11
 
 
 class TestTapeFreeInference:
