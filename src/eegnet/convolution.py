@@ -7,10 +7,10 @@ applied and there is no bare convolution.  All kernels have spatial extent
 output spatial extents always equal input extents.  Kernels are
 ``(C_out, C_in, 3, ...)``.
 
-The input is channels-last, ``(B, *spatial, C)``.  The output is
-channels-last too or, on request, channels-first and C-contiguous: the
-models' last conv layer asks for that, so that its flatten keeps
-``cnn.fc.weight``'s (C, *spatial) column order.
+The input and the output are channels-last, ``(B, *spatial, C)``, the
+layout the lowering reads and its matrix product writes: one layer's output
+is the next layer's input as it stands, and the last layer's flattens to
+features ordered (*spatial, C).
 
 Every one of the B frames is convolved on its own, so the op walks the
 batch in blocks of whole frames.  Each block is lowered (im2col,
@@ -26,8 +26,8 @@ low-memory GEMM convolution of Anderson et al. 2017 (arXiv:1709.03395).
 
 All three products go through that one lowering:
 
-- forward: one matrix product per block, then the bias and the ELU in
-  place, copied into the block's frames of the output;
+- forward: one matrix product per block, written into the block's frames
+  of the output, then the bias and the ELU in place there;
 - kernel gradient: the block's input is lowered again and ``dz.T @ cols``
   is added into the gradient.  Recomputing the lowering instead of storing
   it trades a copy for memory, as Chen et al. 2016 (arXiv:1604.06174) do
@@ -98,10 +98,9 @@ def _input_grad(dz: np.ndarray, flipped: np.ndarray, lower) -> np.ndarray:
     return (lower(dz) @ flipped.T).reshape(dz.shape[:-1] + flipped.shape[:1])
 
 
-def _conv(x: Tensor, k: Tensor, b: Tensor, *, channels_first: bool) -> Tensor:
-    """``x`` (B, *spatial, C_in) to ``elu(conv(x, k) + b)`` as one tape node,
-    channels-last or, if `channels_first`, as a C-contiguous
-    (B, C_out, *spatial), computed in the promoted dtype of `x`, `k` and
+def _conv(x: Tensor, k: Tensor, b: Tensor) -> Tensor:
+    """``x`` (B, *spatial, C_in) to ``elu(conv(x, k) + b)`` (B, *spatial,
+    C_out) as one tape node, computed in the promoted dtype of `x`, `k` and
     `b`.  The node keeps its output and nothing else.  Its backward runs as
     `_op`'s `upstream`, one walk over the blocks that yields
     ``(dx, dk, db)``; ``dx`` is computed only if `x` requires a gradient."""
@@ -113,20 +112,16 @@ def _conv(x: Tensor, k: Tensor, b: Tensor, *, channels_first: bool) -> Tensor:
     # the kernel as (C_out, 3**nd * C_in), columns ordered (*offset, C_in) as
     # in the lowering
     kmat = np.moveaxis(kd, 1, -1).reshape(cout, -1)
-    out = np.empty((batch, cout, *spatial) if channels_first else (batch, *spatial, cout), dtype)
-    # the output and, in backward, its gradient seen channels-last
-    last = (lambda a: np.moveaxis(a, 1, -1)) if channels_first else (lambda a: a)
-    out_last = last(out)
+    out = np.empty((batch, *spatial, cout), dtype)
     frames = _block_frames(batch, spatial, cin, dtype.itemsize)
     lower_x = _lowering(frames, spatial, cin, dtype)
     for lo in range(0, batch, frames):
-        z = lower_x(x.data[lo:lo + frames]) @ kmat.T
+        z = out[lo:lo + frames].reshape(-1, cout)
+        np.matmul(lower_x(x.data[lo:lo + frames]), kmat.T, out=z)
         z += b.data
         ad._elu_values(z, out=z)
-        out_last[lo:lo + frames] = z.reshape(-1, *spatial, cout)
 
     def walk(g):
-        g_last = last(g)
         frames = _block_frames(batch, spatial, max(cin, cout) if x.requires_grad else cin,
                                dtype.itemsize)
         lower_x = _lowering(frames, spatial, cin, dtype)
@@ -140,7 +135,7 @@ def _conv(x: Tensor, k: Tensor, b: Tensor, *, channels_first: bool) -> Tensor:
             flipped = np.moveaxis(np.flip(kd, tuple(range(2, 2 + nd))), 0, -1).reshape(cin, -1)
         for lo in range(0, batch, frames):
             block = slice(lo, lo + frames)
-            dz = np.ascontiguousarray(ad._elu_grad(out_last[block]) * g_last[block])
+            dz = ad._elu_grad(out[block]) * g[block]
             rows = dz.reshape(-1, cout)
             db += rows.sum(axis=0)
             dk += rows.T @ lower_x(x.data[block])

@@ -105,7 +105,7 @@ def _check_conv(nd):
         c = np.random.default_rng(7).standard_normal((2, *spatial, 3))
 
         def fn(x, k, b):
-            return _weighted_sum(convolution._conv(x, k, b, channels_first=False), c)
+            return _weighted_sum(convolution._conv(x, k, b), c)
 
         # the runs that fail have a coordinate whose gradient nearly cancels
         # (about 1e-7 to 1e-4), where the central difference's rounding
@@ -119,16 +119,14 @@ def _check_conv(nd):
 
 
 def _check_conv_elu(rng):
-    # two fused conv + bias + ELU nodes as the models chain them: channels-last
-    # between the layers, channels-first out of the last one
+    # two fused conv + bias + ELU nodes chained as the models chain them
     x = _t(rng, 2, 4, 5, 2)
     k0, b0 = _t(rng, 3, 2, 3, 3), _t(rng, 3)
     k1, b1 = _t(rng, 2, 3, 3, 3), _t(rng, 2)
-    c = rng.standard_normal((2, 2, 4, 5))
+    c = rng.standard_normal((2, 4, 5, 2))
 
     def fn(x, k0, b0, k1, b1):
-        h = convolution._conv(x, k0, b0, channels_first=False)
-        return _weighted_sum(convolution._conv(h, k1, b1, channels_first=True), c)
+        return _weighted_sum(convolution._conv(convolution._conv(x, k0, b0), k1, b1), c)
 
     # eps 1e-5: through two ELUs the central differences' eps**2 error at the
     # default 1e-4 reaches a few 1e-6 on some seeds (40 seeds: at most 7e-8 here)

@@ -148,7 +148,9 @@ def _plan(config: ModelConfig) -> list:
     """Ordered (name, shape, init) triples; init is 'dense', 'window_dense',
     'conv', 'lstm_w', 'lstm_u', 'bias' or 'forget_bias'.  Dense weights and
     the LSTM input weight `w` are stored (out, in), as :func:`autodiff.linear`
-    takes them; the recurrent `u` (hidden, 4·hidden), as :func:`autodiff.lstm`."""
+    takes them; the recurrent `u` (hidden, 4·hidden), as :func:`autodiff.lstm`.
+    The columns of `cnn.fc.weight` (without `cnn.fc`, of the next layer)
+    are ordered (*spatial, C), as the channels-last conv maps lie."""
     arch = config.arch
     plan = []
 
@@ -300,20 +302,17 @@ def _first_appearance(ids: np.ndarray):
 
 def _conv_stack(config: ModelConfig, tensors: dict, x: Tensor, rng, rows=None) -> Tensor:
     """Conv layers, each one :func:`convolution._conv` node (conv + bias +
-    ELU), over a channels-last (N, *spatial, 1) batch; the flattened last
-    layer, then ``elu(cnn.fc)`` and dropout if the model has `cnn.fc`.
+    ELU), over a channels-last (N, *spatial, 1) batch; the last layer's
+    (N, *spatial, C) output flattened as it lies, to features ordered
+    (*spatial, C), then ``elu(cnn.fc)`` and dropout if the model has `cnn.fc`.
 
     Given `rows`, one :func:`autodiff.gather` puts the features of those
     rows of `x`, in that order, in place of the N before dropout, whose mask
     then has one row per entry of `rows`."""
-    # The layers run channels-last, (N, *spatial, C), so each output is the
-    # next layer's lowering input as it stands.  Only the last layer emits
-    # channels-first and C-contiguous: the flatten is then a view, and the
-    # columns of cnn.fc.weight keep their (C, *spatial) order.
-    last = config.conv_depth - 1
+    # every layer is channels-last in and out, so each output is the next
+    # layer's lowering input as it stands and the flatten is a view
     for i in range(config.conv_depth):
-        x = convolution._conv(x, tensors[f"cnn.conv{i}.kernel"], tensors[f"cnn.conv{i}.bias"],
-                              channels_first=i == last)
+        x = convolution._conv(x, tensors[f"cnn.conv{i}.kernel"], tensors[f"cnn.conv{i}.bias"])
     feats = ad.reshape(x, (x.shape[0], -1))
     with_fc = "cnn.fc.weight" in tensors
     if with_fc:

@@ -23,7 +23,7 @@ from .optim import AdamState, adam_step, init_adam
 log = logging.getLogger(__name__)
 
 CHECKPOINT_MAGIC = b"EEGC"
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 
 
 class TrainingDiverged(RuntimeError):
@@ -72,6 +72,8 @@ class TrainConfig:
             raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.patience is not None and self.patience < 0:
+            raise ValueError(f"patience must be >= 0, got {self.patience}")
         if self.precision not in ("f32", "f64"):
             raise ValueError(f"precision must be 'f32' or 'f64', got {self.precision!r}")
 

@@ -279,7 +279,7 @@ class TestOpProtocol:
         lambda c: ad.mul(c, 2.0),
         ad.elu,
         lambda c: convolution._conv(c, Tensor.constant(np.ones((2, 5, 3))),
-                                    Tensor.constant(np.zeros(2)), channels_first=False),
+                                    Tensor.constant(np.zeros(2))),
     ], ids=["mul", "elu", "conv"])
     def test_constant_inputs_give_a_constant(self, op):
         out = op(Tensor.constant(np.arange(60.0).reshape(3, 4, 5)))
@@ -300,7 +300,7 @@ class TestOpProtocol:
             return original(*args)
 
         monkeypatch.setattr(convolution, "_input_grad", counted)
-        backward(ad.tensor_sum(convolution._conv(x, k, b, channels_first=False)))
+        backward(ad.tensor_sum(convolution._conv(x, k, b)))
         assert len(seen) == calls
         assert k.grad is not None and b.grad is not None
         assert (x.grad is not None) == x_is_parameter
@@ -349,9 +349,9 @@ class TestOpProtocol:
         shapes = {"x": (2, 4, 5, 2), "k0": (3, 2, 3, 3), "b0": (3,), "k1": (2, 3, 3, 3), "b1": (2,)}
         inputs = {name: Tensor(rng.standard_normal(shape), requires_grad=name[0] in parameters)
                   for name, shape in shapes.items()}
-        c = Tensor.constant(rng.standard_normal((2, 2, 4, 5)))
-        h = convolution._conv(inputs["x"], inputs["k0"], inputs["b0"], channels_first=False)
-        out = convolution._conv(h, inputs["k1"], inputs["b1"], channels_first=True)
+        c = Tensor.constant(rng.standard_normal((2, 4, 5, 2)))
+        h = convolution._conv(inputs["x"], inputs["k0"], inputs["b0"])
+        out = convolution._conv(h, inputs["k1"], inputs["b1"])
         return ad.tensor_sum(ad.mul(out, c)), inputs
 
     @pytest.mark.parametrize("parameters", ["x", "k", "b", "xk", "xb", "kb", "xkb"])
@@ -388,7 +388,7 @@ class TestOpProtocol:
             return d
 
         monkeypatch.setattr(ad, "_elu_grad", tracked)
-        out = convolution._conv(x, k, b, channels_first=False)
+        out = convolution._conv(x, k, b)
         backward(ad.tensor_sum(out))
         assert len(refs) == 1
         assert out._backward is not None  # the graph is still alive
@@ -397,7 +397,7 @@ class TestOpProtocol:
     def test_fused_conv_looks_up_elu_grad_at_backward_time(self, monkeypatch):
         rng = np.random.default_rng(23)
         x, k, b = (t64(rng.standard_normal(shape)) for shape in ((2, 4, 5, 2), (3, 2, 3, 3), (3,)))
-        out = convolution._conv(x, k, b, channels_first=True)
+        out = convolution._conv(x, k, b)
         monkeypatch.setattr(ad, "_elu_grad", np.zeros_like)
         backward(ad.tensor_sum(out))
         for t in (x, k, b):

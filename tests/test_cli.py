@@ -111,6 +111,17 @@ class TestPrepare:
             assert f"error: {manifest}: {reason}" in err
             assert not out.exists()
 
+    def test_manifest_without_recordings_is_error(self, tmp_path, capsys):
+        # nothing to load, so no windows: a damaged input, not a usage error
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"label_names": {"0": "a"}, "recordings": []}))
+        out = tmp_path / "x.eegw"
+        rc = cli.main(["prepare", "--manifest", str(manifest), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "error: no usable windows" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_missing_manifest_is_usage_error(self, tmp_path):
         rc = cli.main(["prepare", "--manifest", str(tmp_path / "none.json"),
                        "--out", str(tmp_path / "x.eegw")])
@@ -452,8 +463,9 @@ class TestEvalPredict:
                 in capsys.readouterr().err)
 
     # v1 stored dense weights (in, out), v2 the LSTM input weights (in, 4·hidden),
-    # v3 the Adam decay rates and epsilon and `train_config.shuffle`
-    @pytest.mark.parametrize("version", [1, 2, 3], ids=["v1", "v2", "v3"])
+    # v3 the Adam decay rates and epsilon and `train_config.shuffle`, v4 the
+    # columns of `cnn.fc.weight` ordered (C, *spatial)
+    @pytest.mark.parametrize("version", [1, 2, 3, 4], ids=["v1", "v2", "v3", "v4"])
     @pytest.mark.parametrize("command, data_flag", [("eval", "--data"),
                                                     ("predict", "--windows")],
                              ids=["eval", "predict"])
@@ -466,7 +478,7 @@ class TestEvalPredict:
         rc = cli.main([command, "--checkpoint", str(old), data_flag, str(prepared_file)])
         assert rc == 1
         captured = capsys.readouterr()
-        assert f"error: unsupported checkpoint version {version}, expected 4" in captured.err
+        assert f"error: unsupported checkpoint version {version}, expected 5" in captured.err
         assert "window 0:" not in captured.out
 
     # v2 stored every window whole; re-running `prepare` writes v3
@@ -605,6 +617,8 @@ def test_usage_error_exit_code_for_bad_flags(capsys):
      "unknown run config field(s): shuffle"),
     (["train", "--epochs", "1", "--config", "{arch_list}"],
      "run config.arch must be a string, got ['cascade']"),
+    (["train", "--arch", "cascade", "--epochs", "1", "--config", "{patience_negative}"],
+     "patience must be >= 0, got -5"),
 ], ids=["keep-prob-2", "epochs-0", "config-typo", "config-not-json", "spec-not-json",
         "synth-zero-windows", "prepare-odd-window", "prepare-ratio-1.5", "config-hidden-float",
         "config-patience-string", "config-data-number", "config-conv-maps-zero",
@@ -613,9 +627,10 @@ def test_usage_error_exit_code_for_bad_flags(capsys):
         "spec-windows-float", "spec-seed-bool", "config-parallel-add-unequal",
         "config-parallel-cat-conv-unequal", "spec-sample-rate-zero", "synth-noise-nan",
         "spec-amplitude-nan", "config-shuffle",
-        "config-arch-list"])
+        "config-arch-list", "config-patience-negative"])
 def test_bad_input_is_usage_error(argv, reason, synth_dir, prepared_file, tmp_path, capsys):
     configs = {"typo": {"epoch": 1}, "hidden": {"hidden": 8.5}, "patience": {"patience": "3"},
+               "patience_negative": {"patience": -5},
                "data": {"data": 5}, "maps": {"conv_maps": [0, 3, 4]}, "seed": {"seed": -1},
                "lr": {"learning_rate": -1.0},
                "spec_typo": {"classes": [{"name": "a"}, {"name": "b"}], "windows_per_clas": 3},

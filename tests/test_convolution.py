@@ -19,13 +19,10 @@ def elu(z):
     return np.where(z > 0, z, np.expm1(z))
 
 
-def conv_frames(x, k, b, channels_first=True):
+def conv_frames(x, k, b):
     """`convolution._conv` on channels-first frames (B, C_in, *spatial), fed
-    to it channels-last; the result moved back to (B, C_out, *spatial) if it
-    comes out channels-last."""
-    out = convolution._conv(t64(np.moveaxis(x, 1, -1)), t64(k), t64(b),
-                            channels_first=channels_first).data
-    return out if channels_first else np.moveaxis(out, -1, 1)
+    to it channels-last; the result moved back to (B, C_out, *spatial)."""
+    return np.moveaxis(convolution._conv(t64(np.moveaxis(x, 1, -1)), t64(k), t64(b)).data, -1, 1)
 
 
 class TestConv2d:
@@ -48,10 +45,8 @@ class TestConv2d:
         x = rng.standard_normal((2, 5, 6))
         k = rng.standard_normal((3, 2, 3, 3))
         b = rng.standard_normal(3)
-        want = elu(conv2d_loops(x, k, b))
-        for channels_first in (False, True):
-            out = conv_frames(x[None], k, b, channels_first)[0]
-            assert np.abs(out - want).max() <= 1e-12
+        out = conv_frames(x[None], k, b)[0]
+        assert np.abs(out - elu(conv2d_loops(x, k, b))).max() <= 1e-12
 
     def test_batched_equals_per_sample(self):
         rng = np.random.default_rng(2)
@@ -71,7 +66,7 @@ class TestConv1dConv3d:
         k = np.zeros((2, 2, 3))
         k[0, 0, 1] = 1.0
         k[1, 1, 1] = 1.0
-        out = conv_frames(x, k, np.zeros(2), channels_first=False)
+        out = conv_frames(x, k, np.zeros(2))
         np.testing.assert_allclose(out, elu(x), atol=1e-15)
 
     def test_conv3d_ones_center(self):
@@ -83,7 +78,7 @@ class TestConv1dConv3d:
         x = rng.standard_normal((3, 8))
         k = rng.standard_normal((2, 3, 3))
         b = rng.standard_normal(2)
-        out = conv_frames(x[None], k, b, channels_first=False)[0]
+        out = conv_frames(x[None], k, b)[0]
         assert np.abs(out - elu(conv1d_loops(x, k, b))).max() <= 1e-12
 
     def test_conv3d_matches_loops(self):
@@ -91,7 +86,7 @@ class TestConv1dConv3d:
         x = rng.standard_normal((2, 3, 4, 4))
         k = rng.standard_normal((2, 2, 3, 3, 3))
         b = rng.standard_normal(2)
-        out = conv_frames(x[None], k, b, channels_first=False)[0]
+        out = conv_frames(x[None], k, b)[0]
         assert np.abs(out - elu(conv3d_loops(x, k, b))).max() <= 1e-12
 
 
@@ -107,8 +102,7 @@ def test_same_padding_preserves_spatial_extents(cin, cout, spatial):
     x = t64(rng.standard_normal((2, *spatial, cin)))
     k = t64(rng.standard_normal((cout, cin) + (3,) * nd))
     b = t64(np.zeros(cout))
-    assert convolution._conv(x, k, b, channels_first=False).shape == (2, *spatial, cout)
-    assert convolution._conv(x, k, b, channels_first=True).shape == (2, cout, *spatial)
+    assert convolution._conv(x, k, b).shape == (2, *spatial, cout)
 
 
 def test_time_constant_3d_kernel_reduces_to_2d():
@@ -133,35 +127,44 @@ def test_time_constant_3d_kernel_reduces_to_2d():
 class TestBlockedCore:
     """The core walks the batch in blocks of frames sized by
     `_BLOCK_BYTES`; the blocks must change neither the results nor the
-    dtype, and the node must not keep a lowered matrix."""
+    dtype, and the node must not keep a lowered matrix.  Given `strided`,
+    the input and the output gradient arrive as non-contiguous views,
+    channels-first arrays seen channels-last."""
 
     SPATIAL = {1: (5,), 2: (4, 5), 3: (3, 4, 4)}
 
     @staticmethod
-    def _run(nd, x_grad, channels_first, dtype, batch=7, cin=2, cout=3):
+    def _run(nd, x_grad, strided, dtype, batch=7, cin=2, cout=3):
         rng = np.random.default_rng(30 + nd)
         spatial = TestBlockedCore.SPATIAL[nd]
-        x = Tensor(rng.standard_normal((batch, *spatial, cin)), dtype, requires_grad=x_grad)
+
+        def draw(channels):
+            a = rng.standard_normal((batch, channels, *spatial) if strided
+                                    else (batch, *spatial, channels))
+            return np.moveaxis(a, 1, -1) if strided else a
+
+        x = Tensor(draw(cin), dtype, requires_grad=x_grad)
         k = Tensor(rng.standard_normal((cout, cin) + (3,) * nd), dtype, requires_grad=True)
         b = Tensor(rng.standard_normal(cout), dtype, requires_grad=True)
-        out = convolution._conv(x, k, b, channels_first=channels_first)
-        out._backward(rng.standard_normal(out.shape).astype(dtype))
+        assert x.data.flags.c_contiguous != strided
+        out = convolution._conv(x, k, b)
+        out._backward(draw(cout).astype(dtype))
         return out.data, x.grad, k.grad, b.grad
 
     @pytest.mark.parametrize("frames", [1, 3])
-    @pytest.mark.parametrize("channels_first", [False, True])
+    @pytest.mark.parametrize("strided", [False, True])
     @pytest.mark.parametrize("x_grad", [False, True])
     @pytest.mark.parametrize("nd", [1, 2, 3])
-    def test_blocks_do_not_change_results(self, monkeypatch, nd, x_grad, channels_first, frames):
+    def test_blocks_do_not_change_results(self, monkeypatch, nd, x_grad, strided, frames):
         monkeypatch.setattr(convolution, "_BLOCK_BYTES", 1 << 40)
-        whole = self._run(nd, x_grad, channels_first, np.float64)
+        whole = self._run(nd, x_grad, strided, np.float64)
         # `frames` frames of the lowered 3 output channels: the forward,
         # lowering 2 channels, walks blocks of 1 or 4, and so does the
         # backward of a constant x; given x_grad, the backward also lowers
         # the 3 channels of dz and walks blocks of `frames`
         frame = int(np.prod(self.SPATIAL[nd])) * 3 ** nd * 3 * 8
         monkeypatch.setattr(convolution, "_BLOCK_BYTES", frames * frame)
-        blocked = self._run(nd, x_grad, channels_first, np.float64)
+        blocked = self._run(nd, x_grad, strided, np.float64)
         assert (blocked[1] is None) == (whole[1] is None) == (not x_grad)
         for name, got, want in zip(("out", "dx", "dk", "db"), blocked, whole):
             if want is None:
@@ -169,10 +172,10 @@ class TestBlockedCore:
             assert got.shape == want.shape, name
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), name
 
-    @pytest.mark.parametrize("channels_first", [False, True])
-    def test_float32_stays_float32(self, monkeypatch, channels_first):
+    @pytest.mark.parametrize("strided", [False, True])
+    def test_float32_stays_float32(self, monkeypatch, strided):
         monkeypatch.setattr(convolution, "_BLOCK_BYTES", 1)
-        for array in self._run(2, True, channels_first, np.float32):
+        for array in self._run(2, True, strided, np.float32):
             assert array.dtype == np.float32
 
     def test_float32_input_with_float64_kernel_runs_in_float64(self):
@@ -183,10 +186,9 @@ class TestBlockedCore:
         x = Tensor.constant(x64.astype(np.float32))
         k = Tensor.parameter(rng.standard_normal((3, 2, 3, 3)))
         b = Tensor.parameter(rng.standard_normal(3))
-        out = convolution._conv(x, k, b, channels_first=True)
+        out = convolution._conv(x, k, b)
         assert out.dtype == np.float64
-        want = convolution._conv(Tensor.constant(x64.astype(np.float32).astype(np.float64)),
-                                 k, b, channels_first=True)
+        want = convolution._conv(Tensor.constant(x64.astype(np.float32).astype(np.float64)), k, b)
         np.testing.assert_array_equal(out.data, want.data)
         out._backward(np.ones(out.shape))
         assert k.grad.dtype == b.grad.dtype == np.float64
@@ -203,7 +205,7 @@ class TestBlockedCore:
         g = rng.standard_normal((batch, 10, 11, 64)).astype(np.float32)
         tracemalloc.start()
         try:
-            out = convolution._conv(x, k, b, channels_first=False)
+            out = convolution._conv(x, k, b)
             retained = tracemalloc.get_traced_memory()[0]
             out._backward(g)
             peak = tracemalloc.get_traced_memory()[1]

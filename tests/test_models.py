@@ -155,8 +155,8 @@ class TestConvStack:
     @pytest.mark.parametrize("arch", ["cnn1d", "cnn2d", "cnn3d"])
     def test_matches_composed_public_convs(self, arch, dtype, tol):
         # the fused channels-last stack against elu(convNd_loops(...)) layer
-        # by layer, channels-first, then flattened: the stack cut after each
-        # depth, values and gradients
+        # by layer, channels-first, then moved channels-last and flattened:
+        # the stack cut after each depth, values and gradients
         spatial = models._conv_spatial(reduced_config(arch), arch)
         rng = np.random.default_rng(len(spatial))
         frames = rng.standard_normal((2,) + spatial).astype(dtype)
@@ -179,7 +179,7 @@ class TestConvStack:
             for i in range(depth):
                 h = loop_conv(h, tensors[f"cnn.conv{i}.kernel"], tensors[f"cnn.conv{i}.bias"])
                 h = ad.elu(h)
-            composed = ad.reshape(h, (2, -1))
+            composed = ad.reshape(channels_last(h), (2, -1))
             assert fused.data.dtype == fused_grads[0].dtype == dtype
             want = [composed.data] + grads(composed, x_first)
             for a, b in zip([fused.data] + fused_grads, want):
@@ -211,6 +211,11 @@ def loop_conv(x, k, b):
     return ad._op(np.stack([loops(f, k.data, b.data) for f in x.data]), (x, k, b),
                   lambda g: np.stack([loops(f, flipped, np.zeros(k.shape[1])) for f in g]),
                   dk, lambda g: g.sum(axis=tuple(axes)))
+
+
+def channels_last(h):
+    """A channels-first (B, C, *spatial) tape value moved to (B, *spatial, C)."""
+    return ad._op(np.moveaxis(h.data, 1, -1), (h,), lambda g: np.moveaxis(g, -1, 1))
 
 
 def lstm_reference(steps, tensors, depth, hidden):
@@ -411,8 +416,7 @@ def every_frame_conv_stack(config, tensors, x, rng, rows=None):
         x = Tensor.constant(x.data[rows])
     h = x
     for i in range(config.conv_depth):
-        h = convolution._conv(h, tensors[f"cnn.conv{i}.kernel"], tensors[f"cnn.conv{i}.bias"],
-                              channels_first=i == config.conv_depth - 1)
+        h = convolution._conv(h, tensors[f"cnn.conv{i}.kernel"], tensors[f"cnn.conv{i}.bias"])
     feats = ad.elu(ad.linear(ad.reshape(h, (x.shape[0], -1)), tensors["cnn.fc.weight"],
                              tensors["cnn.fc.bias"]))
     return feats if rng is None else ad.dropout(feats, config.keep_prob, rng)

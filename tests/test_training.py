@@ -364,7 +364,8 @@ class TestPredict:
         _, test_set = tiny_sets
         params = param_init(tiny_config(), seed=2)
         probs, cls = predict(params, test_set.raw[0], test_set.meshes[0])
-        assert abs(probs.sum() - 1.0) <= 1e-9
+        # K probabilities, each rounded once in their own dtype, and their sum
+        assert abs(probs.sum() - 1.0) <= probs.size * np.finfo(probs.dtype).eps
         assert cls == int(probs.argmax())
 
     def test_argmax_invariant_to_logit_shift(self, tiny_sets, monkeypatch):
@@ -617,14 +618,15 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_v1_checkpoint_rejected(self, tiny_checkpoint, tmp_path):
-        # v1 stored dense weights (in, out) and v3 the Adam decay rates and
-        # epsilon and `train_config.shuffle`; there is no reader for either
-        for version in (1, 3):
+        # v1 stored dense weights (in, out), v3 the Adam decay rates and
+        # epsilon and `train_config.shuffle`, and v4 the columns of
+        # `cnn.fc.weight` ordered (C, *spatial); there is no reader for any
+        for version in (1, 3, 4):
             path = tmp_path / f"v{version}.eegc"
             blob = bytearray(tiny_checkpoint.read_bytes())
             blob[4:6] = struct.pack("<H", version)
             path.write_bytes(bytes(blob))
-            with pytest.raises(CheckpointVersionError, match=f"version {version}, expected 4"):
+            with pytest.raises(CheckpointVersionError, match=f"version {version}, expected 5"):
                 load_checkpoint(path)
 
     def test_header_not_utf8_rejected(self, tiny_sets, tmp_path):
@@ -647,7 +649,7 @@ class TestCheckpoint:
                         epoch=1, rng=result.rng, history=result.history)
         blob = path.read_bytes()
         assert blob[:4] == b"EEGC"
-        assert struct.unpack_from("<H", blob, 4) == (4,)
+        assert struct.unpack_from("<H", blob, 4) == (5,)
         (header_len,) = struct.unpack_from("<I", blob, 6)
         header = json.loads(blob[10:10 + header_len])
         # the Adam decay rates and epsilon are module constants, not state
