@@ -14,6 +14,7 @@ import math
 import os
 import secrets
 import struct
+import sys
 import typing
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields, is_dataclass
@@ -63,22 +64,33 @@ def write(path, fmt: Format, fixed: tuple, header: dict, arrays) -> None:
 @contextmanager
 def read(path, fmt: Format):
     """Open a container and yield ``(fixed, header, read_array)``, where
-    ``read_array(dtype, shape, what)`` reads the next array into a fresh
-    native-order array.
+    ``read_array(dtype, shape, what)`` reads the next array straight into a
+    fresh native-order array: one allocation, filled by ``readinto``, and
+    byte-swapped in place only on a big-endian host.
 
     Every length is checked against the bytes left in the file before it is
     read, so a damaged length raises the truncated error, never a huge
-    allocation.  A wrong magic, a header that is not UTF-8 JSON, or bytes
-    left after the caller's last array when its block exits raise the
-    format error, an unknown version the version error.
+    allocation; so does a read that comes up short of a checked length (the
+    file shrank after it was opened).  A wrong magic, a header that is not
+    UTF-8 JSON, or bytes left after the caller's last array when its block
+    exits raise the format error, an unknown version the version error.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
 
+        def read_array(dtype, shape, what: str) -> np.ndarray:
+            dtype = np.dtype(dtype).newbyteorder("=")
+            n_bytes = math.prod(shape) * dtype.itemsize if min(shape, default=0) >= 0 else -1
+            if 0 <= n_bytes <= size - fh.tell():  # before the allocation
+                arr = np.empty(shape, dtype)
+                if fh.readinto(arr.reshape(-1).view(np.uint8)) == n_bytes:
+                    if sys.byteorder == "big":  # the stored items are little-endian
+                        arr.byteswap(inplace=True)
+                    return arr
+            raise fmt.truncated_error(f"{fmt.name} truncated while reading {what}")
+
         def read_bytes(n: int, what: str) -> bytes:
-            if not 0 <= n <= size - fh.tell():
-                raise fmt.truncated_error(f"{fmt.name} truncated while reading {what}")
-            return fh.read(n)
+            return read_array(np.uint8, (n,), what).tobytes()
 
         magic = fh.read(len(fmt.magic))
         if magic != fmt.magic:
@@ -94,12 +106,6 @@ def read(path, fmt: Format):
             header = json.loads(read_bytes(header_len, "metadata").decode("utf-8"))
         except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
             raise fmt.format_error(f"corrupt {fmt.name} header: {exc}") from exc
-
-        def read_array(dtype, shape, what: str) -> np.ndarray:
-            dtype = np.dtype(dtype).newbyteorder("<")
-            n_bytes = math.prod(shape) * dtype.itemsize if min(shape, default=0) >= 0 else -1
-            arr = np.frombuffer(read_bytes(n_bytes, what), dtype=dtype)
-            return arr.astype(dtype.newbyteorder("="), copy=True).reshape(shape)
 
         yield tuple(fixed), header, read_array
         extra = size - fh.tell()

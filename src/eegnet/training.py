@@ -214,8 +214,10 @@ def train(model_config: ModelConfig, train_config: TrainConfig,
     the loss) gets a zero gradient, which Adam leaves in place.  Early
     stopping (optional) watches test loss.  A NaN/Inf loss, or a NaN/Inf
     gradient (checked before Adam, which updates ``adam_state``'s moments in
-    place), aborts with a diagnostic.  Given ``params`` must be for
-    ``model_config``.
+    place), aborts with a diagnostic.  Each step's gradients are released
+    once Adam has used them, so none is alive through the next step, and the
+    tensors of given ``params`` come back holding no ``.grad``.  Given
+    ``params`` must be for ``model_config``.
     """
     if train_set.count == 0:
         raise ValueError("training set is empty")
@@ -253,15 +255,18 @@ def train(model_config: ModelConfig, train_config: TrainConfig,
                 )
             backward(loss)
             del logits, loss  # frees the step's tape and its .grads before Adam allocates
-            grads = {
-                name: (t.grad if t.grad is not None else np.zeros_like(t.data))
-                for name, t in params.tensors.items()
-            }
-            for name, g in grads.items():
-                if not np.isfinite(g).all():
-                    raise TrainingDiverged(f"gradient of {name} became non-finite at epoch "
-                                           f"{epoch + 1}, step {step + 1}")
+            grads = {}
+            for name, t in params.tensors.items():
+                grads[name] = t.grad if t.grad is not None else np.zeros_like(t.data)
+                t.grad = None  # the step's params may be the caller's
+            # exact with no full-size temporary: NaN reaches both, ±inf one of them
+            bad = next((name for name, g in grads.items()
+                        if not (np.isfinite(g.min()) and np.isfinite(g.max()))), None)
+            if bad is not None:
+                raise TrainingDiverged(f"gradient of {bad} became non-finite at epoch "
+                                       f"{epoch + 1}, step {step + 1}")
             new_tensors, adam_state = adam_step(params.tensors, grads, adam_state)
+            del grads  # no gradient outlives its update into the next step
             params = ModelParams(config=params.config, tensors=new_tensors)
             loss_sum += loss_value * len(idx)
             correct += int((probs.argmax(axis=1) == labels[idx]).sum())

@@ -2,6 +2,7 @@ import json
 import struct
 import threading
 import time
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -196,6 +197,25 @@ class TestPreparedRoundTrip:
         path = self._damaged(tmp_path, small_prepared, 6, struct.pack("<I", 2**32 - 1))
         with pytest.raises(ds.DatasetTruncatedError, match="truncated"):
             ds.load_prepared(path)
+
+    def test_huge_frame_count_refused_before_allocating(self, tmp_path, small_prepared):
+        # 2**32 - 1 frames of 64 float32 channels would take 1 TiB
+        path = self._damaged(tmp_path, small_prepared, 14, struct.pack("<I", 2**32 - 1))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ds.DatasetTruncatedError, match="truncated while reading frames"):
+                ds.load_prepared(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+
+    def test_loaded_arrays_own_native_writeable_memory(self, tmp_path, small_prepared):
+        loaded = ds.load_prepared(self._saved_path(tmp_path, small_prepared))
+        for arr in (loaded.frames, loaded.starts, loaded.labels):
+            assert arr.base is None
+            assert arr.flags.writeable and arr.flags.c_contiguous
+            assert arr.dtype.isnative
 
     def test_huge_header_length_rejected_as_truncated(self, tmp_path, small_prepared):
         path = self._damaged(tmp_path, small_prepared, 18, struct.pack("<I", 0xFFFFFFF0))

@@ -1,9 +1,11 @@
 import csv
 import json
 import math
+import os
 import struct
 import tracemalloc
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -253,6 +255,34 @@ class TestTrainLoop:
         train(tiny_config(), TrainConfig(epochs=1, batch_size=32), train_set, test_set)
         assert dead_at_adam and all(dead_at_adam)
 
+    def test_no_gradient_outlives_its_update(self, tiny_sets):
+        # at each epoch's end neither the given nor the current parameters
+        # hold a gradient, and what is traced beyond the current parameters
+        # stays as it was after epoch 1, far below one gradient set
+        train_set, test_set = tiny_sets
+        config = tiny_config(fc_width=1024)
+        params = param_init(config, seed=0)
+        state = init_adam(params.tensors, learning_rate=1e-3)
+        param_bytes = sum(t.data.nbytes for t in params.tensors.values())
+        beyond = []
+
+        def on_epoch(stats, current):
+            for t in (*params.tensors.values(), *current.tensors.values()):
+                assert t.grad is None
+            held, _ = tracemalloc.get_traced_memory()
+            beyond.append(held - param_bytes)
+
+        tc = TrainConfig(epochs=3, batch_size=8, learning_rate=1e-3, patience=None)
+        tracemalloc.start()
+        try:
+            train(config, tc, train_set, test_set, params=params, adam_state=state,
+                  on_epoch=on_epoch)
+        finally:
+            tracemalloc.stop()
+        assert train_set.count > 3 * tc.batch_size and len(beyond) == 3
+        assert all(abs(b - beyond[0]) < 0.05 * param_bytes for b in beyond)
+        assert beyond[0] < 0.25 * param_bytes
+
     def test_empty_training_set_rejected(self, tiny_sets):
         train_set, test_set = tiny_sets
         with pytest.raises(ValueError, match="empty"):
@@ -304,6 +334,22 @@ class TestTrainLoop:
             assert params.tensors[k].data.tobytes() == p.tobytes()
             assert state.first_moment[k].tobytes() == m.tobytes()
             assert state.second_moment[k].tobytes() == v.tobytes()
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_infinite_gradient_aborts(self, tiny_sets, monkeypatch, value):
+        train_set, test_set = tiny_sets
+        config = tiny_config()
+        params = param_init(config, seed=0)
+
+        def poisoned(loss):
+            real_backward(loss)
+            params.tensors["cnn.fc.weight"].grad.flat[7] = value
+
+        real_backward = training.backward
+        monkeypatch.setattr(training, "backward", poisoned)
+        with pytest.raises(TrainingDiverged, match="cnn.fc.weight .*epoch 1, step 1"):
+            train(config, TrainConfig(epochs=1, batch_size=8), train_set, test_set,
+                  params=params)
 
     def test_early_stopping_respects_patience(self, tiny_sets):
         train_set, test_set = tiny_sets
@@ -672,6 +718,43 @@ class TestCheckpoint:
         blob = path.read_bytes()
         path.write_bytes(blob[:-50])
         with pytest.raises(CheckpointTruncatedError, match="truncated"):
+            load_checkpoint(path)
+
+    def test_load_peak_is_its_arrays(self, tmp_path):
+        # cnn.fc.weight is 97% of the parameters; a copy on the way in costs
+        # a third of the payload on top of it
+        config = tiny_config(fc_width=1024)
+        params = param_init(config, seed=0)
+        path = tmp_path / "peak.eegc"
+        save_checkpoint(path, config, TrainConfig(), params, init_adam(params.tensors),
+                        epoch=0, rng=np.random.default_rng(0), history=[])
+        payload = 3 * sum(t.data.nbytes for t in params.tensors.values())
+        assert params.tensors["cnn.fc.weight"].data.nbytes > 0.9 * payload / 3
+        tracemalloc.start()
+        try:
+            load_checkpoint(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.02 * payload
+
+    def test_loaded_arrays_own_native_writeable_memory(self, tiny_checkpoint):
+        ckpt = load_checkpoint(tiny_checkpoint)
+        state = ckpt.adam_state
+        for name, t in ckpt.params.tensors.items():
+            for arr in (t.data, state.first_moment[name], state.second_moment[name]):
+                assert arr.base is None, name
+                assert arr.flags.writeable and arr.flags.c_contiguous, name
+                assert arr.dtype.isnative, name
+
+    def test_short_read_is_truncated(self, tiny_checkpoint, tmp_path, monkeypatch):
+        # the file shrinks by 50 bytes after its size was taken
+        path = tmp_path / "short.eegc"
+        path.write_bytes(tiny_checkpoint.read_bytes()[:-50])
+        real_fstat = os.fstat
+        monkeypatch.setattr(os, "fstat",
+                            lambda fd: SimpleNamespace(st_size=real_fstat(fd).st_size + 50))
+        with pytest.raises(CheckpointTruncatedError, match="second moment of head.out.weight"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("extra", [1, 63])
