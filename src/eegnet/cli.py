@@ -104,7 +104,8 @@ def _echo_config(out_dir: Path, model_config: ModelConfig, train_config: TrainCo
     effective["data"] = data
     effective["out_dir"] = str(out_dir)
     blob = json.dumps(effective, indent=1)
-    (out_dir / "config.json").write_text(blob + "\n")
+    with container.replacing(out_dir / "config.json", "t") as fh:
+        fh.write(blob + "\n")
     print(blob, file=sys.stderr)
 
 
@@ -245,7 +246,8 @@ def cmd_eval(args) -> int:
     print(_format_metrics(metrics, prepared.label_names))
     if args.json_out:
         report = {"split": args.split, "count": subset.count, **metrics.to_dict()}
-        Path(args.json_out).write_text(json.dumps(report, indent=1) + "\n")
+        with container.replacing(args.json_out, "t") as fh:
+            fh.write(json.dumps(report, indent=1) + "\n")
         log.info("json report -> %s", args.json_out)
     return 0
 

@@ -4,6 +4,8 @@ Layout, little-endian throughout: 4-byte magic, u16 version, the format's
 fixed fields, u32 header length, UTF-8 JSON header, then the arrays back to
 back with no padding.  :func:`from_json` and :func:`json_fields` read the
 JSON documents: checkpoint headers, manifests, run configs and synth specs.
+:func:`replacing` writes the containers, and the manifest, training
+history, echoed run config and eval report, atomically.
 """
 
 from __future__ import annotations
@@ -41,53 +43,101 @@ class Format:
         return struct.Struct(f"<H{self.fixed}I")
 
 
-def write(path, fmt: Format, fixed: tuple, header: dict, arrays) -> None:
-    """Write `arrays` (an iterable of numpy arrays, stored in C order with
-    little-endian items) after the header.  The bytes go to a temporary file
-    beside the target, which then replaces it, so a failed write leaves an
-    existing file untouched."""
+@contextmanager
+def replacing(path, mode: str = "b", **open_args):
+    """Yield a file opened (``"b"`` binary or ``"t"`` text `mode`, with
+    `open_args`) on a fresh temporary file beside `path`, which replaces
+    `path` once the block exits cleanly.  On an error the temporary file is
+    removed, so an existing file at `path` is left untouched.  A `path`
+    that exists and is no regular file (a pipe, ``/dev/stdout``) cannot be
+    replaced, so it is written in place."""
     path = Path(path)
-    blob = json.dumps(header).encode("utf-8")
+    if path.exists() and not path.is_file():
+        with open(path, "w" + mode, **open_args) as fh:
+            yield fh
+        return
     tmp = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
     try:
-        with open(tmp, "xb") as fh:
-            fh.write(fmt.magic + fmt.prefix.pack(fmt.version, *fixed, len(blob)) + blob)
-            for arr in arrays:
-                arr = np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<"))
-                fh.write(arr.reshape(-1).view(np.uint8))
+        with open(tmp, "x" + mode, **open_args) as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
 
 
+def write(path, fmt: Format, fixed: tuple, header: dict, arrays) -> None:
+    """Write `arrays` (an iterable of numpy arrays, stored in C order with
+    little-endian items) after the header, by :func:`replacing`, so a failed
+    write leaves an existing file untouched."""
+    blob = json.dumps(header).encode("utf-8")
+    with replacing(path) as fh:
+        fh.write(fmt.magic + fmt.prefix.pack(fmt.version, *fixed, len(blob)) + blob)
+        for arr in arrays:
+            arr = np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<"))
+            fh.write(arr.reshape(-1).view(np.uint8))
+
+
+class _Arrays:
+    """The arrays after a container's header, in file order, as :func:`read`
+    yields them.  Calling it, ``read_array(dtype, shape, what)``, reads the
+    next array straight into a fresh native-order array: one allocation,
+    filled by ``readinto``, and byte-swapped in place only on a big-endian
+    host.  :meth:`skip` moves past the next array without reading it.
+    ``stat`` is the ``os.fstat`` of the open file."""
+
+    def __init__(self, fh, fmt: Format):
+        self._fh, self._fmt = fh, fmt
+        self.stat = os.fstat(fh.fileno())
+
+    def _truncated(self, what: str) -> Exception:
+        return self._fmt.truncated_error(f"{self._fmt.name} truncated while reading {what}")
+
+    def _length(self, dtype: np.dtype, shape, what: str) -> int:
+        """The byte length of the next array, checked against the bytes left
+        in the file before anything is allocated or skipped."""
+        n_bytes = math.prod(shape) * dtype.itemsize if min(shape, default=0) >= 0 else -1
+        if 0 <= n_bytes <= self.stat.st_size - self._fh.tell():
+            return n_bytes
+        raise self._truncated(what)
+
+    def __call__(self, dtype, shape, what: str) -> np.ndarray:
+        dtype = np.dtype(dtype).newbyteorder("=")
+        n_bytes = self._length(dtype, shape, what)
+        arr = np.empty(shape, dtype)
+        if self._fh.readinto(arr.reshape(-1).view(np.uint8)) != n_bytes:
+            raise self._truncated(what)
+        if sys.byteorder == "big":  # the stored items are little-endian
+            arr.byteswap(inplace=True)
+        return arr
+
+    def skip(self, dtype, shape, what: str) -> None:
+        """Move past the next array, having checked its length as a read
+        does, and read its last byte, so a file that shrank since it was
+        opened fails here as it would in a read."""
+        n_bytes = self._length(np.dtype(dtype), shape, what)
+        if n_bytes:
+            self._fh.seek(n_bytes - 1, os.SEEK_CUR)
+            if len(self._fh.read(1)) != 1:
+                raise self._truncated(what)
+
+
 @contextmanager
 def read(path, fmt: Format):
     """Open a container and yield ``(fixed, header, read_array)``, where
-    ``read_array(dtype, shape, what)`` reads the next array straight into a
-    fresh native-order array: one allocation, filled by ``readinto``, and
-    byte-swapped in place only on a big-endian host.
+    ``read_array`` reads, or skips, the arrays that follow the header: see
+    :class:`_Arrays`.
 
     Every length is checked against the bytes left in the file before it is
-    read, so a damaged length raises the truncated error, never a huge
-    allocation; so does a read that comes up short of a checked length (the
-    file shrank after it was opened).  A wrong magic, a header that is not
-    UTF-8 JSON, or bytes left after the caller's last array when its block
-    exits raise the format error, an unknown version the version error.
+    read or skipped, so a damaged length raises the truncated error, never a
+    huge allocation; so does a read or skip that comes up short of a checked
+    length (the file shrank after it was opened).  A wrong magic, a header
+    that is not UTF-8 JSON, or bytes left after the caller's last array when
+    its block exits raise the format error, an unknown version the version
+    error.
     """
     with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-
-        def read_array(dtype, shape, what: str) -> np.ndarray:
-            dtype = np.dtype(dtype).newbyteorder("=")
-            n_bytes = math.prod(shape) * dtype.itemsize if min(shape, default=0) >= 0 else -1
-            if 0 <= n_bytes <= size - fh.tell():  # before the allocation
-                arr = np.empty(shape, dtype)
-                if fh.readinto(arr.reshape(-1).view(np.uint8)) == n_bytes:
-                    if sys.byteorder == "big":  # the stored items are little-endian
-                        arr.byteswap(inplace=True)
-                    return arr
-            raise fmt.truncated_error(f"{fmt.name} truncated while reading {what}")
+        read_array = _Arrays(fh, fmt)
 
         def read_bytes(n: int, what: str) -> bytes:
             return read_array(np.uint8, (n,), what).tobytes()
@@ -108,7 +158,7 @@ def read(path, fmt: Format):
             raise fmt.format_error(f"corrupt {fmt.name} header: {exc}") from exc
 
         yield tuple(fixed), header, read_array
-        extra = size - fh.tell()
+        extra = read_array.stat.st_size - fh.tell()
         if extra:
             raise fmt.format_error(f"{fmt.name} has {extra} bytes after its last array")
 

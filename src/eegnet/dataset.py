@@ -141,7 +141,7 @@ def save_manifest(path, manifest: DatasetManifest) -> None:
         split=_Split(manifest.split_seed, manifest.split_ratio),
         recordings=manifest.recordings,
     )
-    with open(path, "w") as fh:
+    with container.replacing(path, "t") as fh:
         json.dump(asdict(doc), fh, indent=1)
         fh.write("\n")
 

@@ -220,6 +220,9 @@ def _glorot_bound(fan_in: int, fan_out: int) -> float:
     return float(np.sqrt(6.0 / (fan_in + fan_out)))
 
 
+_DRAW_CHUNK = 1 << 16  # values per uniform draw in param_init
+
+
 def param_init(config: ModelConfig, seed: int, dtype=np.float32) -> ModelParams:
     """Deterministic fan-in-scaled uniform initialization.
 
@@ -245,12 +248,10 @@ def param_init(config: ModelConfig, seed: int, dtype=np.float32) -> ModelParams:
     d = config.hidden
     tensors = {}
     for name, shape, kind in _plan(config):
-        if kind == "bias":
-            arr = np.zeros(shape)
-        elif kind == "forget_bias":
-            arr = np.zeros(shape)
+        arr = np.zeros(shape, dtype)
+        if kind == "forget_bias":
             arr[d: 2 * d] = 1.0
-        else:
+        elif kind != "bias":
             if kind == "dense":
                 bound = _glorot_bound(shape[0], shape[1])
             elif kind == "window_dense":
@@ -262,8 +263,13 @@ def param_init(config: ModelConfig, seed: int, dtype=np.float32) -> ModelParams:
                 bound = _glorot_bound(shape[1], d)
             else:  # lstm_u
                 bound = _glorot_bound(d, d)
-            arr = rng.uniform(-bound, bound, size=shape)
-        tensors[name] = Tensor.parameter(arr.astype(dtype))
+            # the whole-array draw, cast, a chunk at a time: uniform takes one
+            # double per value, so no full-size float64 temporary is needed
+            flat = arr.reshape(-1)
+            for start in range(0, flat.size, _DRAW_CHUNK):
+                chunk = flat[start:start + _DRAW_CHUNK]
+                chunk[...] = rng.uniform(-bound, bound, size=chunk.size)
+        tensors[name] = Tensor.parameter(arr)
     return ModelParams(config=config, tensors=tensors)
 
 

@@ -41,10 +41,11 @@ class AdamState:
 
 
 def init_adam(params: dict, learning_rate: float = 1e-4) -> AdamState:
-    """Fresh state at step 0 with zero moments."""
+    """Fresh state at step 0 with zero moments, allocated zeroed (their
+    pages stay untouched until the first update)."""
     return AdamState(
-        first_moment={name: np.zeros_like(p.data) for name, p in params.items()},
-        second_moment={name: np.zeros_like(p.data) for name, p in params.items()},
+        first_moment={name: np.zeros(p.data.shape, p.data.dtype) for name, p in params.items()},
+        second_moment={name: np.zeros(p.data.shape, p.data.dtype) for name, p in params.items()},
         learning_rate=learning_rate,
     )
 

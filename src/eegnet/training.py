@@ -9,8 +9,11 @@ matches an uninterrupted one step for step.
 from __future__ import annotations
 
 import csv
+import functools
+import json
 import logging
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -307,7 +310,7 @@ HISTORY_FIELDS = ("epoch", "train_loss", "train_acc", "test_loss", "test_acc")
 
 
 def write_history(path, history) -> None:
-    with open(path, "w", newline="") as fh:
+    with container.replacing(path, "t", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(HISTORY_FIELDS)
         for row in history:
@@ -357,44 +360,82 @@ def save_checkpoint(path, model_config: ModelConfig, train_config: TrainConfig,
                     (store[name] for store in stores for name in values))
 
 
+def _read_store(read_array, tensors: list, store: str) -> dict:
+    """One store of a checkpoint's arrays (parameters or a moment), read by
+    name in the order of its tensor table."""
+    return {e["name"]: read_array(e["dtype"], e["shape"], f"{store} of {e['name']}")
+            for e in tensors}
+
+
+def _identity(stat) -> tuple:
+    return stat.st_size, stat.st_dev, stat.st_ino, stat.st_mtime_ns
+
+
 @dataclass
 class Checkpoint(_Header):
-    """A loaded checkpoint: its header and the state that the header restores."""
+    """A loaded checkpoint: its header and the state that the header restores.
+
+    ``adam_state`` is read from the file on first access and kept, so
+    inference, which never reads the Adam moments, does not pay for them.
+    That read raises :class:`CheckpointError` naming the path if the file is
+    gone, or is not the one loaded: its header, size, device, inode or mtime
+    differ.
+    """
 
     params: ModelParams
-    adam_state: AdamState
     rng: np.random.Generator
+    _path: Path = field(repr=False, compare=False)
+    _header: dict = field(repr=False, compare=False)  # the JSON header as read
+    _identity: tuple = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def adam_state(self) -> AdamState:
+        try:
+            with container.read(self._path, CHECKPOINT_FORMAT) as (_, header, read_array):
+                # compared as text, so that a NaN in the header equals itself
+                if (_identity(read_array.stat) != self._identity
+                        or json.dumps(header) != json.dumps(self._header)):
+                    raise CheckpointError("the file changed since it was loaded")
+                for e in self.tensors:
+                    read_array.skip(e["dtype"], e["shape"], f"parameters of {e['name']}")
+                first, second = (_read_store(read_array, self.tensors, store)
+                                 for store in ("first moment", "second moment"))
+        except (OSError, CheckpointError) as exc:
+            raise CheckpointError(
+                f"cannot read the Adam moments of {self._path}: {exc}") from exc
+        return AdamState(step=self.adam.step, first_moment=first, second_moment=second,
+                         learning_rate=self.adam.learning_rate)
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Read an EEGC container.  Besides the container's own errors, a header
-    that decodes but does not describe a checkpoint (by :func:`container.from_json`,
-    the config dataclasses, the tensor table against the config's, or numpy's
-    rng state) raises :class:`CheckpointFormatError`."""
-    with container.read(path, CHECKPOINT_FORMAT) as (_, header, read_array):
+    """Read an EEGC container's header and parameters.  The Adam moments
+    are skipped, each declared length checked against the file, and read
+    on first use of :attr:`Checkpoint.adam_state`.  Besides the container's
+    own errors, a header that decodes but does not describe a checkpoint
+    (by :func:`container.from_json`, the config dataclasses, the tensor
+    table against the config's, or numpy's rng state) raises
+    :class:`CheckpointFormatError`."""
+    with container.read(path, CHECKPOINT_FORMAT) as (_, doc, read_array):
         try:
-            header = container.from_json(_Header, header, "header")
+            header = container.from_json(_Header, doc, "header")
             table = {e["name"]: tuple(e["shape"]) for e in header.tensors}
             plan = {name: shape for name, shape, _ in models._plan(header.model_config)}
             if table != plan:
                 wrong = sorted(set(table.items()) ^ set(plan.items()))
                 raise CheckpointFormatError(
                     f"tensor table does not match the model config: {wrong}")
-            values, first, second = (
-                {e["name"]: read_array(e["dtype"], e["shape"], f"{store} of {e['name']}")
-                 for e in header.tensors}
-                for store in ("parameters", "first moment", "second moment")
-            )
+            values = _read_store(read_array, header.tensors, "parameters")
+            for store in ("first moment", "second moment"):
+                for e in header.tensors:
+                    read_array.skip(e["dtype"], e["shape"], f"{store} of {e['name']}")
             params = ModelParams(
                 config=header.model_config,
                 tensors={name: Tensor.parameter(arr) for name, arr in values.items()},
             )
-            adam_state = AdamState(
-                step=header.adam.step, first_moment=first, second_moment=second,
-                learning_rate=header.adam.learning_rate,
-            )
             rng = np.random.default_rng()
             rng.bit_generator.state = header.rng_state
-            return Checkpoint(**vars(header), params=params, adam_state=adam_state, rng=rng)
+            return Checkpoint(**vars(header), params=params, rng=rng,
+                              _path=Path(path).absolute(), _header=doc,
+                              _identity=_identity(read_array.stat))
         except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
             raise CheckpointFormatError(f"corrupt checkpoint header: {exc!r}") from exc

@@ -1,7 +1,9 @@
+import errno
 import fcntl
 import filecmp
 import json
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +12,7 @@ import numpy as np
 import pytest
 
 import eegnet.autodiff as adiff
-from eegnet import cli, models, optim, training
+from eegnet import cli, container, models, optim, training
 from eegnet import dataset as ds
 
 from conftest import rewrite_header
@@ -389,6 +391,22 @@ class TestEvalPredict:
         assert proc.wait(timeout=120) == 1
         assert "Traceback" not in err and "BrokenPipeError" not in err
 
+    @pytest.mark.parametrize("command, data_flag", [("eval", "--data"),
+                                                    ("predict", "--windows")])
+    def test_scoring_never_reads_the_adam_moments(self, trained_run, prepared_file, capsys,
+                                                  monkeypatch, command, data_flag):
+        argv = [command, "--checkpoint", str(trained_run / "checkpoint.eegc"),
+                data_flag, str(prepared_file)]
+        assert cli.main(argv) == 0
+        expected = capsys.readouterr().out
+
+        def unread(ckpt):
+            raise AssertionError("the Adam moments were read")
+
+        monkeypatch.setattr(training.Checkpoint, "adam_state", property(unread))
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == expected
+
     def test_checkpoint_header_not_utf8_is_error(self, trained_run, prepared_file,
                                                  tmp_path, capsys):
         blob = bytearray((trained_run / "checkpoint.eegc").read_bytes())
@@ -663,3 +681,56 @@ def test_bad_input_is_usage_error(argv, reason, synth_dir, prepared_file, tmp_pa
     assert "error:" in err and reason in err
     assert not out.exists()
     assert not list(tmp_path.rglob("checkpoint.eegc")) and not list(tmp_path.rglob("config.json"))
+
+
+def _open_on_a_full_disk(file, mode="r", **kwargs):
+    """`open`, except that a file created for writing stores half of its
+    first write and then fails as a full disk does."""
+    fh = open(file, mode, **kwargs)
+    if "x" in mode:
+        write = fh.write
+
+        def half_then_fail(data):
+            write(data[:len(data) // 2])
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        fh.write = half_then_fail
+    return fh
+
+
+@pytest.mark.parametrize("name", ["history.csv", "manifest.json", "config.json", "report.json"])
+def test_failed_text_write_leaves_the_old_file(name, synth_dir, trained_run, prepared_file,
+                                               tmp_path, monkeypatch):
+    writers = {
+        "history.csv": lambda path: training.write_history(
+            path, [training.EpochStats(1, 1.5, 0.25, 1.25, 0.5)]),
+        "manifest.json": lambda path: ds.save_manifest(
+            path, ds.load_manifest(synth_dir / "manifest.json")),
+        "config.json": lambda path: cli._echo_config(
+            path.parent, models.canonical_config("cascade"), training.TrainConfig(), "data.eegw"),
+        "report.json": lambda path: cli.main(
+            ["eval", "--checkpoint", str(trained_run / "checkpoint.eegc"),
+             "--data", str(prepared_file), "--json-out", str(path)]),
+    }
+    path = tmp_path / name
+    path.write_bytes(b"the old file\n")
+    monkeypatch.setattr(container, "open", _open_on_a_full_disk, raising=False)
+    with pytest.raises(OSError, match="No space left on device"):
+        writers[name](path)
+    assert path.read_bytes() == b"the old file\n"
+    assert [p.name for p in tmp_path.iterdir()] == [name]
+
+
+def test_eval_report_into_a_pipe(trained_run, prepared_file, tmp_path):
+    # a pipe cannot be replaced, so the report is written into it
+    fifo = tmp_path / "report.json"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        assert cli.main(["eval", "--checkpoint", str(trained_run / "checkpoint.eegc"),
+                         "--data", str(prepared_file), "--json-out", str(fifo)]) == 0
+        report = json.loads(os.read(reader, 1 << 16))
+    finally:
+        os.close(reader)
+    assert report["split"] == "test" and "confusion" in report
+    assert stat.S_ISFIFO(fifo.stat().st_mode)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -129,6 +131,51 @@ class TestParamInit:
             else:
                 bound = np.sqrt(6.0 / (t.data.shape[0] + t.data.shape[1]))
             assert np.abs(t.data).max() <= bound, name
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    @pytest.mark.parametrize("arch, fusion", [(a, "cat") for a in models.ARCHITECTURES
+                                              if a != "parallel"]
+                             + [("parallel", f) for f in models.FUSIONS])
+    def test_chunked_draws_equal_whole_array_draws(self, monkeypatch, arch, fusion, dtype):
+        # reference: each weight drawn as one float64 array, then cast; 7
+        # values a chunk splits the tensors mid-way
+        config = reduced_config(arch, fusion=fusion)
+        monkeypatch.setattr(models, "_DRAW_CHUNK", 7)
+        params = param_init(config, seed=11, dtype=dtype)
+        rng = np.random.default_rng(11)
+        d = config.hidden
+        for name, shape, kind in models._plan(config):
+            want = np.zeros(shape)
+            if kind == "forget_bias":
+                want[d:2 * d] = 1.0
+            elif kind != "bias":
+                fan_in, fan_out = shape[1], shape[0]
+                if kind == "conv":
+                    receptive = int(np.prod(shape[2:]))
+                    fan_in, fan_out = fan_in * receptive, fan_out * receptive
+                elif kind == "lstm_w":
+                    fan_out = d
+                elif kind == "lstm_u":
+                    fan_in, fan_out = d, d
+                bound = np.sqrt(6.0 / (fan_in + fan_out))
+                if kind == "window_dense":
+                    bound /= config.window
+                want = rng.uniform(-bound, bound, size=shape)
+            got = params.tensors[name].data
+            assert got.dtype == dtype and got.tobytes() == want.astype(dtype).tobytes(), name
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    def test_peak_is_its_arrays(self, dtype):
+        # a whole-array float64 draw and its cast came to 3x the float32
+        # arrays and 2x the float64 ones
+        config = ModelConfig(arch="cascade", fc_width=2048, hidden=8, conv_maps=(2, 3, 16))
+        tracemalloc.start()
+        try:
+            params = param_init(config, seed=0, dtype=dtype)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * sum(t.data.nbytes for t in params.tensors.values())
 
     def test_add_fusion_with_unequal_sizes_rejected(self):
         with pytest.raises(ValueError, match="equal feature sizes"):

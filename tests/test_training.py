@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import re
 import struct
 import tracemalloc
 import weakref
@@ -10,13 +11,14 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from eegnet import dataset, models, training
+from eegnet import container, dataset, models, training
 from eegnet.autodiff import Tensor, backward, softmax_cross_entropy_batch
 from eegnet.gradcheck import reduced_config
 from eegnet.layout import normalized_meshes
 from eegnet.models import param_init
 from eegnet.optim import adam_step, init_adam
 from eegnet.training import (
+    CheckpointError,
     CheckpointFormatError,
     CheckpointTruncatedError,
     CheckpointVersionError,
@@ -722,21 +724,53 @@ class TestCheckpoint:
 
     def test_load_peak_is_its_arrays(self, tmp_path):
         # cnn.fc.weight is 97% of the parameters; a copy on the way in costs
-        # a third of the payload on top of it
+        # a third of the arrays on top of them.  The load reads the
+        # parameters alone; adam_state reads the two moment stores
         config = tiny_config(fc_width=1024)
         params = param_init(config, seed=0)
         path = tmp_path / "peak.eegc"
         save_checkpoint(path, config, TrainConfig(), params, init_adam(params.tensors),
                         epoch=0, rng=np.random.default_rng(0), history=[])
-        payload = 3 * sum(t.data.nbytes for t in params.tensors.values())
-        assert params.tensors["cnn.fc.weight"].data.nbytes > 0.9 * payload / 3
+        param_bytes = sum(t.data.nbytes for t in params.tensors.values())
+        assert params.tensors["cnn.fc.weight"].data.nbytes > 0.9 * param_bytes
         tracemalloc.start()
         try:
-            load_checkpoint(path)
-            _, peak = tracemalloc.get_traced_memory()
+            ckpt = load_checkpoint(path)
+            _, load_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            ckpt.adam_state
+            _, state_peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 1.02 * payload
+        assert load_peak <= 1.02 * param_bytes
+        assert state_peak <= 1.02 * 3 * param_bytes  # the parameters already held
+
+    def test_moments_read_once_and_kept(self, tiny_checkpoint, tmp_path):
+        path = tmp_path / "kept.eegc"
+        path.write_bytes(tiny_checkpoint.read_bytes())
+        ckpt = load_checkpoint(path)
+        state = ckpt.adam_state
+        path.unlink()
+        assert ckpt.adam_state is state
+
+    @pytest.mark.parametrize("change", ["resaved", "other-save", "deleted"])
+    def test_moments_of_a_changed_file_rejected(self, tiny_checkpoint, tmp_path, change):
+        path = tmp_path / "changed.eegc"
+        blob = tiny_checkpoint.read_bytes()
+        path.write_bytes(blob)
+        ckpt = load_checkpoint(path)
+        if change == "resaved":  # the same bytes in a new file: only its identity differs
+            with container.replacing(path) as fh:
+                fh.write(blob)
+        elif change == "other-save":
+            params = param_init(ckpt.model_config, seed=1)
+            save_checkpoint(path, ckpt.model_config, ckpt.train_config, params,
+                            init_adam(params.tensors), epoch=0,
+                            rng=np.random.default_rng(1), history=[])
+        else:
+            path.unlink()
+        with pytest.raises(CheckpointError, match=f"Adam moments of {re.escape(str(path))}"):
+            ckpt.adam_state
 
     def test_loaded_arrays_own_native_writeable_memory(self, tiny_checkpoint):
         ckpt = load_checkpoint(tiny_checkpoint)
