@@ -5,7 +5,9 @@ Subcommands: synth (generate a synthetic dataset), prepare (CSV recordings
 warnings go to standard error; machine-readable artifacts (config echo,
 history CSV, checkpoints, JSON reports) go to files.  Exit codes: 0 on
 success; 1 on check/training failure, a damaged manifest, dataset or
-checkpoint, or an empty split side to train or evaluate on; 2 on usage
+checkpoint, an input path that is a directory, an output that cannot be
+written (its directory missing, or a file where a directory must be), or
+an empty split side to train or evaluate on; 2 on usage
 errors: a missing input file, an invalid flag value, a split ratio that
 leaves a side empty, or a config or spec file that is not a JSON object,
 holds an unknown field or gives an invalid value.  When the reader of
@@ -52,13 +54,6 @@ class UsageError(Exception):
 
 class ConfigMismatch(Exception):
     """Config/dataset mismatch: descriptive failure, exit code 1."""
-
-
-def _loader_threads(recordings: int) -> int:
-    """One loader thread per CPU this process may run on, at most one per
-    recording."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return min(cpus or 1, recordings)
 
 
 def _read_json(path, what: str):
@@ -141,11 +136,8 @@ def cmd_prepare(args) -> int:
         raise UsageError(f"manifest not found: {manifest_path}")
     manifest = ds.load_manifest(manifest_path)
     try:
-        prepared = ds.prepare_dataset(
-            manifest, window=args.window_size,
-            ratio=args.ratio, seed=args.seed,
-            threads=_loader_threads(len(manifest.recordings)),
-        )
+        prepared = ds.prepare_dataset(manifest, window=args.window_size,
+                                      ratio=args.ratio, seed=args.seed)
     except ValueError as exc:  # an odd window size or a ratio outside (0, 1)
         raise UsageError(str(exc)) from exc
     split = prepared.meta["split"]
@@ -366,7 +358,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ConfigMismatch, ds.DatasetError, training.CheckpointError,
-            training.TrainingDiverged) as exc:
+            training.TrainingDiverged, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

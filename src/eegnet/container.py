@@ -48,9 +48,10 @@ def replacing(path, mode: str = "b", **open_args):
     """Yield a file opened (``"b"`` binary or ``"t"`` text `mode`, with
     `open_args`) on a fresh temporary file beside `path`, which replaces
     `path` once the block exits cleanly.  On an error the temporary file is
-    removed, so an existing file at `path` is left untouched.  A `path`
-    that exists and is no regular file (a pipe, ``/dev/stdout``) cannot be
-    replaced, so it is written in place."""
+    removed, so an existing file at `path` is left untouched, and an
+    errno-style OSError that named no file, or the temporary one, names
+    `path`.  A `path` that exists and is no regular file (a pipe,
+    ``/dev/stdout``) cannot be replaced, so it is written in place."""
     path = Path(path)
     if path.exists() and not path.is_file():
         with open(path, "w" + mode, **open_args) as fh:
@@ -61,8 +62,11 @@ def replacing(path, mode: str = "b", **open_args):
         with open(tmp, "x" + mode, **open_args) as fh:
             yield fh
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         tmp.unlink(missing_ok=True)
+        if (isinstance(exc, OSError) and exc.strerror and not exc.filename2
+                and exc.filename in (None, str(tmp))):
+            exc.filename = str(path)  # the file the caller asked for, not the temporary one
         raise
 
 

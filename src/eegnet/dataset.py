@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 import logging
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
@@ -310,44 +309,35 @@ def prepare_dataset(manifest: DatasetManifest, window: int = 10,
                     threads: int = 1) -> PreparedDataset:
     """Full ingestion pipeline: load -> window -> split.
 
-    Recordings have the 64 channels of the montage of :mod:`eegnet.layout`.
-    `threads` loader threads read them.  Damaged recordings are skipped with
-    a warning, and so, with another, are recordings shorter than one window;
-    the warnings and the remainder follow manifest order, so output and log
-    are deterministic for any thread count.  An invalid window size raises
-    ValueError before any recording is read.  `meta` holds the manifest's
-    `sample_rate` and `label_names`, the `split` and the `skipped` paths; the
-    window length and channel count are the dataset's own fields.
+    Recordings have the 64 channels of the montage of :mod:`eegnet.layout`
+    and are read one at a time, in manifest order, in the caller's thread.
+    Damaged recordings are skipped with a warning, and so, with another, are
+    recordings shorter than one window, each as the loop meets it.  An
+    invalid window size raises ValueError before any recording is read, and
+    so does a `threads` other than 1, a keyword kept for callers that pass
+    1.  `meta` holds the manifest's `sample_rate` and `label_names`, the
+    `split` and the `skipped` paths; the window length and channel count
+    are the dataset's own fields.
     """
     _check_window(window)
+    if threads != 1:
+        raise ValueError(f"recordings load in the caller's thread; threads must be 1, "
+                         f"got {threads}")
     ratio = manifest.split_ratio if ratio is None else ratio
     seed = manifest.split_seed if seed is None else seed
-
-    def load_one(entry):
+    recordings, skipped = [], []
+    for entry in manifest.recordings:
         try:
-            return Recording(entry.label, load_recording_csv(manifest.base_dir / entry.path))
+            samples = load_recording_csv(manifest.base_dir / entry.path)
         except RecordingError as exc:
-            return exc
-
-    # one thread loads in the caller's thread: on 2 vCPUs a one-worker pool
-    # made an ingest pass (prepare, save, load) about 10% slower, with 4-7 MB
-    # more peak RSS
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            loaded = list(pool.map(load_one, manifest.recordings))
-    else:
-        loaded = [load_one(e) for e in manifest.recordings]
-
-    skipped = []
-    for entry, rec in zip(manifest.recordings, loaded):
-        if isinstance(rec, RecordingError):
-            log.warning("skipping recording: %s", rec)
+            log.warning("skipping recording: %s", exc)
             skipped.append(entry.path)
-        elif len(rec.samples) < window:
+            continue
+        if len(samples) < window:
             log.warning("recording %s has %d samples, shorter than window %d; "
-                        "produced 0 windows", entry.path, len(rec.samples), window)
-    prepared = window_recordings([rec for rec in loaded if not isinstance(rec, RecordingError)],
-                                 window)
+                        "produced 0 windows", entry.path, len(samples), window)
+        recordings.append(Recording(entry.label, samples))
+    prepared = window_recordings(recordings, window)
     train_idx, test_idx = split_indices(prepared.count, ratio, seed)
     prepared.meta = {
         "sample_rate": manifest.sample_rate,

@@ -683,6 +683,40 @@ def test_bad_input_is_usage_error(argv, reason, synth_dir, prepared_file, tmp_pa
     assert not list(tmp_path.rglob("checkpoint.eegc")) and not list(tmp_path.rglob("config.json"))
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["prepare", "--manifest", "{manifest}", "--out", "{missing}/data.eegw"],
+     "{missing}/data.eegw"),
+    (["prepare", "--manifest", "{manifest}", "--out", "{dir}"], "{dir}"),
+    (["synth", "--out", "{file}"], "{file}/recordings"),
+    (["train", "--arch", "cascade", "--data", "{data}", "--out", "{file}/run", *TINY_MODEL],
+     "{file}/run"),
+    (["train", "--arch", "cascade", "--data", "{dir}", "--out", "{run}", *TINY_MODEL], "{dir}"),
+    (["eval", "--checkpoint", "{checkpoint}", "--data", "{data}",
+      "--json-out", "{missing}/r.json"], "{missing}/r.json"),
+    (["eval", "--checkpoint", "{checkpoint}", "--data", "{dir}"], "{dir}"),
+    (["eval", "--checkpoint", "{dir}", "--data", "{data}"], "{dir}"),
+    (["predict", "--checkpoint", "{checkpoint}", "--windows", "{dir}"], "{dir}"),
+    (["predict", "--checkpoint", "{dir}", "--windows", "{data}"], "{dir}"),
+], ids=["prepare-out-missing-dir", "prepare-out-dir", "synth-out-file", "train-out-under-file",
+        "train-data-dir", "eval-json-out-missing-dir", "eval-data-dir", "eval-checkpoint-dir",
+        "predict-windows-dir", "predict-checkpoint-dir"])
+def test_unusable_path_is_error(argv, named, synth_dir, prepared_file, trained_run, tmp_path,
+                                capsys):
+    # an output that cannot be written or an input that is a directory: exit 1
+    # with `error:` naming the path, and nothing left behind
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "file").write_text("a file\n")
+    paths = {"manifest": synth_dir / "manifest.json", "data": prepared_file,
+             "checkpoint": trained_run / "checkpoint.eegc", "missing": tmp_path / "missing",
+             "dir": tmp_path / "dir", "file": tmp_path / "file", "run": tmp_path / "run"}
+    before = sorted(tmp_path.rglob("*"))
+    assert cli.main([a.format(**paths) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert "error: [Errno" in err and f"'{named.format(**paths)}'" in err
+    assert sorted(tmp_path.rglob("*")) == before
+    assert (tmp_path / "file").read_text() == "a file\n"
+
+
 def _open_on_a_full_disk(file, mode="r", **kwargs):
     """`open`, except that a file created for writing stores half of its
     first write and then fails as a full disk does."""
@@ -700,7 +734,7 @@ def _open_on_a_full_disk(file, mode="r", **kwargs):
 
 @pytest.mark.parametrize("name", ["history.csv", "manifest.json", "config.json", "report.json"])
 def test_failed_text_write_leaves_the_old_file(name, synth_dir, trained_run, prepared_file,
-                                               tmp_path, monkeypatch):
+                                               tmp_path, monkeypatch, capsys):
     writers = {
         "history.csv": lambda path: training.write_history(
             path, [training.EpochStats(1, 1.5, 0.25, 1.25, 0.5)]),
@@ -715,8 +749,12 @@ def test_failed_text_write_leaves_the_old_file(name, synth_dir, trained_run, pre
     path = tmp_path / name
     path.write_bytes(b"the old file\n")
     monkeypatch.setattr(container, "open", _open_on_a_full_disk, raising=False)
-    with pytest.raises(OSError, match="No space left on device"):
-        writers[name](path)
+    if name == "report.json":  # the CLI reports the failed write and exits 1
+        assert writers[name](path) == 1
+        assert f"No space left on device: '{path}'" in capsys.readouterr().err
+    else:
+        with pytest.raises(OSError, match="No space left on device"):
+            writers[name](path)
     assert path.read_bytes() == b"the old file\n"
     assert [p.name for p in tmp_path.iterdir()] == [name]
 

@@ -1,7 +1,5 @@
 import json
 import struct
-import threading
-import time
 import tracemalloc
 from dataclasses import fields, replace
 
@@ -684,24 +682,7 @@ class TestPrepareDataset:
         assert loaded.raw.tobytes() == prepared.raw.tobytes()
         assert loaded.meshes.tobytes() == prepared.meshes.tobytes()
 
-    def test_threaded_matches_serial(self, tmp_path):
-        rng = np.random.default_rng(1)
-        (tmp_path / "recordings").mkdir()
-        entries = []
-        for i in range(4):
-            name = f"recordings/r{i}.csv"
-            ds.save_recording_csv(tmp_path / name, rng.standard_normal((25, 64)))
-            entries.append(ds.ManifestEntry(name, f"s{i}", i % 2))
-        manifest = ds.DatasetManifest(recordings=entries, label_names={0: "a", 1: "b"},
-                                      base_dir=tmp_path)
-        serial = ds.prepare_dataset(manifest, window=10, threads=1)
-        threaded = ds.prepare_dataset(manifest, window=10, threads=4)
-        np.testing.assert_array_equal(serial.raw, threaded.raw)
-        np.testing.assert_array_equal(serial.labels, threaded.labels)
-
-    def test_threaded_skip_warnings_follow_manifest_order(self, tmp_path, monkeypatch, caplog):
-        # the first damaged recording finishes loading after the second, as a
-        # slow read would; its warning still comes first
+    def test_skip_warnings_follow_manifest_order(self, tmp_path, caplog):
         (tmp_path / "recordings").mkdir()
         names = ["recordings/bad0.csv", "recordings/bad1.csv", "recordings/good.csv"]
         for name in names[:2]:
@@ -711,26 +692,23 @@ class TestPrepareDataset:
         manifest = ds.DatasetManifest(
             recordings=[ds.ManifestEntry(name, f"s{i}", 0) for i, name in enumerate(names)],
             label_names={0: "a"}, base_dir=tmp_path)
-        load = ds.load_recording_csv
-        second_loaded = threading.Event()
-
-        def first_loads_last(path):
-            if path == tmp_path / names[0]:
-                assert second_loaded.wait(timeout=5)
-                time.sleep(0.05)
-            try:
-                return load(path)
-            finally:
-                if path == tmp_path / names[1]:
-                    second_loaded.set()
-
-        monkeypatch.setattr(ds, "load_recording_csv", first_loads_last)
         with caplog.at_level("WARNING"):
-            prepared = ds.prepare_dataset(manifest, window=10, threads=3)
+            prepared = ds.prepare_dataset(manifest, window=10)
         skips = [r.getMessage() for r in caplog.records if "skipping recording" in r.getMessage()]
         assert len(skips) == 2
         assert names[0] in skips[0] and names[1] in skips[1]
         assert prepared.meta["skipped"] == names[:2]
+
+    @pytest.mark.parametrize("threads", [0, 2])
+    def test_threads_other_than_one_raise_before_any_read(self, threads, tmp_path, monkeypatch):
+        def never_called(path):
+            raise AssertionError(f"read {path}")
+
+        monkeypatch.setattr(ds, "load_recording_csv", never_called)
+        manifest = ds.DatasetManifest(recordings=[ds.ManifestEntry("r.csv", "s0", 0)],
+                                      label_names={0: "a"}, base_dir=tmp_path)
+        with pytest.raises(ValueError, match="threads must be 1"):
+            ds.prepare_dataset(manifest, window=10, threads=threads)
 
 
 def test_build_prepared_helper_balanced():
