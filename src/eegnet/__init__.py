@@ -18,13 +18,7 @@ from .dataset import (
 )
 from .gradcheck import finite_diff_check, run_checks
 from .layout import from_mesh, to_mesh, zscore_mesh
-from .models import (
-    ModelConfig,
-    ModelParams,
-    canonical_config,
-    fuse,
-    param_init,
-)
+from .models import ModelConfig, ModelParams, canonical_config, param_init
 from .optim import AdamState, adam_step, init_adam
 from .synth import SynthSpec, default_spec, synth_dataset
 from .training import Metrics, TrainConfig, evaluate, load_checkpoint, predict, save_checkpoint, train
@@ -49,7 +43,6 @@ __all__ = [
     "evaluate",
     "finite_diff_check",
     "from_mesh",
-    "fuse",
     "init_adam",
     "load_checkpoint",
     "load_prepared",

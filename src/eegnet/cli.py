@@ -18,6 +18,7 @@ stops quietly with exit code 1.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
 import os
@@ -234,12 +235,16 @@ def _load_scoring(checkpoint, data):
 def cmd_eval(args) -> int:
     ckpt, prepared = _load_scoring(args.checkpoint, args.data)
     subset = _split_side(prepared, args.data, args.split)
-    metrics = training.evaluate(ckpt.params, subset)
-    print(_format_metrics(metrics, prepared.label_names))
-    if args.json_out:
-        report = {"split": args.split, "count": subset.count, **metrics.to_dict()}
-        with container.replacing(args.json_out, "t") as fh:
-            fh.write(json.dumps(report, indent=1) + "\n")
+    # the report file is opened first, so a path that cannot serve fails
+    # before the evaluation runs or prints anything
+    with (container.replacing(args.json_out, "t") if args.json_out
+          else contextlib.nullcontext()) as report:
+        metrics = training.evaluate(ckpt.params, subset)
+        print(_format_metrics(metrics, prepared.label_names))
+        if report is not None:
+            doc = {"split": args.split, "count": subset.count, **metrics.to_dict()}
+            report.write(json.dumps(doc, indent=1) + "\n")
+    if report is not None:
         log.info("json report -> %s", args.json_out)
     return 0
 

@@ -115,10 +115,10 @@ class ModelParams:
 # ---------------------------------------------------------------------------
 # shape plan and initialization
 
-def _conv_spatial(config: ModelConfig, arch: str) -> tuple:
-    if arch == "cnn1d":
+def _conv_spatial(config: ModelConfig) -> tuple:
+    if config.arch == "cnn1d":
         return (config.channels,)
-    if arch == "cnn3d":
+    if config.arch == "cnn3d":
         return (config.window, config.mesh_h, config.mesh_w)
     return (config.mesh_h, config.mesh_w)
 
@@ -207,8 +207,8 @@ def _plan(config: ModelConfig) -> list:
         dense("head.out", _fused_size(config), config.classes,
               "window_dense" if config.fusion in ("cat", "add") else "dense")
     elif arch in ("cnn1d", "cnn2d", "cnn3d"):
-        conv_stack(len(_conv_spatial(config, arch)))
-        conv_fc(_conv_spatial(config, arch), "window_dense" if arch == "cnn3d" else "dense")
+        conv_stack(len(_conv_spatial(config)))
+        conv_fc(_conv_spatial(config), "window_dense" if arch == "cnn3d" else "dense")
         dense("head.out", config.fc_width, config.classes)
     else:  # rnn baseline
         temporal()
@@ -338,33 +338,32 @@ def _frame_features(config: ModelConfig, tensors: dict, frames: np.ndarray,
     return _conv_stack(config, tensors, x, rng, rows if len(keep) < index.size else None)
 
 
-def _lstm_stack(seq: Tensor, tensors: dict, depth: int, hidden: int) -> Tensor:
-    """Run `depth` stacked LSTM layers over a (B, S, in) sequence; returns
-    the top layer's final hidden state (B, hidden).  Each layer is two tape
-    nodes: the input projection of all steps as one :func:`autodiff.linear`,
-    then the recurrence as one :func:`autodiff.lstm`."""
+def _lstm_stack(config: ModelConfig, tensors: dict, seq: Tensor) -> Tensor:
+    """Run the config's stacked LSTM layers over a (B, S, in) sequence;
+    returns the top layer's final hidden state (B, hidden).  Each layer is
+    two tape nodes: the input projection of all steps as one
+    :func:`autodiff.linear`, then the recurrence as one :func:`autodiff.lstm`."""
     batch, steps = seq.shape[:2]
     if steps == 0:
         raise ValueError("LSTM sequence must contain at least one step")
-    for j in range(depth):
+    for j in range(config.lstm_depth):
         flat = ad.reshape(seq, (batch * steps, seq.shape[2]))
         xw = ad.linear(flat, tensors[f"rnn.l{j}.w"], tensors[f"rnn.l{j}.b"])
-        seq = ad.lstm(ad.reshape(xw, (batch, steps, _GATES * hidden)), tensors[f"rnn.l{j}.u"])
+        seq = ad.lstm(ad.reshape(xw, (batch, steps, _GATES * config.hidden)),
+                      tensors[f"rnn.l{j}.u"])
     return seq[:, -1]
 
 
-def fuse(spatial: Tensor, temporal: Tensor, kind: str, params: ModelParams | None = None) -> Tensor:
-    """Combine (B, F) spatial and temporal feature batches.
+def _fuse(params: ModelParams, spatial: Tensor, temporal: Tensor) -> Tensor:
+    """Combine (B, F) spatial and temporal feature batches by the config's
+    fusion; ModelConfig has checked the kind and, for add and cat-conv,
+    that the two sizes are equal.
 
     cat: concatenation, spatial first.  add: elementwise sum.  cat-fc:
     concatenation through a dense layer with ELU.  cat-conv: a two-channel
     pointwise (1x1) convolution, i.e. a learned weighted sum per position.
     """
-    if kind not in FUSIONS:
-        raise ValueError(f"unknown fusion {kind!r}, expected one of {FUSIONS}")
-    if kind in ("add", "cat-conv") and spatial.shape != temporal.shape:
-        raise ValueError(f"{kind} fusion needs equal sizes, "
-                         f"got {spatial.shape} and {temporal.shape}")
+    kind = params.config.fusion
     if kind == "cat":
         return ad.concat([spatial, temporal], axis=1)
     if kind == "add":
@@ -395,7 +394,7 @@ def _temporal_path(params: ModelParams, raw: np.ndarray, index: np.ndarray, rng)
     if config.mid_fc:
         xr = ad.elu(_dense(xr, tensors, "rnn.fc_in"))
     rseq = ad.reshape(xr, index.shape + (xr.shape[1],))
-    h_last = _lstm_stack(rseq, tensors, config.lstm_depth, config.hidden)
+    h_last = _lstm_stack(config, tensors, rseq)
     if config.final_fc:
         h_last = _dense_elu_dropout(h_last, config, tensors, "rnn.fc_out", rng)
     return h_last
@@ -432,12 +431,11 @@ def forward_windows(params: ModelParams, raw: np.ndarray, meshes: np.ndarray,
     arch = config.arch
     tensors = params.tensors
     if arch == "cascade":
-        feats = _lstm_stack(_step_features(params, meshes, index, rng), tensors,
-                            config.lstm_depth, config.hidden)
+        feats = _lstm_stack(config, tensors, _step_features(params, meshes, index, rng))
         if config.final_fc:
             feats = _dense_elu_dropout(feats, config, tensors, "head.fc", rng)
     elif arch == "parallel":
-        feats = fuse(*_parallel_paths(params, raw, meshes, index, rng), config.fusion, params)
+        feats = _fuse(params, *_parallel_paths(params, raw, meshes, index, rng))
     elif arch == "rnn":
         feats = _temporal_path(params, raw, index, rng)
     elif arch == "cnn3d":  # the conv reads whole windows, one (S, h, w) volume each

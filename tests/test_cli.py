@@ -701,17 +701,24 @@ def test_bad_input_is_usage_error(argv, reason, synth_dir, prepared_file, tmp_pa
         "train-data-dir", "eval-json-out-missing-dir", "eval-data-dir", "eval-checkpoint-dir",
         "predict-windows-dir", "predict-checkpoint-dir"])
 def test_unusable_path_is_error(argv, named, synth_dir, prepared_file, trained_run, tmp_path,
-                                capsys):
+                                capsys, monkeypatch):
     # an output that cannot be written or an input that is a directory: exit 1
-    # with `error:` naming the path, and nothing left behind
+    # with `error:` naming the path, before any work is done or printed, and
+    # nothing left behind
     (tmp_path / "dir").mkdir()
     (tmp_path / "file").write_text("a file\n")
     paths = {"manifest": synth_dir / "manifest.json", "data": prepared_file,
              "checkpoint": trained_run / "checkpoint.eegc", "missing": tmp_path / "missing",
              "dir": tmp_path / "dir", "file": tmp_path / "file", "run": tmp_path / "run"}
     before = sorted(tmp_path.rglob("*"))
+
+    def no_evaluation(*args, **kwargs):
+        raise AssertionError("evaluated before the paths were checked")
+
+    monkeypatch.setattr(training, "evaluate", no_evaluation)
     assert cli.main([a.format(**paths) for a in argv]) == 1
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
     assert "error: [Errno" in err and f"'{named.format(**paths)}'" in err
     assert sorted(tmp_path.rglob("*")) == before
     assert (tmp_path / "file").read_text() == "a file\n"

