@@ -14,9 +14,12 @@ Calling :func:`backward` on a scalar node walks the graph once in reverse
 topological order, so shared subexpressions accumulate correctly.
 
 Convention: training runs in float32, verification (finite-difference
-checking) builds float64 tensors throughout.  Tensors are treated as
-immutable once constructed; gradient buffers are rebuilt on every backward
-pass, so graphs and parameters can be reused across calls.
+checking) builds float64 tensors throughout.  No op writes to a tensor's
+values.  Parameters change in place only between uses of a tape:
+:func:`optim.adam_step` updates them once their step's tape is gone, and
+:func:`gradcheck.finite_diff_check` moves one coordinate between forwards.
+Gradient buffers are rebuilt on every backward pass, so graphs and
+parameters can be reused across calls.
 """
 
 from __future__ import annotations

@@ -180,12 +180,15 @@ def _check_conv_stack(rng):
     return finite_diff_check(fn, stack)
 
 
-def _check_model(arch: str, **overrides):
+def _check_model(arch: str, values: dict | None = None, **overrides):
     # two windows sharing frames, as overlapping windows do: the conv stack
-    # runs each distinct frame once and its gather's VJP sums the shared rows
+    # runs each distinct frame once and its gather's VJP sums the shared rows.
+    # `values` sets named parameters after param_init
     def run(rng):
         config = reduced_config(arch, **overrides)
         params = param_init(config, seed=11, dtype=np.float64)
+        for name, value in (values or {}).items():
+            params.tensors[name].data[...] = value
         steps = config.window
         meshes = rng.standard_normal((steps + 1, config.mesh_h, config.mesh_w))
         raw = rng.standard_normal((steps + 1, config.channels))
@@ -217,7 +220,10 @@ CHECKS = {
     "parallel_cat": (_check_model("parallel", fusion="cat"), 1e-4),
     "parallel_add": (_check_model("parallel", fusion="add"), 1e-4),
     "parallel_cat_fc": (_check_model("parallel", fusion="cat-fc"), 1e-4),
-    "parallel_cat_conv": (_check_model("parallel", fusion="cat-conv"), 1e-4),
+    # param_init starts fuse.weight at zero, where no gradient reaches the
+    # spatial path; the check runs at a fixed non-zero weight instead
+    "parallel_cat_conv": (_check_model("parallel", {"fuse.weight": (0.7, -1.3)},
+                                       fusion="cat-conv"), 1e-4),
     "cnn1d": (_check_model("cnn1d"), 1e-4),
     "cnn2d": (_check_model("cnn2d"), 1e-4),
     "cnn3d": (_check_model("cnn3d"), 1e-4),

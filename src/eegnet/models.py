@@ -107,7 +107,9 @@ class ModelParams:
 
     def frozen(self) -> "ModelParams":
         """The same arrays, uncopied, as constants: a forward on them builds
-        no tape and leaves every ``.grad`` alone (evaluation and prediction)."""
+        no tape and leaves every ``.grad`` alone (evaluation and prediction).
+        An Adam step updates those arrays in place, so a frozen view reads
+        the values of the set at the time of its forward."""
         return ModelParams(self.config, {name: Tensor.constant(t.data)
                                          for name, t in self.tensors.items()})
 

@@ -4,14 +4,16 @@ The decay rates and epsilon are Kingma & Ba's fixed values, the module
 constants ``BETA1``, ``BETA2`` and ``EPSILON``; the state holds the step,
 the two moments and the learning rate.
 
-Parameters are functional: ``adam_step`` returns fresh parameter tensors and
-never writes to the ones it is given, so a caller's parameters stay
-immutable.  The optimizer state is not: ``state.step`` advances and both
-moments are updated in place.  In-place moments cost no allocation, and the
-update walks each tensor in blocks of ``_BLOCK`` elements, so all of a
-block's passes run in cache and each element of the gradient, moments and
-parameter is read from memory once.  The result is bitwise equal to the
-whole-array formula.
+``adam_step`` updates in place, as Kingma & Ba's Algorithm 1 does: each
+new parameter value is written into the array it replaces, both moments are
+updated where they lie, and ``state.step`` advances.  A step allocates no
+parameter or moment array, only two block-sized scratch buffers, and walks
+each tensor in blocks of ``_BLOCK`` elements, so all of a block's passes run
+in cache and each element of the gradient, moments and parameter is read
+from memory once.  The result is bitwise equal to the whole-array formula.
+Parameters change between steps only: a caller whose arrays must stay as
+they are steps a copy (``training.train`` copies any parameters it is
+given).
 """
 
 from __future__ import annotations
@@ -20,11 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor
-
-# Elements per block.  A block's seven operands (gradient, both moments, the
-# parameter, the new parameter and two scratch buffers) take 1.75 MiB at f32
-# and 3.5 MiB at f64, so they stay in a 4 MiB L2 cache across all its passes.
+# Elements per block.  A block's six operands (gradient, both moments, the
+# parameter and two scratch buffers) take 1.5 MiB at f32 and 3 MiB at f64,
+# so they stay in a 4 MiB L2 cache across all its passes.
 _BLOCK = 1 << 16
 
 BETA1 = 0.9
@@ -72,28 +72,29 @@ def _check(params: dict, grads: dict, state: AdamState) -> None:
             )
 
 
-def _flat_in_place(store: dict, name: str) -> np.ndarray:
-    """A flat view of ``store[name]``; a moment that no flat view can write
-    (not C-contiguous, or read-only) is first replaced by a copy."""
-    a = store[name]
-    if not (a.flags.c_contiguous and a.flags.writeable):
-        a = store[name] = a.copy()
-    return a.reshape(-1)
+def _writable(a: np.ndarray) -> np.ndarray:
+    """``a``, or a copy of it if no flat view can write it (not C-contiguous,
+    or read-only); the caller puts the result back where ``a`` was held."""
+    return a if a.flags.c_contiguous and a.flags.writeable else a.copy()
 
 
 def adam_step(params: dict, grads: dict, state: AdamState):
-    """One bias-corrected Adam update; returns (new params, state).
+    """One bias-corrected Adam update in place; returns (params, state), the
+    objects it was given.
 
     Missing gradients or moments are rejected, as are any shape or dtype
     disagreements between a parameter, its gradient and its moment buffers.
     Every tensor is checked before anything changes, so a rejected call
-    leaves ``state`` as it was.
+    leaves the parameters and ``state`` as they were.
 
-    The given parameter arrays are left as they are; the moments in
-    ``state`` are updated in place, block by block, in the same order of
-    operations as ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*(g*g)`` and
-    ``p - lr*(m/bias1) / (sqrt(v/bias2) + eps)``, so the results are
-    bitwise those of that whole-array formula.
+    Each parameter's array and both of its moments are updated in place,
+    block by block, in the same order of operations as
+    ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*(g*g)`` and
+    ``p = p - lr*(m/bias1) / (sqrt(v/bias2) + eps)``, so the results are
+    bitwise those of that whole-array formula.  An array that no flat view
+    can write (not C-contiguous, or read-only) is first replaced by an
+    updated copy, on its tensor or in its moment store; the array given is
+    then left as it was.
 
     Zero-gradient rule: wherever an element's gradient is exactly zero, that
     element's parameter and both of its moments stay as they are, as in lazy
@@ -107,14 +108,12 @@ def adam_step(params: dict, grads: dict, state: AdamState):
     bias1 = 1.0 - b1**t
     bias2 = 1.0 - b2**t
     lr = state.learning_rate
-    updated = {}
+    first, second = state.first_moment, state.second_moment
     for name, p in params.items():
         g = grads[name].reshape(-1)
-        m = _flat_in_place(state.first_moment, name)
-        v = _flat_in_place(state.second_moment, name)
-        x = p.data.reshape(-1)
-        out = np.empty(p.data.shape, dtype=p.data.dtype)
-        new = out.reshape(-1)
+        p.data = _writable(p.data)
+        first[name], second[name] = _writable(first[name]), _writable(second[name])
+        x, m, v = p.data.reshape(-1), first[name].reshape(-1), second[name].reshape(-1)
         scratch_a = np.empty(min(g.size, _BLOCK), dtype=g.dtype)
         scratch_b = np.empty_like(scratch_a)
         for lo in range(0, g.size, _BLOCK):
@@ -139,6 +138,5 @@ def adam_step(params: dict, grads: dict, state: AdamState):
             np.divide(a, b, out=a)
             if idle is not None:
                 mm[idle], vv[idle], a[idle] = idle_m, idle_v, 0.0
-            np.subtract(x[lo:hi], a, out=new[lo:hi])
-        updated[name] = Tensor.parameter(out)
-    return updated, state
+            np.subtract(x[lo:hi], a, out=x[lo:hi])
+    return params, state

@@ -218,9 +218,13 @@ def train(model_config: ModelConfig, train_config: TrainConfig,
     stopping (optional) watches test loss.  A NaN/Inf loss, or a NaN/Inf
     gradient (checked before Adam, which updates ``adam_state``'s moments in
     place), aborts with a diagnostic.  Each step's gradients are released
-    once Adam has used them, so none is alive through the next step, and the
-    tensors of given ``params`` come back holding no ``.grad``.  Given
-    ``params`` must be for ``model_config``.
+    once Adam has used them, so none is alive through the next step.
+
+    The run owns one parameter set, which Adam updates in place after each
+    step.  Given ``params`` must be for ``model_config``; they are copied
+    once on entry and come back untouched, values and ``.grad`` alike.  The
+    ``params`` handed to ``on_epoch`` are that live set, which later epochs
+    overwrite: a callback that keeps them past its return copies them.
     """
     if train_set.count == 0:
         raise ValueError("training set is empty")
@@ -229,7 +233,10 @@ def train(model_config: ModelConfig, train_config: TrainConfig,
     dtype = train_config.dtype
     if params is None:
         params = param_init(model_config, train_config.seed, dtype=dtype)
-    _require_config(params, model_config)
+    else:
+        _require_config(params, model_config)
+        params = ModelParams(params.config, {name: Tensor.parameter(t.data.copy())
+                                             for name, t in params.tensors.items()})
     if adam_state is None:
         adam_state = init_adam(params.tensors, learning_rate=train_config.learning_rate)
     if rng is None:
@@ -261,16 +268,15 @@ def train(model_config: ModelConfig, train_config: TrainConfig,
             grads = {}
             for name, t in params.tensors.items():
                 grads[name] = t.grad if t.grad is not None else np.zeros_like(t.data)
-                t.grad = None  # the step's params may be the caller's
+                t.grad = None
             # exact with no full-size temporary: NaN reaches both, ±inf one of them
             bad = next((name for name, g in grads.items()
                         if not (np.isfinite(g.min()) and np.isfinite(g.max()))), None)
             if bad is not None:
                 raise TrainingDiverged(f"gradient of {bad} became non-finite at epoch "
                                        f"{epoch + 1}, step {step + 1}")
-            new_tensors, adam_state = adam_step(params.tensors, grads, adam_state)
+            adam_step(params.tensors, grads, adam_state)
             del grads  # no gradient outlives its update into the next step
-            params = ModelParams(config=params.config, tensors=new_tensors)
             loss_sum += loss_value * len(idx)
             correct += int((probs.argmax(axis=1) == labels[idx]).sum())
         test_metrics = evaluate(params, test_set)

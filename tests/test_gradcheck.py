@@ -25,7 +25,7 @@ def test_model_checks_catch_a_planted_gather_fault(monkeypatch):
         return out
 
     monkeypatch.setattr(ad, "gather", faulty)
-    for name in ("parallel_cat", "cnn2d"):
+    for name in ("parallel_cat", "parallel_cat_conv", "cnn2d"):
         result = gradcheck.run_check(name)
         assert not result.passed, f"{name} passed at {result.max_rel_err:.3g}"
 

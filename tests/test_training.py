@@ -44,6 +44,24 @@ def tiny_config(arch="cascade", **kw):
     return models.ModelConfig(arch=arch, **defaults)
 
 
+def poison_gradient(monkeypatch, name, at, value):
+    """After each backward, set element `at` of the gradient of `name` in the
+    parameters that `train` feeds its forward."""
+    fed = []
+
+    def forward(params, *args, **kwargs):
+        fed.append(params)
+        return real_forward(params, *args, **kwargs)
+
+    def poisoned(loss):
+        real_backward(loss)
+        fed[-1].tensors[name].grad.flat[at] = value
+
+    real_forward, real_backward = models.forward_windows, training.backward
+    monkeypatch.setattr(models, "forward_windows", forward)
+    monkeypatch.setattr(training, "backward", poisoned)
+
+
 @pytest.fixture(scope="module")
 def tiny_sets():
     prepared = build_prepared(windows_per_class=12, noise=0.25, seed=1, split_seed=2)
@@ -285,6 +303,50 @@ class TestTrainLoop:
         assert all(abs(b - beyond[0]) < 0.05 * param_bytes for b in beyond)
         assert beyond[0] < 0.25 * param_bytes
 
+    @pytest.mark.parametrize("history", [[], [EpochStats(1, 1.0, 0.5, 1.0, 0.5)]],
+                             ids=["trained", "resumed-at-end"])
+    def test_given_params_untouched_and_unshared(self, tiny_sets, history):
+        train_set, test_set = tiny_sets
+        config = tiny_config()
+        params = param_init(config, seed=0)
+        marker = np.ones_like(params.tensors["head.out.bias"].data)
+        params.tensors["head.out.bias"].grad = marker
+        before = {k: t.data.tobytes() for k, t in params.tensors.items()}
+        tc = TrainConfig(epochs=1, batch_size=16, learning_rate=1e-2, patience=None)
+        result = train(config, tc, train_set, test_set, params=params, history=history)
+        assert params.tensors["head.out.bias"].grad is marker
+        assert np.all(marker == 1)
+        for k, t in params.tensors.items():
+            assert t.data.tobytes() == before[k], k
+            assert not np.shares_memory(result.params.tensors[k].data, t.data), k
+        trained = any(t.data.tobytes() != before[k] for k, t in result.params.tensors.items())
+        assert trained == (not history)
+
+    def test_adam_step_allocates_no_parameter_set(self, tiny_sets, monkeypatch):
+        # fc_width 4096 makes one parameter set 7.9 MB, so 0.1 of it leaves
+        # room for Adam's two f32 scratch blocks (0.5 MB) and nothing more
+        train_set, test_set = tiny_sets
+        peaks = []
+
+        def step(*args):
+            held, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            out = real_step(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1] - held)
+            return out
+
+        real_step = training.adam_step
+        monkeypatch.setattr(training, "adam_step", step)
+        tc = TrainConfig(epochs=2, batch_size=16, learning_rate=1e-3, patience=None)
+        tracemalloc.start()
+        try:
+            result = train(tiny_config(fc_width=4096), tc, train_set, test_set)
+        finally:
+            tracemalloc.stop()
+        param_bytes = sum(t.data.nbytes for t in result.params.tensors.values())
+        assert len(peaks) == 2 * math.ceil(train_set.count / 16)
+        assert max(peaks) < 0.1 * param_bytes
+
     def test_empty_training_set_rejected(self, tiny_sets):
         train_set, test_set = tiny_sets
         with pytest.raises(ValueError, match="empty"):
@@ -321,13 +383,7 @@ class TestTrainLoop:
         state = init_adam(params.tensors, learning_rate=1e-3)
         before = {k: (t.data.copy(), state.first_moment[k].copy(),
                       state.second_moment[k].copy()) for k, t in params.tensors.items()}
-
-        def poisoned(loss):
-            real_backward(loss)
-            params.tensors["rnn.l1.u"].grad.flat[3] = np.nan
-
-        real_backward = training.backward
-        monkeypatch.setattr(training, "backward", poisoned)
+        poison_gradient(monkeypatch, "rnn.l1.u", 3, np.nan)
         with pytest.raises(TrainingDiverged, match="rnn.l1.u .*epoch 1, step 1"):
             train(config, TrainConfig(epochs=1, batch_size=8), train_set, test_set,
                   params=params, adam_state=state)
@@ -342,13 +398,7 @@ class TestTrainLoop:
         train_set, test_set = tiny_sets
         config = tiny_config()
         params = param_init(config, seed=0)
-
-        def poisoned(loss):
-            real_backward(loss)
-            params.tensors["cnn.fc.weight"].grad.flat[7] = value
-
-        real_backward = training.backward
-        monkeypatch.setattr(training, "backward", poisoned)
+        poison_gradient(monkeypatch, "cnn.fc.weight", 7, value)
         with pytest.raises(TrainingDiverged, match="cnn.fc.weight .*epoch 1, step 1"):
             train(config, TrainConfig(epochs=1, batch_size=8), train_set, test_set,
                   params=params)
