@@ -11,7 +11,10 @@ all of an op's VJPs share goes in `_op`'s `upstream` function, run once per
 backward; VJPs keep no state between calls.  A whole LSTM layer is one
 such op, :func:`lstm`, whose backward through time is its `upstream`.
 Calling :func:`backward` on a scalar node walks the graph once in reverse
-topological order, so shared subexpressions accumulate correctly.
+topological order, so shared subexpressions accumulate correctly.  Only
+leaves (tensors with no backward closure, such as parameters) keep a
+gradient: an interior node's ``.grad`` is freed once its backward has
+passed it on, so it is None after the walk.
 
 Convention: training runs in float32, verification (finite-difference
 checking) builds float64 tensors throughout.  No op writes to a tensor's
@@ -410,7 +413,11 @@ def softmax_cross_entropy_batch(logits: Tensor, labels: np.ndarray):
 # backward pass
 
 def backward(loss: Tensor) -> None:
-    """Populate ``.grad`` on every tensor reachable from a scalar loss.
+    """Set ``.grad`` on every leaf reachable from a scalar loss that
+    requires a gradient (a tensor with no backward closure, such as a
+    parameter).  Interior nodes keep none: each one's ``.grad`` is set to
+    None as soon as its backward has passed it on, so the walk holds only
+    the gradients still waiting for their node's backward.
 
     Gradients in the reachable subgraph are reset first, so repeated calls
     (and parameter reuse across training steps) are safe.
@@ -441,3 +448,5 @@ def backward(loss: Tensor) -> None:
     for node in reversed(topo):
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
+            # every consumer has added to it, so nothing reads it again
+            node.grad = None

@@ -155,9 +155,12 @@ def load_recording_csv(path) -> np.ndarray:
     """The (N, 64) float32 samples of one recording CSV of the montage's 64
     channels, header ch1..ch64 and at least one row; raises RecordingError
     on damage."""
+    expected = ",".join(f"ch{i + 1}" for i in range(N_CHANNELS))
     try:
         with open(path) as fh:
-            header = fh.readline().strip()
+            # the header first: a file with the wrong columns is not parsed
+            if fh.readline().strip() != expected:
+                raise RecordingError(f"{path}: bad header, expected columns ch1..ch{N_CHANNELS}")
             start = fh.tell()
             # loadtxt warns on input without rows; find a row before calling it
             if not any(line.split("#", 1)[0].strip() for line in iter(fh.readline, "")):
@@ -166,9 +169,6 @@ def load_recording_csv(path) -> np.ndarray:
             data = np.loadtxt(fh, delimiter=",", ndmin=2, dtype=np.float64)
     except (OSError, ValueError) as exc:
         raise RecordingError(f"{path}: unreadable recording ({exc})") from exc
-    expected = ",".join(f"ch{i + 1}" for i in range(N_CHANNELS))
-    if header != expected:
-        raise RecordingError(f"{path}: bad header, expected columns ch1..ch{N_CHANNELS}")
     if data.ndim != 2 or data.shape[1] != N_CHANNELS:
         raise RecordingError(f"{path}: expected {N_CHANNELS} columns, got {data.shape}")
     # NaN fails the comparison; a value past float32's range would cast to inf

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -206,6 +207,73 @@ class TestBackward:
         backward(loss)
         backward(loss)
         np.testing.assert_array_equal(x.grad, np.ones(2))
+
+    @staticmethod
+    def _fanout_graph():
+        """A loss over a fused conv and an LSTM (both `upstream` ops), each
+        seen through a `reshape` view, joined and then used twice; returns
+        the loss and its leaves."""
+        rng = np.random.default_rng(25)
+        shapes = {"x": (2, 4, 5, 2), "k": (3, 2, 3, 3), "b": (3,), "xw": (2, 3, 8), "u": (2, 8)}
+        leaves = {name: t64(rng.standard_normal(shape)) for name, shape in shapes.items()}
+        conv = ad.reshape(convolution._conv(leaves["x"], leaves["k"], leaves["b"]), (2, 60))
+        seq = ad.reshape(ad.lstm(leaves["xw"], leaves["u"]), (2, 6))
+        joined = ad.concat([conv, seq], axis=1)
+        c = Tensor.constant(rng.standard_normal((2, 66)))
+        loss = ad.tensor_sum(ad.add(ad.mul(joined, joined), ad.mul(joined, c)))
+        return loss, leaves
+
+    @staticmethod
+    def _interior(loss):
+        seen, stack = {}, [loss]
+        while stack:
+            node = stack.pop()
+            if node._backward is not None and id(node) not in seen:
+                seen[id(node)] = node
+                stack.extend(node._parents)
+        return list(seen.values())
+
+    def test_interior_gradients_freed_and_leaves_bitwise_unchanged(self):
+        loss, leaves = self._fanout_graph()
+        interior = self._interior(loss)
+        assert len(interior) == 9
+        # record the order in which the walk runs the nodes, then replay that
+        # order with every gradient kept: the leaves must get the same bits
+        order, closures = [], {}
+        for node in interior:
+            closures[id(node)] = node._backward
+            node._backward = lambda g, node=node: (order.append(node), closures[id(node)](g))
+        backward(loss)
+        assert len(order) == len(interior)
+        assert all(node.grad is None for node in interior)
+        freed = {name: t.grad for name, t in leaves.items()}
+        for t in leaves.values():
+            t.grad = None
+        loss.grad = np.ones_like(loss.data)
+        for node in order:
+            closures[id(node)](node.grad)
+        assert all(node.grad is not None for node in interior)
+        for name, t in leaves.items():
+            assert freed[name].tobytes() == t.grad.tobytes(), name
+
+    def test_chain_peak_is_not_its_interior_gradients(self):
+        # ten interior gradients, each as large as the leaf's: kept to the
+        # end of the walk they would be ten arrays; freed as the walk passes
+        # them on, at most two are alive at once
+        x = t64(np.ones(1 << 17))
+        y = x
+        for _ in range(10):
+            y = ad.mul(y, 1.5)
+        loss = ad.tensor_sum(y)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            backward(loss)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(x.grad, np.full(x.shape, 1.5 ** 10))
+        assert peak <= 3.5 * x.data.nbytes
 
     def test_linear_function_near_exact(self):
         rng = np.random.default_rng(8)

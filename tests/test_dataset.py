@@ -514,6 +514,20 @@ class TestRecordingCsv:
         with pytest.raises(ds.RecordingError, match="header"):
             ds.load_recording_csv(path)
 
+    @pytest.mark.parametrize("body", ["", "not,numbers,at,all\n", "1,2,3\n"],
+                             ids=["header-only", "non-numeric", "numeric"])
+    def test_bad_header_reported_before_the_body_is_read(self, tmp_path, monkeypatch, body):
+        # a wrong header is the error reported, whatever follows it, and no
+        # body under it is parsed
+        def never(*args, **kwargs):
+            raise AssertionError("the body of a recording with a bad header was parsed")
+
+        monkeypatch.setattr(np, "loadtxt", never)
+        path = tmp_path / "rec.csv"
+        path.write_text("a,b,c\n" + body)
+        with pytest.raises(ds.RecordingError, match="bad header"):
+            ds.load_recording_csv(path)
+
     def test_nan_rejected(self, tmp_path):
         # 1e39 is finite in float64 but would cast to inf in float32
         path = tmp_path / "rec.csv"
@@ -632,7 +646,7 @@ class TestPrepareDataset:
         )
         with caplog.at_level("WARNING"):
             prepared = ds.prepare_dataset(manifest, window=10, ratio=0.5, seed=0)
-        assert "skipping recording" in caplog.text and "holds no samples" in caplog.text
+        assert "skipping recording" in caplog.text and "bad header" in caplog.text
         assert prepared.meta["skipped"] == ["recordings/bad.csv"]
         assert prepared.count == 3
         assert set(prepared.labels.tolist()) == {1}
